@@ -537,6 +537,13 @@ def matrix_from_entries(spec: RingSpec, entries, realization: str) -> AdjointMat
     return AdjointMatrix(spec, rows, realization)
 
 
+def default_realization(system) -> str:
+    """The realization used unless one is asked for: the 3x3 models for A1
+    and A2, the adjoint representation otherwise."""
+    return {"A1": "a1std", "A2": "pgl3"}.get(SystemType(system).tag,
+                                             "adjoint")
+
+
 def _realization_dim(system: SystemType, realization: str) -> int:
     if realization == "adjoint":
         return 2 * len(positive_roots(system)) + system.rank

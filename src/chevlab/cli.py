@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import decomp, prooflab, shacheck
-from .chevgroup import (build_basis, commutator_relation, evaluate_word,
-                        parse_word, trace_poly)
+from .chevgroup import (build_basis, commutator_relation, default_realization,
+                        evaluate_word, parse_word, trace_poly)
 from .exactring import RingError, RingSpec
 from .rootsys import SYSTEMS, positive_roots
 
@@ -95,10 +95,6 @@ def _systems(args):
     return [args.system] if args.system else list(SYSTEMS)
 
 
-def _default_realization(tag):
-    return {"A1": "a1std", "A2": "pgl3"}.get(tag, "adjoint")
-
-
 def cmd_relations(args):
     for tag in _systems(args):
         basis = build_basis(tag)
@@ -165,7 +161,8 @@ def cmd_centralizer(args):
                 report = prooflab.Report(
                     f"{tag}-centralizer-bruteforce-p{args.prime}", "PASS",
                     detail=f"count {count}")
-            except (AssertionError, shacheck.CapExceeded) as exc:
+            except (prooflab.CentralizerMismatch,
+                    shacheck.CapExceeded) as exc:
                 report = prooflab.Report(
                     f"{tag}-centralizer-bruteforce-p{args.prime}", "FAIL",
                     str(exc))
@@ -195,7 +192,7 @@ def cmd_sha(args):
 def cmd_decompose(args):
     spec = RingSpec("modular", modulus=args.prime ** args.power)
     basis = build_basis(args.system)
-    realization = _default_realization(args.system)
+    realization = default_realization(args.system)
     word = parse_word(args.word, args.system, spec)
     M = evaluate_word(word, basis, realization, spec=spec)
     if args.bruhat:
@@ -222,7 +219,7 @@ def cmd_eval(args):
         names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
         spec = RingSpec("poly", names)
     basis = build_basis(args.system)
-    realization = args.realization or _default_realization(args.system)
+    realization = args.realization or default_realization(args.system)
     word = parse_word(args.word, args.system, spec)
     M = evaluate_word(word, basis, realization, spec=spec)
     if args.output == "json-lines":

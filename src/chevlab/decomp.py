@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 
 from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord, build_basis,
-                        evaluate_word, identity_matrix, pgl3_equal)
+                        default_realization, evaluate_word, identity_matrix,
+                        pgl3_equal)
 from .exactring import NotAUnit, RingElement, RingError, RingSpec, invert
 from .rootsys import Root, SystemType, positive_roots, simple_roots
 
@@ -195,25 +196,18 @@ def gauss_decompose_a1(M: AdjointMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Bruhat decomposition by exhaustive search over a small field
+# Bruhat decomposition by search and lookup over a small field
 # ---------------------------------------------------------------------------
 
-def _default_realization(system: SystemType) -> str:
-    if system.tag == "A1":
-        return "a1std"
-    if system.tag == "A2":
-        return "pgl3"
-    return "adjoint"
-
-
 class _BruhatContext:
-    """Enumerated torus, unipotent and Weyl data for E(system, F_p)."""
+    """Enumerated torus, unipotent and Weyl data for E(system, F_p), with
+    the inverse matrix of every enumerated element."""
 
     def __init__(self, system, p: int, realization=None):
         from . import shacheck
         self.system = SystemType(system)
         self.p = p
-        self.realization = realization or _default_realization(self.system)
+        self.realization = realization or default_realization(self.system)
         self.basis = build_basis(self.system)
         self.spec = RingSpec("modular", modulus=p)
         self.key = lambda m: shacheck.matrix_key(m, self.realization, p)
@@ -246,7 +240,8 @@ class _BruhatContext:
             frontier = nxt
         self.torus = list(torus.values())
 
-        # unipotent radical U with coordinates
+        # unipotent radical U with coordinates; u_index maps a key to the
+        # first position in u_elements that has it
         self.u_elements = []
         self.u_index = {}
         for params in itertools.product(range(p), repeat=len(pos)):
@@ -256,9 +251,8 @@ class _BruhatContext:
                 if t:
                     m = m * xmat(root, t)
                     w = w * GroupWord.x(self.system, root, spec.const(t))
-            k = self.key(m)
+            self.u_index.setdefault(self.key(m), len(self.u_elements))
             self.u_elements.append((m, w, params))
-            self.u_index[k] = params
 
         # Weyl representatives: BFS over simple-reflection words
         simples = simple_roots(self.system)
@@ -280,6 +274,14 @@ class _BruhatContext:
                     nxt.append((word + (i,), m2, gw2))
             frontier = nxt
         self.weyl_reps = sorted(self.weyl.values(), key=lambda x: (len(x[0]), x[0]))
+
+        def inverse(word):
+            return evaluate_word(word.inverse(), basis, self.realization,
+                                 spec=spec)
+
+        self.torus_inv = [inverse(tw) for _, tw in self.torus]
+        self.u_inv = [inverse(uw) for _, uw, _ in self.u_elements]
+        self.weyl_inv = [inverse(gw) for _, _, gw in self.weyl_reps]
 
 
 _BRUHAT_CACHE = {}
@@ -316,16 +318,19 @@ def bruhat_cells(system, p, realization=None):
 def bruhat_bruteforce(M: AdjointMatrix, system, p: int,
                       realization=None) -> BruhatFactorization:
     """Search t * u * w * u' = M stratified by Weyl word; the first match in
-    canonical order wins."""
+    canonical order wins.
+
+    For each (w, t, u) in that order, u' = w^-1 u^-1 t^-1 M is the only
+    candidate, so it is looked up in U instead of searched for."""
     ctx = _bruhat_context(system, p, realization)
-    target = ctx.key(M)
-    for wword, wmat, wgw in ctx.weyl_reps:
-        for t, tw in ctx.torus:
-            for u, uw, _ in ctx.u_elements:
-                left = t * u * wmat
-                for u2, u2w, _ in ctx.u_elements:
-                    if ctx.key(left * u2) == target:
-                        return BruhatFactorization(tw, uw, wgw, u2w, wword)
+    torus_m = [t_inv * M for t_inv in ctx.torus_inv]
+    for (wword, _, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):
+        for (_, tw), t_m in zip(ctx.torus, torus_m):
+            for (_, uw, _), u_inv in zip(ctx.u_elements, ctx.u_inv):
+                pos = ctx.u_index.get(ctx.key(w_inv * (u_inv * t_m)))
+                if pos is not None:
+                    u2w = ctx.u_elements[pos][1]
+                    return BruhatFactorization(tw, uw, wgw, u2w, wword)
     raise ElementNotInGroup("no Bruhat factorization found")
 
 

@@ -19,9 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chevgroup import (AdjointMatrix, GroupWord, build_basis, evaluate_word,
-                        identity_matrix, matrix_from_entries, parse_word,
-                        pgl3_equal, root_element, unipotent_coordinates)
+from .chevgroup import (AdjointMatrix, GroupWord, build_basis,
+                        default_realization, evaluate_word, identity_matrix,
+                        matrix_from_entries, parse_word, pgl3_equal,
+                        root_element, unipotent_coordinates)
 from .exactring import (DenominatorNotInvertible, NotAUnit, RingElement,
                         RingError, RingSpec, RewriteRule, deglex_key, invert,
                         mul_terms, parse_expr, reduce_terms, sub_terms,
@@ -226,7 +227,7 @@ def _unit_monomial_quotient(entry: RingElement, claim: RingElement):
 
 
 def run_identity(rec: IdentityRecord) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         lhs = rec._eval_side(rec.lhs)
         kind = rec.expected[0]
@@ -270,11 +271,11 @@ def run_identity(rec: IdentityRecord) -> Report:
         return _residual_report(rec, residual.is_zero(), witness, t0)
     except (RingError, NotAUnit, DenominatorNotInvertible, ValueError) as exc:
         return Report(rec.name, "FAIL", f"error: {exc}",
-                      (time.time() - t0) * 1000)
+                      (time.perf_counter() - t0) * 1000)
 
 
 def _residual_report(rec, ok, witness, t0) -> Report:
-    millis = (time.time() - t0) * 1000
+    millis = (time.perf_counter() - t0) * 1000
     if ok:
         return Report(rec.name, "PASS", "", millis)
     if rec.ring.kind == "quotient":
@@ -564,6 +565,10 @@ def run_catalog(system, name_filter: str = None) -> list:
 # centralizer machinery
 # ---------------------------------------------------------------------------
 
+class CentralizerMismatch(Exception):
+    """The brute-force centralizer differs from the claimed family."""
+
+
 class CentralizerFamily:
     """A claimed parametrization of the centralizer of x0 inside U+.
 
@@ -580,8 +585,7 @@ class CentralizerFamily:
         self.free = tuple(free)
         self.constraints = dict(constraints or {})
         self.matrix_family = matrix_family
-        self.realization = realization or {
-            "A1": "a1std", "A2": "pgl3"}.get(self.system.tag, "adjoint")
+        self.realization = realization or default_realization(self.system)
 
     def ring(self) -> RingSpec:
         return RingSpec("poly", self.free)
@@ -624,7 +628,7 @@ def standard_family(system) -> CentralizerFamily:
 
 
 def centralizer_check(fam: CentralizerFamily) -> Report:
-    t0 = time.time()
+    t0 = time.perf_counter()
     name = f"{fam.system.tag}-centralizer-family"
     spec = fam.ring()
     basis = build_basis(fam.system)
@@ -640,9 +644,10 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
         ok = residual.is_zero()
         return Report(name, "PASS" if ok else "FAIL",
                       "" if ok else "commutation residual is nonzero",
-                      (time.time() - t0) * 1000)
+                      (time.perf_counter() - t0) * 1000)
     except (RingError, ValueError) as exc:
-        return Report(name, "FAIL", f"error: {exc}", (time.time() - t0) * 1000)
+        return Report(name, "FAIL", f"error: {exc}",
+                      (time.perf_counter() - t0) * 1000)
 
 
 def centralizer_bruteforce(system, p: int, x0: str = None,
@@ -696,11 +701,8 @@ def centralizer_bruteforce(system, p: int, x0: str = None,
             m = evaluate_word(GroupWord(system, letters), basis,
                               table.realization, spec=spec)
             fam_keys.add(shacheck.matrix_key(m, table.realization, p))
-    if fam.matrix_family is not None:
-        # matrix families live in M_3; compare group intersections
-        assert fam_keys == cent, "centralizer does not match the family"
-    else:
-        assert fam_keys == cent, "centralizer does not match the family"
+    if fam_keys != cent:
+        raise CentralizerMismatch("centralizer does not match the family")
     return len(cent), cent
 
 
@@ -927,7 +929,7 @@ def entry_chain_probe(claim_text: str, rules=()) -> Report:
     """Entry-level probe: PASS only when some residual entry is a unit
     multiple of the claim (no linear-combination certificates), so a
     fabricated polynomial fails with an absence witness."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     claim = parse_expr(claim_text, _chain_spec()).terms
     claim_red = reduce_terms(claim, tuple(rules))
     if claim_red:
@@ -938,11 +940,11 @@ def entry_chain_probe(claim_text: str, rules=()) -> Report:
             q = _poly_divide(tr, claim_red)
             if q and _unit_shaped(q):
                 return Report(f"G2-chain-probe-{claim_text}", "PASS",
-                              "", (time.time() - t0) * 1000,
+                              "", (time.perf_counter() - t0) * 1000,
                               f"entry ({i},{j})")
     return Report(f"G2-chain-probe-{claim_text}", "FAIL",
                   "claimed polynomial absent from the residual entries",
-                  (time.time() - t0) * 1000)
+                  (time.perf_counter() - t0) * 1000)
 
 
 def entry_chain_g2(stage: str = None) -> list:
@@ -960,7 +962,7 @@ def entry_chain_g2(stage: str = None) -> list:
     reports = []
     rules = []
     for name, claim_text, rule_texts in _CHAIN_STAGES:
-        t0 = time.time()
+        t0 = time.perf_counter()
         claim = parse_expr(claim_text, spec0).terms
         claim_red = reduce_terms(claim, tuple(rules))
         detail = ""
@@ -1014,7 +1016,7 @@ def entry_chain_g2(stage: str = None) -> list:
             detail += "; with 2 invertible, b rewrites to 0"
         reports.append(Report(f"G2-chain-{name}", "PASS" if ok else "FAIL",
                               "" if ok else "claim not certified",
-                              (time.time() - t0) * 1000, detail))
+                              (time.perf_counter() - t0) * 1000, detail))
         for text in rule_texts:
             rules.append(_parse_rule(text))
     if stage is not None:
@@ -1145,7 +1147,7 @@ def short_root_squares(system) -> Report:
     """The designated coordinates of [x_a(1), x_b(s)] that the short-root
     squaring argument extracts: -s^2 at a+2b (B2 and G2) and -s^3 at a+3b
     (G2)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     system = SystemType(system)
     assert system.tag in ("B2", "G2")
     basis = build_basis(system)
@@ -1165,4 +1167,4 @@ def short_root_squares(system) -> Report:
     shown = ", ".join(f"{k}: {coords[k]!r}" for k in sorted(want))
     return Report(f"{system.tag}-short-root-squares",
                   "PASS" if ok else "FAIL", "" if ok else shown,
-                  (time.time() - t0) * 1000, shown)
+                  (time.perf_counter() - t0) * 1000, shown)

@@ -4,6 +4,13 @@ Builds the elementary group E(system, F_p) by closure of the root-element
 generators, enumerates every class-preserving endomorphism by searching
 generator images inside the generators' conjugacy classes, and checks that
 each one is inner.
+
+An endomorphism is fixed by its images of the generators, so everything is
+done with the generators: the closure records the right-multiplication
+table by the generators (``rmul``, |G| x k) and a breadth-first spanning
+tree, right multiplication by any element is a composition of ``rmul``
+columns along that element's tree word, and endomorphisms are identified by
+their image tuples.  Memory is O(|G| k); no |G| x |G| table is built.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ import time
 
 import numpy as np
 
-from .chevgroup import GroupWord, build_basis, root_element
+from .chevgroup import (GroupWord, build_basis, default_realization,
+                        root_element)
 from .exactring import RingSpec
 from .rootsys import SystemType, simple_roots
 
@@ -24,10 +32,6 @@ class CapExceeded(Exception):
 DEFAULT_CAP = 10000
 
 REJECT = "REJECT"
-
-
-def _default_realization(system: SystemType) -> str:
-    return {"A1": "a1std", "A2": "pgl3"}.get(system.tag, "adjoint")
 
 
 def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
@@ -54,46 +58,71 @@ def matrix_key_raw(arr: np.ndarray, p: int) -> bytes:
     return (arr % p).astype(np.uint8).tobytes()
 
 
-class FiniteGroupTable:
-    """The elements of E(system, F_p), closed under multiplication, with
-    generator data and memoized products."""
+def _lookup(index, mats: np.ndarray, realization: str, p: int) -> np.ndarray:
+    """Ids of a stack of integer matrices that lie in the group."""
+    canon = _canonicalize(mats, realization, p).astype(np.uint8)
+    return np.fromiter((index[m.tobytes()] for m in canon), dtype=np.int32,
+                       count=len(canon))
 
-    def __init__(self, system, p, realization, elements, index, generators):
+
+def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    out = np.empty_like(perm)
+    out[perm] = np.arange(len(perm), dtype=perm.dtype)
+    return out
+
+
+class FiniteGroupTable:
+    """The elements of E(system, F_p), closed under multiplication.
+
+    Element ids follow the breadth-first closure from the identity (id 0),
+    so the ids of one tree level form the contiguous range
+    ``levels[d]:levels[d + 1]``.  ``rmul[x, i]`` is the id of x * s_i for
+    the generator s_i; ``parent[y] * s_{parent_gen[y]} = y`` spans the
+    group; ``inverses[x]`` is the id of x^-1.
+    """
+
+    def __init__(self, system, p, realization, elements, index, generators,
+                 rmul, parent, parent_gen, levels, inverses):
         self.system = SystemType(system)
         self.p = p
         self.realization = realization
         self.elements = elements          # list of canonical uint8 arrays
         self.index = index                # bytes -> id
         self.generators = generators      # list of (GroupWord, id)
-        self._mul_memo = {}
-        self._inv_memo = {}
-        self.identity_id = index[matrix_key_raw(
-            np.eye(elements[0].shape[0], dtype=np.uint8), p)]
+        self.rmul = rmul
+        self.parent = parent
+        self.parent_gen = parent_gen
+        self.levels = levels
+        self.inverses = inverses
+        self.identity_id = 0
 
     def __len__(self):
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        out = self._mul_memo.get(key)
-        if out is None:
-            prod = (self.elements[i].astype(np.int64)
-                    @ self.elements[j].astype(np.int64))
-            prod = _canonicalize(prod[None, :, :], self.realization, self.p)[0]
-            out = self.index[prod.astype(np.uint8).tobytes()]
-            self._mul_memo[key] = out
+    def word(self, f: int) -> list:
+        """Generator indices i_1..i_m with f = s_{i_1} ... s_{i_m}."""
+        out = []
+        while f != self.identity_id:
+            out.append(int(self.parent_gen[f]))
+            f = int(self.parent[f])
+        out.reverse()
         return out
 
+    def right_multiplication(self, f: int) -> np.ndarray:
+        """The permutation x -> x * f of all ids."""
+        perm = np.arange(len(self), dtype=np.int32)
+        for i in self.word(f):
+            perm = self.rmul[perm, i]
+        return perm
+
+    def mul(self, i: int, j: int) -> int:
+        rmul = self.rmul
+        for g in self.word(j):
+            i = rmul[i, g]
+        return int(i)
+
     def inv(self, i: int) -> int:
-        out = self._inv_memo.get(i)
-        if out is None:
-            # i has finite order k; the inverse is i^(k-1)
-            prev, j = self.identity_id, i
-            while j != self.identity_id:
-                prev, j = j, self.mul(j, i)
-            out = prev
-            self._inv_memo[i] = out
-        return out
+        return int(self.inverses[i])
 
     def conj(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))
@@ -101,11 +130,12 @@ class FiniteGroupTable:
 
 def generate_group(system, p: int, realization: str = None,
                    cap: int = DEFAULT_CAP) -> FiniteGroupTable:
-    """Closure of the root-element generators of E(system, F_p)."""
+    """Closure of the root-element generators of E(system, F_p), with its
+    right-multiplication table, spanning tree and inverses."""
     system = SystemType(system)
     if p < 2:
         raise ValueError("p must be at least 2")
-    realization = realization or _default_realization(system)
+    realization = realization or default_realization(system)
     basis = build_basis(system)
     spec = RingSpec("modular", modulus=p)
     one = spec.one()
@@ -124,39 +154,69 @@ def generate_group(system, p: int, realization: str = None,
 
     dim = gens.shape[1]
     ident = _canonicalize(np.eye(dim, dtype=np.int64)[None], realization, p)
-    index = {}
-    elements = []
+    elements = [ident[0].astype(np.uint8)]
+    index = {elements[0].tobytes(): 0}
+    parent, parent_gen = [0], [0]
+    rmul_levels = []
+    levels = [0]
 
-    def add_batch(batch):
-        fresh = []
-        for arr in batch:
-            k = matrix_key_raw(arr, p)
-            if k not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded(
-                        f"group order exceeds cap {cap}; raise --cap")
-                index[k] = len(elements)
-                elements.append(arr.astype(np.uint8))
-                fresh.append(arr)
-        return fresh
+    # breadth-first closure; every product x * s_i is looked up once
+    lo, hi = 0, 1
+    while lo < hi:
+        stack = np.stack(elements[lo:hi]).astype(np.int64)
+        cols = []
+        for i, g in enumerate(gens):
+            prods = _canonicalize(stack @ g, realization, p).astype(np.uint8)
+            col = np.empty(hi - lo, dtype=np.int32)
+            for r, arr in enumerate(prods):
+                key = arr.tobytes()
+                j = index.get(key)
+                if j is None:
+                    if len(elements) >= cap:
+                        raise CapExceeded(
+                            f"group order exceeds cap {cap}; raise --cap")
+                    j = index[key] = len(elements)
+                    # a copy: a view would keep all of prods alive
+                    elements.append(arr.copy())
+                    parent.append(lo + r)
+                    parent_gen.append(i)
+                col[r] = j
+            cols.append(col)
+        rmul_levels.append(np.stack(cols, axis=1))
+        levels.append(hi)
+        lo, hi = hi, len(elements)
 
-    frontier = add_batch(ident)
-    while frontier:
-        stack = np.stack(frontier).astype(np.int64)
-        new = []
-        for g in gens:
-            prods = _canonicalize(stack @ g, realization, p)
-            new.extend(add_batch(prods))
-        frontier = new
+    rmul = np.concatenate(rmul_levels)
+    parent = np.array(parent, dtype=np.int32)
+    parent_gen = np.array(parent_gen, dtype=np.int32)
+
+    # y = x s_i gives y^-1 = s_i^-1 x^-1: fill the inverses down the tree
+    # with the inverse permutations of the left-multiplication columns
+    lmul = np.empty_like(rmul)
+    for lo, hi in zip(levels, levels[1:]):
+        stack = np.stack(elements[lo:hi]).astype(np.int64)
+        for i, g in enumerate(gens):
+            lmul[lo:hi, i] = _lookup(index, g @ stack, realization, p)
+    left_inv = np.stack([_inverse_permutation(lmul[:, i])
+                         for i in range(len(gens))])
+    inverses = np.zeros(len(elements), dtype=np.int32)
+    for lo, hi in zip(levels[1:], levels[2:]):
+        inverses[lo:hi] = left_inv[parent_gen[lo:hi], inverses[parent[lo:hi]]]
 
     gen_ids = [index[matrix_key_raw(g, p)] for g in gens]
     return FiniteGroupTable(system, p, realization, elements, index,
-                            list(zip(gen_words, gen_ids)))
+                            list(zip(gen_words, gen_ids)), rmul, parent,
+                            parent_gen, levels, inverses)
 
 
 def conjugacy_classes(G: FiniteGroupTable):
     """Orbits of the conjugation action, as lists of element ids."""
-    gen_ids = [gid for _, gid in G.generators]
+    inv = G.inverses
+    conj = []
+    for i in range(len(G.generators)):
+        right_inv = _inverse_permutation(G.rmul[:, i])   # x -> x s_i^-1
+        left = inv[right_inv[inv]]                       # x -> s_i x
+        conj.append(right_inv[left].tolist())            # x -> s_i x s_i^-1
     class_of = [-1] * len(G)
     classes = []
     for start in range(len(G)):
@@ -167,8 +227,8 @@ def conjugacy_classes(G: FiniteGroupTable):
         queue = [start]
         while queue:
             x = queue.pop()
-            for g in gen_ids:
-                y = G.conj(g, x)
+            for perm in conj:
+                y = perm[x]
                 if class_of[y] < 0:
                     class_of[y] = len(classes)
                     orbit.append(y)
@@ -178,62 +238,61 @@ def conjugacy_classes(G: FiniteGroupTable):
 
 
 class EndoMap:
-    """A verified endomorphism, stored as images per generator plus the
-    full id -> id table."""
+    """A verified endomorphism: the images of the generators, plus the
+    full id -> id table as an int32 array."""
 
     __slots__ = ("images", "table")
 
     def __init__(self, images, table):
         self.images = tuple(images)
-        self.table = tuple(table)
-
-    def __eq__(self, other):
-        return isinstance(other, EndoMap) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
+        self.table = table
 
     def __repr__(self):
         return f"EndoMap(images={self.images})"
 
 
 def extend_homomorphism(G: FiniteGroupTable, images):
-    """Breadth-first extension of generator images over the Cayley graph;
-    returns an EndoMap, or REJECT on any conflict."""
-    gen_ids = [gid for _, gid in G.generators]
-    images = list(images)
-    table = [-1] * len(G)
+    """Extend generator images over the spanning tree, then check every
+    Cayley edge x -> x s_i; returns an EndoMap, or REJECT on any conflict."""
+    images = tuple(int(f) for f in images)
+    right = np.stack([G.right_multiplication(f) for f in images])
+    table = np.full(len(G), -1, dtype=np.int32)
     table[G.identity_id] = G.identity_id
-    queue = [G.identity_id]
-    while queue:
-        x = queue.pop()
-        fx = table[x]
-        for g, fg in zip(gen_ids, images):
-            y = G.mul(x, g)
-            fy = G.mul(fx, fg)
-            if table[y] < 0:
-                table[y] = fy
-                queue.append(y)
-            elif table[y] != fy:
-                return REJECT
-    assert all(v >= 0 for v in table)
+    for lo, hi in zip(G.levels[1:], G.levels[2:]):
+        table[lo:hi] = right[G.parent_gen[lo:hi], table[G.parent[lo:hi]]]
+    if (table < 0).any():
+        raise RuntimeError("the spanning tree misses some elements")
+    for i in range(len(images)):
+        if not np.array_equal(table[G.rmul[:, i]], right[i][table]):
+            return REJECT
     return EndoMap(images, table)
 
 
 def inner_endomorphisms(G: FiniteGroupTable):
-    """All conjugation maps, deduplicated (one per coset of the center)."""
-    out = {}
-    gen_ids = [gid for _, gid in G.generators]
-    for g in range(len(G)):
-        images = tuple(G.conj(g, x) for x in gen_ids)
-        if images not in out:
-            table = tuple(G.conj(g, x) for x in range(len(G)))
-            out[images] = EndoMap(images, table)
-    return list({e.table: e for e in out.values()}.values())
+    """The image tuples (g s_i g^-1)_i of all conjugation maps, one per
+    coset of the center."""
+    stack = np.stack(G.elements).astype(np.int64)
+    inverse = stack[G.inverses]
+    cols = []
+    for _, gid in G.generators:
+        s = G.elements[gid].astype(np.int64)
+        cols.append(_lookup(G.index, stack @ s @ inverse, G.realization,
+                            G.p).tolist())
+    return set(zip(*cols))
+
+
+def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int, target) -> bool:
+    """Do a*c and the commutator [a, c] fall in the classes ``target``?"""
+    prod = G.mul(a, c)
+    if class_of[prod] != target[0]:
+        return False
+    comm = G.mul(prod, G.mul(G.inv(a), G.inv(c)))
+    return class_of[comm] == target[1]
 
 
 def class_preserving_endos(G: FiniteGroupTable):
-    """All endomorphisms sending every element into its conjugacy class."""
+    """The image tuples of all endomorphisms sending every element into its
+    conjugacy class, sorted."""
     classes, class_of = conjugacy_classes(G)
     gen_ids = [gid for _, gid in G.generators]
     candidates = [classes[class_of[g]] for g in gen_ids]
@@ -244,49 +303,32 @@ def class_preserving_endos(G: FiniteGroupTable):
         for j in range(n):
             if i != j:
                 prod = G.mul(gen_ids[i], gen_ids[j])
-                comm = G.mul(G.mul(gen_ids[i], gen_ids[j]),
-                             G.mul(G.inv(gen_ids[i]), G.inv(gen_ids[j])))
+                comm = G.mul(prod, G.mul(G.inv(gen_ids[i]),
+                                         G.inv(gen_ids[j])))
                 pair_target[(i, j)] = (class_of[prod], class_of[comm])
 
-    found = {}
+    # image tuples, one generator at a time, kept while every pair with an
+    # earlier generator lands in the right classes
+    chosen = [()]
+    for k in range(n):
+        chosen = [prefix + (c,) for prefix in chosen for c in candidates[k]
+                  if all(_pair_ok(G, class_of, prefix[i], c,
+                                  pair_target[(i, k)]) for i in range(k))]
 
-    def search(k, chosen):
-        if k == n:
-            endo = extend_homomorphism(G, chosen)
-            if endo is REJECT:
-                return
-            if all(class_of[endo.table[x]] == class_of[x] for x in range(len(G))):
-                found[endo.table] = endo
-            return
-        for c in candidates[k]:
-            ok = True
-            for i in range(k):
-                ti = pair_target[(i, k)]
-                if (class_of[G.mul(chosen[i], c)] != ti[0]
-                        or class_of[G.mul(G.mul(chosen[i], c),
-                                          G.mul(G.inv(chosen[i]), G.inv(c)))]
-                        != ti[1]):
-                    ok = False
-                    break
-            if ok:
-                search(k + 1, chosen + [c])
-
-    search(0, [])
-    return sorted(found.values(), key=lambda e: e.table)
-
-
-def is_inner(G: FiniteGroupTable, endo: EndoMap):
-    """Exhaustive search for a conjugator realizing the endomorphism."""
-    for g in range(len(G)):
-        if all(endo.table[x] == G.conj(g, x) for x in range(len(G))):
-            return True, g
-    return False, None
+    class_arr = np.array(class_of)
+    found = []
+    for images in chosen:
+        endo = extend_homomorphism(G, images)
+        if endo is not REJECT and np.array_equal(class_arr[endo.table],
+                                                 class_arr):
+            found.append(endo.images)
+    return sorted(found)
 
 
 def sha_report(system, p: int, cap: int = DEFAULT_CAP, slow: bool = False):
     """PASS iff every class-preserving endomorphism of E(system, F_p) is
     inner and the counts agree."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     system = SystemType(system)
     if system.tag == "A2" and p == 3 and not slow:
         raise CapExceeded("A2 over F_3 has order 5616; pass slow=True")
@@ -294,17 +336,16 @@ def sha_report(system, p: int, cap: int = DEFAULT_CAP, slow: bool = False):
     classes, _ = conjugacy_classes(G)
     cp = class_preserving_endos(G)
     inner = inner_endomorphisms(G)
-    inner_tables = {e.table for e in inner}
-    all_inner = all(e.table in inner_tables for e in cp)
-    verdict = "PASS" if (all_inner and len(cp) == len(inner_tables)) else "FAIL"
+    all_inner = all(images in inner for images in cp)
+    verdict = "PASS" if (all_inner and len(cp) == len(inner)) else "FAIL"
     return {
         "system": system.tag,
         "p": p,
         "group_order": len(G),
         "class_count": len(classes),
         "cp_endo_count": len(cp),
-        "inner_count": len(inner_tables),
+        "inner_count": len(inner),
         "verdict": verdict,
         "hypothesis_violated": p == 2,
-        "seconds": round(time.time() - t0, 3),
+        "seconds": round(time.perf_counter() - t0, 3),
     }

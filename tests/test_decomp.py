@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from chevlab import decomp
-from chevlab.chevgroup import (GroupWord, build_basis, evaluate_word,
-                               parse_word, root_element)
+from chevlab import decomp, shacheck
+from chevlab.chevgroup import (GroupWord, build_basis, default_realization,
+                               evaluate_word, parse_word, root_element)
 from chevlab.exactring import NotAUnit, RingSpec
 from chevlab.rootsys import Root, all_roots
 
@@ -121,6 +122,55 @@ def test_bruhat_examples():
     mw = evaluate_word(w, basis, "a1std", spec=f3)
     fact = decomp.bruhat_bruteforce(mw, "A1", 3)
     assert fact.weyl_word == (0,)
+
+
+def _residues(m):
+    return np.array([[e.residue for e in row] for row in m.rows],
+                    dtype=np.int64)
+
+
+def _bruhat_oracle(M, system, p):
+    """The exhaustive O(|W| |T| |U|^2) search: for each (w, t, u) in
+    canonical order, the first u' in U with t u w u' = M."""
+    ctx = decomp._bruhat_context(system, p)
+
+    def canon(arr):
+        return shacheck._canonicalize(arr, ctx.realization, p)
+
+    target = canon(_residues(M)[None])[0]
+    u2_stack = np.stack([_residues(u2) for u2, _, _ in ctx.u_elements])
+    for wword, wmat, wgw in ctx.weyl_reps:
+        for t, tw in ctx.torus:
+            for u, uw, _ in ctx.u_elements:
+                left = _residues(t) @ _residues(u) @ _residues(wmat) % p
+                hits = (canon(left @ u2_stack) == target).all(axis=(1, 2))
+                if hits.any():
+                    u2w = ctx.u_elements[int(hits.argmax())][1]
+                    return decomp.BruhatFactorization(tw, uw, wgw, u2w, wword)
+    raise decomp.ElementNotInGroup("no Bruhat factorization found")
+
+
+@pytest.mark.parametrize("system,p", [("A1", 3), ("A2", 3), ("B2", 2)])
+def test_bruhat_matches_exhaustive_search(system, p):
+    spec = RingSpec("modular", modulus=p)
+    basis = build_basis(system)
+    roots = all_roots(system)
+    rng = random.Random(f"bruhat {system}/{p}")
+    cells = set()
+    for _ in range(24):
+        word = GroupWord(system)
+        for _ in range(rng.randint(1, 10)):
+            word = word * GroupWord.x(system, rng.choice(roots),
+                                      spec.const(rng.randrange(1, p)))
+        M = evaluate_word(word, basis, default_realization(system), spec=spec)
+        fact = decomp.bruhat_bruteforce(M, system, p)
+        expect = _bruhat_oracle(M, system, p)
+        assert fact.weyl_word == expect.weyl_word
+        assert fact.word().format_text() == expect.word().format_text()
+        cells.add(fact.weyl_word)
+    # the targets reach the big cell, where the search runs longest
+    longest = decomp._bruhat_context(system, p).weyl_reps[-1][0]
+    assert len(cells) >= 2 and longest in cells
 
 
 @pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A2", 2)])

@@ -1,7 +1,12 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import chevlab
 from chevlab import prooflab
 from chevlab.chevgroup import (build_basis, identity_matrix,
                                matrix_from_entries, root_element)
@@ -253,3 +258,45 @@ def test_short_root_squares():
     assert prooflab.short_root_squares("B2").verdict == "PASS"
     rep = prooflab.short_root_squares("G2")
     assert rep.verdict == "PASS" and "-s^3" in rep.detail
+
+
+WRONG_A2_FAMILY = """
+import sys
+from chevlab import cli, prooflab
+
+right = prooflab.standard_family
+
+
+def wrong(system):
+    fam = right(system)
+    if fam.system.tag == "A2":
+        # x(a1, a) x(a2, b) x(a1+a2, b) does not commute with x0 for a != b
+        fam.letters = [("a1", "a"), ("a2", "b"), ("a1+a2", "b")]
+    return fam
+
+
+prooflab.standard_family = wrong
+if sys.argv[1] == "function":
+    prooflab.centralizer_bruteforce("A2", 3)
+else:
+    sys.exit(cli.dispatch(["centralizer", "--system", "A2", "--prime", "3",
+                           "--output", "json-lines", "--no-timing"]))
+"""
+
+
+@pytest.mark.parametrize("entry", ["function", "cli"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_wrong_centralizer_family_fails(entry, flags):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", WRONG_A2_FAMILY, entry],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300)
+    if entry == "function":
+        assert proc.returncode != 0
+        assert "CentralizerMismatch" in proc.stderr
+    else:
+        assert proc.returncode == 1, proc.stderr
+        verdicts = {line["name"]: line["verdict"]
+                    for line in map(json.loads, proc.stdout.splitlines())}
+        assert verdicts["A2-centralizer-bruteforce-p3"] == "FAIL"
