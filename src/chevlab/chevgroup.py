@@ -18,6 +18,7 @@ Realizations:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -422,14 +423,14 @@ _DISPLAYED_RELATIONS = {
     },
 }
 
-_BASIS_CACHE = {}
-
 
 def build_basis(system) -> ChevalleyBasis:
-    tag = SystemType(system).tag
-    if tag not in _BASIS_CACHE:
-        _BASIS_CACHE[tag] = ChevalleyBasis(tag)
-    return _BASIS_CACHE[tag]
+    return _basis(SystemType(system).tag)
+
+
+@functools.cache
+def _basis(tag: str) -> ChevalleyBasis:
+    return ChevalleyBasis(tag)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,11 @@ class AdjointMatrix:
         return len(self.rows)
 
     def __mul__(self, other: "AdjointMatrix") -> "AdjointMatrix":
-        assert self.realization == other.realization and self.spec == other.spec
+        if self.realization != other.realization:
+            raise RealizationError(f"cannot multiply a {self.realization} by"
+                                   f" a {other.realization} matrix")
+        if self.spec != other.spec:
+            raise RingError("matrices live in different rings")
         n = self.dim
         zero = self.spec.zero()
         out = [[zero] * n for _ in range(n)]
@@ -606,10 +611,8 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
     raise RealizationError(f"unknown realization {realization!r}")
 
 
-def torus_element(basis: ChevalleyBasis, gamma, u: RingElement,
-                  realization: str = "adjoint") -> AdjointMatrix:
-    gamma = basis.root(gamma)
-    spec = u.spec
+def _unit_power(u: RingElement):
+    """n -> u^n for every integer n; u is inverted at most once."""
     u_inv = None
 
     def power(n: int) -> RingElement:
@@ -619,7 +622,14 @@ def torus_element(basis: ChevalleyBasis, gamma, u: RingElement,
         if u_inv is None:
             u_inv = invert(u)
         return u_inv ** (-n)
+    return power
 
+
+def torus_element(basis: ChevalleyBasis, gamma, u: RingElement,
+                  realization: str = "adjoint") -> AdjointMatrix:
+    gamma = basis.root(gamma)
+    spec = u.spec
+    power = _unit_power(u)
     if realization == "adjoint":
         dim = basis.dim
         m = identity_matrix(spec, dim, "adjoint")
@@ -652,16 +662,7 @@ def diag_torus(basis: ChevalleyBasis, i: int, u: RingElement,
     """t_i(u): the adjoint-torus generator scaling x_delta(s) by u^(coefficient
     of the i-th simple root in delta)."""
     spec = u.spec
-    u_inv = None
-
-    def power(n: int) -> RingElement:
-        nonlocal u_inv
-        if n >= 0:
-            return u ** n
-        if u_inv is None:
-            u_inv = invert(u)
-        return u_inv ** (-n)
-
+    power = _unit_power(u)
     if i < 0 or i >= basis.rank:
         raise RealizationError(f"no torus coordinate t{i + 1} in {basis.system}")
     if realization == "adjoint":
@@ -725,7 +726,9 @@ class GroupWord:
         return GroupWord(system, [("t", i, param)])
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        assert self.system == other.system
+        if self.system != other.system:
+            raise RealizationError(f"cannot multiply a {self.system} word by"
+                                   f" a {other.system} word")
         return GroupWord(self.system, self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
@@ -762,8 +765,6 @@ class GroupWord:
                 parts.append(f"{kind}({format_root(what)}, {p!r})")
         return " ".join(parts)
 
-    format = format_text
-
     def __repr__(self):
         return f"GroupWord[{self.system}: {self.format_text() or '1'}]"
 
@@ -781,7 +782,9 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
                   spec: RingSpec = None) -> AdjointMatrix:
     if basis is None:
         basis = build_basis(word.system)
-    assert basis.system == word.system
+    if basis.system != word.system:
+        raise RealizationError(f"a {word.system} word needs a {word.system}"
+                               f" basis, not {basis.system}")
     if spec is None:
         spec = word.spec()
     if spec is None:
@@ -916,12 +919,6 @@ class CommutatorRelation:
 
     def constants(self):
         return {(i, j): c for i, j, _, c in self.factors}
-
-    def rhs_word(self, t: RingElement, u: RingElement) -> GroupWord:
-        word = GroupWord(self.g.system)
-        for i, j, root, c in self.factors:
-            word = word * GroupWord.x(self.g.system, root, (t ** i) * (u ** j) * c)
-        return word
 
     def format(self) -> str:
         g, d = format_root(self.g), format_root(self.d)
@@ -1130,20 +1127,19 @@ class _WordParser:
         raise ValueError(f"unknown word letter {name!r}")
 
     def postfix(self, word: GroupWord) -> GroupWord:
-        self.skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "^":
+        if self.peek() != "^":
+            return word
+        self.pos += 1
+        sign = 1
+        if self.peek() == "-":
+            sign = -1
             self.pos += 1
-            sign = 1
-            self.skip_ws()
-            if self.text[self.pos] == "-":
-                sign = -1
-                self.pos += 1
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            n = int(self.text[start:self.pos])
-            return word ** (sign * n)
-        return word
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise ValueError(f"expected an exponent after '^' in {self.text!r}")
+        return word ** (sign * int(self.text[start:self.pos]))
 
     def name(self) -> str:
         self.skip_ws()

@@ -10,13 +10,23 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
+import math
 import sys
 
 from . import decomp, prooflab, shacheck
-from .chevgroup import (build_basis, commutator_relation, default_realization,
-                        evaluate_word, parse_word, trace_poly)
+from .chevgroup import (RealizationError, build_basis, commutator_relation,
+                        default_realization, evaluate_word, parse_word,
+                        trace_poly)
 from .exactring import RingError, RingSpec
 from .rootsys import SYSTEMS, positive_roots
+
+
+def _prime(text: str) -> int:
+    """The argparse type of every --prime option."""
+    p = int(text)
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(f"{text} is not a prime")
+    return p
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -25,13 +35,17 @@ def _parser() -> argparse.ArgumentParser:
         description="exact computations in low-rank adjoint Chevalley groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, system_required=False):
-        p.add_argument("--system", choices=SYSTEMS,
-                       required=system_required)
+    def common(p, system="optional"):
+        if system:
+            p.add_argument("--system", choices=SYSTEMS,
+                           required=system == "required")
         p.add_argument("--output", choices=("text", "json-lines"),
                        default="text")
         p.add_argument("--no-timing", action="store_true")
-        p.add_argument("--cap", type=int, default=shacheck.DEFAULT_CAP)
+
+    def cap(p):
+        p.add_argument("--cap", type=int, default=shacheck.DEFAULT_CAP,
+                       help="largest group order to enumerate")
 
     p = sub.add_parser("relations", help="print the commutator tables")
     common(p)
@@ -43,31 +57,32 @@ def _parser() -> argparse.ArgumentParser:
                    help="also run the one-coefficient mutants")
 
     p = sub.add_parser("chain", help="run the G2 entry-constraint chain")
-    common(p)
+    common(p, system=None)
 
     p = sub.add_parser("centralizer", help="centralizer parametrizations")
     common(p)
-    p.add_argument("--prime", type=int, default=None,
+    cap(p)
+    p.add_argument("--prime", type=_prime, default=None,
                    help="also brute-force over F_p")
 
     p = sub.add_parser("sha", help="brute-force Sha-rigidity certification")
-    common(p, system_required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--slow", action="store_true")
+    common(p, system="required")
+    cap(p)
+    p.add_argument("--prime", type=_prime, required=True)
 
     p = sub.add_parser("decompose", help="Gauss or Bruhat decomposition")
-    common(p, system_required=True)
-    p.add_argument("--prime", type=int, required=True)
+    common(p, system="required")
+    p.add_argument("--prime", type=_prime, required=True)
     p.add_argument("--power", type=int, default=1,
                    help="decompose over Z/p^k (Gauss only)")
     p.add_argument("--bruhat", action="store_true")
     p.add_argument("word")
 
     p = sub.add_parser("eval", help="evaluate a word to a matrix")
-    common(p, system_required=True)
+    common(p, system="required")
     p.add_argument("--realization",
                    choices=("adjoint", "pgl3", "a1std"), default=None)
-    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--prime", type=_prime, default=None)
     p.add_argument("--vars", default="",
                    help="comma-separated polynomial variables")
     p.add_argument("word")
@@ -172,8 +187,7 @@ def cmd_centralizer(args):
 
 
 def cmd_sha(args):
-    rep = shacheck.sha_report(args.system, args.prime, cap=args.cap,
-                              slow=args.slow)
+    rep = shacheck.sha_report(args.system, args.prime, cap=args.cap)
     if args.no_timing:
         rep.pop("seconds", None)
     verdict = rep["verdict"]
@@ -247,8 +261,9 @@ def dispatch(argv) -> int:
     }[args.command]
     try:
         reports = handler(args)
-    except (RingError, ValueError, KeyError, decomp.NoFactorization,
-            decomp.ElementNotInGroup, shacheck.CapExceeded) as exc:
+    except (RingError, RealizationError, ValueError, KeyError,
+            decomp.NoFactorization, decomp.ElementNotInGroup,
+            shacheck.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = {r.verdict for r in reports}

@@ -10,11 +10,13 @@ in the Chevalley normalization used throughout this package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord, build_basis,
-                        default_realization, evaluate_word, identity_matrix,
-                        pgl3_equal)
+from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
+                        _realization_dim, build_basis, default_realization,
+                        evaluate_word, identity_matrix, pgl3_equal,
+                        root_element, weyl_element)
 from .exactring import NotAUnit, RingElement, RingError, RingSpec, invert
 from .rootsys import Root, SystemType, positive_roots, simple_roots
 
@@ -47,7 +49,7 @@ class GaussFactorization:
         return self.torus * self.u1 * self.v * self.u2
 
     def __repr__(self):
-        return f"Gauss[{self.word().format()}]"
+        return f"Gauss[{self.word().format_text()}]"
 
 
 class BruhatFactorization:
@@ -66,7 +68,7 @@ class BruhatFactorization:
         return self.torus * self.u * self.weyl * self.u_prime
 
     def __repr__(self):
-        return f"Bruhat[w={self.weyl_word}: {self.word().format()}]"
+        return f"Bruhat[w={self.weyl_word}: {self.word().format_text()}]"
 
 
 def rank_one_factor(gamma: Root, u: RingElement, v: RingElement) -> GroupWord:
@@ -203,11 +205,11 @@ class _BruhatContext:
     """Enumerated torus, unipotent and Weyl data for E(system, F_p), with
     the inverse matrix of every enumerated element."""
 
-    def __init__(self, system, p: int, realization=None):
+    def __init__(self, system, p: int):
         from . import shacheck
         self.system = SystemType(system)
         self.p = p
-        self.realization = realization or default_realization(self.system)
+        self.realization = default_realization(self.system)
         self.basis = build_basis(self.system)
         self.spec = RingSpec("modular", modulus=p)
         self.key = lambda m: shacheck.matrix_key(m, self.realization, p)
@@ -215,15 +217,12 @@ class _BruhatContext:
         pos = positive_roots(self.system)
 
         def xmat(root, t):
-            from .chevgroup import root_element
             return root_element(basis, root, spec.const(t), self.realization)
 
+        dim = _realization_dim(self.system, self.realization)
+        ident = identity_matrix(spec, dim, self.realization)
+
         # torus H = closure of the h_g(u)
-        from .chevgroup import torus_element, weyl_element
-        hgens = [torus_element(basis, g, spec.const(u), self.realization)
-                 for g in pos for u in range(1, p) if u != 1 or p == 2]
-        ident = identity_matrix(spec, hgens[0].dim if hgens else 3,
-                                self.realization)
         torus = {self.key(ident): (ident, GroupWord(self.system))}
         frontier = [(ident, GroupWord(self.system))]
         hwords = [GroupWord.h(self.system, g, spec.const(u))
@@ -284,24 +283,22 @@ class _BruhatContext:
         self.weyl_inv = [inverse(gw) for _, _, gw in self.weyl_reps]
 
 
-_BRUHAT_CACHE = {}
+def _bruhat_context(system, p) -> _BruhatContext:
+    return _context(SystemType(system).tag, p)
 
 
-def _bruhat_context(system, p, realization=None) -> _BruhatContext:
-    key = (SystemType(system).tag, p, realization)
-    if key not in _BRUHAT_CACHE:
-        _BRUHAT_CACHE[key] = _BruhatContext(system, p, realization)
-    return _BRUHAT_CACHE[key]
+@functools.cache
+def _context(tag: str, p: int) -> _BruhatContext:
+    return _BruhatContext(tag, p)
 
 
-def bruhat_cells(system, p, realization=None):
+def bruhat_cells(system, p):
     """All Bruhat factorizations of every element of E(system, F_p):
     map matrix key -> list of Weyl words whose cell contains the element."""
     from . import shacheck
-    ctx = _bruhat_context(system, p, realization)
-    table = shacheck.generate_group(system, p, realization=ctx.realization,
-                                    cap=100000)
-    cells = {shacheck.matrix_key_raw(el, ctx.p): [] for el in table.elements}
+    ctx = _bruhat_context(system, p)
+    table = shacheck.generate_group(system, p, cap=100000)
+    cells = {key: [] for key in table.index}
     for wword, wmat, _ in ctx.weyl_reps:
         seen = set()
         for t, _tw in ctx.torus:
@@ -315,14 +312,13 @@ def bruhat_cells(system, p, realization=None):
     return cells, table
 
 
-def bruhat_bruteforce(M: AdjointMatrix, system, p: int,
-                      realization=None) -> BruhatFactorization:
+def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
     """Search t * u * w * u' = M stratified by Weyl word; the first match in
     canonical order wins.
 
     For each (w, t, u) in that order, u' = w^-1 u^-1 t^-1 M is the only
     candidate, so it is looked up in U instead of searched for."""
-    ctx = _bruhat_context(system, p, realization)
+    ctx = _bruhat_context(system, p)
     torus_m = [t_inv * M for t_inv in ctx.torus_inv]
     for (wword, _, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):
         for (_, tw), t_m in zip(ctx.torus, torus_m):

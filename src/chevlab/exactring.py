@@ -8,9 +8,9 @@ Four kinds of ring are supported, selected by a RingSpec:
   modular   Z/n
 
 Polynomials are dicts mapping dense exponent tuples to nonzero Fractions.
-Rewrite rules must strictly decrease the degree-lexicographic order, so
-reduction always terminates; reduction to zero certifies membership in the
-ideal, failure to reduce certifies nothing.
+The only monomial order is degree-lexicographic (deglex): rewrite rules must
+strictly decrease it, so reduction always terminates; reduction to zero
+certifies membership in the ideal, failure to reduce certifies nothing.
 """
 
 from __future__ import annotations
@@ -43,35 +43,26 @@ def deglex_key(exps: Exponents):
     return (sum(exps), exps)
 
 
-def lex_key(exps: Exponents):
-    return exps
-
-
-_ORDER_KEYS = {"deglex": deglex_key, "lex": lex_key}
-
-
 class RewriteRule:
     """Replace the monomial ``lhs`` by the polynomial ``rhs``.
 
     Valid only when lhs is strictly greater than every rhs monomial in the
-    chosen monomial order (deglex by default, pure lex on request); both
-    are multiplicative well-orders, so any rule set terminates.
+    deglex order; deglex is a multiplicative well-order, so any rule set
+    terminates.
     """
 
-    __slots__ = ("lhs", "rhs", "order")
+    __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: Exponents, rhs: Terms, order: str = "deglex"):
+    def __init__(self, lhs: Exponents, rhs: Terms):
         lhs = tuple(lhs)
         rhs = {tuple(e): Fraction(c) for e, c in rhs.items() if c != 0}
-        key = _ORDER_KEYS[order](lhs)
+        key = deglex_key(lhs)
         for mono in rhs:
-            if _ORDER_KEYS[order](mono) >= key:
-                raise RingError(
-                    f"rewrite rule does not decrease {order} order: "
-                    f"{lhs} -> {mono}")
+            if deglex_key(mono) >= key:
+                raise RingError("rewrite rule does not decrease deglex"
+                                f" order: {lhs} -> {mono}")
         self.lhs = lhs
         self.rhs = rhs
-        self.order = order
 
     def __repr__(self):
         return f"RewriteRule({self.lhs!r} -> {self.rhs!r})"
@@ -80,16 +71,12 @@ class RewriteRule:
 class RingSpec:
     """Description of a ring; shared by all its elements."""
 
-    __slots__ = ("kind", "variables", "rules", "modulus", "order",
-                 "_var_index")
+    __slots__ = ("kind", "variables", "rules", "modulus", "_var_index")
 
     def __init__(self, kind: str, variables: Iterable[str] = (),
-                 rules: Iterable[RewriteRule] = (), modulus: int = 0,
-                 order: str = "deglex"):
+                 rules: Iterable[RewriteRule] = (), modulus: int = 0):
         if kind not in ("poly", "quotient", "fraction", "modular"):
             raise RingError(f"unknown ring kind {kind!r}")
-        if order not in _ORDER_KEYS:
-            raise RingError(f"unknown monomial order {order!r}")
         variables = tuple(variables)
         if len(set(variables)) != len(variables) or any(not v for v in variables):
             raise RingError("variable names must be distinct and nonempty")
@@ -104,8 +91,6 @@ class RingSpec:
         if rules and kind != "quotient":
             raise RingError("rewrite rules only make sense in quotient rings")
         for rule in rules:
-            if rule.order != order:
-                raise RingError("rule order does not match the ring order")
             if len(rule.lhs) != len(variables):
                 raise RingError("rule arity does not match variable count")
             for mono in rule.rhs:
@@ -115,7 +100,6 @@ class RingSpec:
         self.variables = variables
         self.rules = rules
         self.modulus = modulus
-        self.order = order
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     def var_index(self, name: str) -> int:
@@ -166,36 +150,6 @@ class RingSpec:
     def _unit_mono(self) -> Exponents:
         return (0,) * len(self.variables)
 
-    # -- serialization (used by catalog files) ------------------------
-
-    def to_obj(self):
-        obj = {"kind": self.kind}
-        if self.kind != "modular":
-            obj["variables"] = list(self.variables)
-        if self.order != "deglex":
-            obj["order"] = self.order
-        if self.kind == "quotient":
-            obj["rules"] = [
-                {"lhs_monomial": list(r.lhs),
-                 "rhs_poly": [[c.numerator, c.denominator, list(e)]
-                              for e, c in sorted(r.rhs.items())]}
-                for r in self.rules]
-        if self.kind == "modular":
-            obj["modulus"] = self.modulus
-        return obj
-
-    @staticmethod
-    def from_obj(obj) -> "RingSpec":
-        kind = obj["kind"]
-        if kind == "modular":
-            return RingSpec("modular", modulus=obj["modulus"])
-        order = obj.get("order", "deglex")
-        rules = []
-        for r in obj.get("rules", ()):
-            rhs = {tuple(e): Fraction(n, d) for n, d, e in r["rhs_poly"]}
-            rules.append(RewriteRule(tuple(r["lhs_monomial"]), rhs, order))
-        return RingSpec(kind, obj["variables"], rules, order=order)
-
     def __repr__(self):
         if self.kind == "modular":
             return f"RingSpec(modular, n={self.modulus})"
@@ -203,11 +157,12 @@ class RingSpec:
         return f"RingSpec({self.kind}, vars={list(self.variables)}{extra})"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, RingSpec)
                 and self.kind == other.kind
                 and self.variables == other.variables
                 and self.modulus == other.modulus
-                and self.order == other.order
                 and [(r.lhs, tuple(sorted(r.rhs.items()))) for r in self.rules]
                 == [(r.lhs, tuple(sorted(r.rhs.items()))) for r in other.rules])
 
@@ -275,13 +230,12 @@ def scale_terms(a: Terms, c: Fraction) -> Terms:
     return {m: x * c for m, x in a.items()}
 
 
-def reduce_terms(terms: Terms, rules: Iterable[RewriteRule],
-                 key=deglex_key) -> Terms:
+def reduce_terms(terms: Terms, rules: Iterable[RewriteRule]) -> Terms:
     """Apply rewrite rules to a fixpoint.
 
-    Deterministic: rules are tried in order, monomials in descending order;
-    terminates because every rewrite decreases the monomial multiset in the
-    rules' well-order.
+    Deterministic: rules are tried in order, monomials in descending deglex
+    order; terminates because every rewrite decreases the monomial multiset
+    in deglex.
     """
     terms = dict(terms)
     rules = tuple(rules)
@@ -290,7 +244,7 @@ def reduce_terms(terms: Terms, rules: Iterable[RewriteRule],
         changed = False
         for rule in rules:
             lhs = rule.lhs
-            for mono in sorted(terms, key=key, reverse=True):
+            for mono in sorted(terms, key=deglex_key, reverse=True):
                 if mono not in terms:
                     continue
                 if all(e >= f for e, f in zip(mono, lhs)):
@@ -349,8 +303,7 @@ class RingElement:
             if _normalized or spec.kind == "poly":
                 self.terms = dict(terms)
             else:
-                self.terms = reduce_terms(terms, spec.rules,
-                                          _ORDER_KEYS[spec.order])
+                self.terms = reduce_terms(terms, spec.rules)
 
     # -- helpers -------------------------------------------------------
 
@@ -513,27 +466,6 @@ def _arity(terms: Terms) -> int:
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
-
-def arith(op: str, a: RingElement, b=None) -> RingElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "pow":
-        return a ** b
-    raise RingError(f"unknown op {op!r}")
-
-
-def normal_form(a: RingElement) -> RingElement:
-    if a.spec.kind == "quotient":
-        return RingElement(a.spec, terms=reduce_terms(
-            a.terms, a.spec.rules, _ORDER_KEYS[a.spec.order]))
-    return a
-
 
 def invert(a: RingElement) -> RingElement:
     spec = a.spec

@@ -13,20 +13,20 @@ its source anchor instead of being guessed at).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 import time
 from fractions import Fraction
 
-import numpy as np
-
-from .chevgroup import (AdjointMatrix, GroupWord, build_basis,
-                        default_realization, evaluate_word, identity_matrix,
-                        matrix_from_entries, parse_word, pgl3_equal,
-                        root_element, unipotent_coordinates)
+from .chevgroup import (AdjointMatrix, GroupWord, _realization_dim,
+                        build_basis, default_realization, evaluate_word,
+                        identity_matrix, matrix_from_entries, parse_word,
+                        pgl3_equal, root_element, unipotent_coordinates)
 from .exactring import (DenominatorNotInvertible, NotAUnit, RingElement,
-                        RingError, RingSpec, RewriteRule, deglex_key, invert,
-                        mul_terms, parse_expr, reduce_terms, sub_terms,
-                        substitute)
+                        RingError, RingSpec, RewriteRule,
+                        assert_denominators_divide_power_of_six, deglex_key,
+                        invert, map_to_modular, mul_terms, parse_expr,
+                        reduce_terms, sub_terms, substitute)
 from .rootsys import SystemType, positive_roots
 
 
@@ -81,10 +81,9 @@ class IdentityRecord:
         self.lhs = list(lhs)
         self.rhs = list(rhs)
         self.expected = expected
-        self.mutation_site = mutation_site  # ("lhs"/"rhs", item, letter) hint
+        self.mutation_site = mutation_site  # ("lhs"/"rhs", item, letter)
 
     def _eval_side(self, side):
-        from .exactring import assert_denominators_divide_power_of_six
         basis = build_basis(self.system)
         spec = self.ring
         out = None
@@ -100,36 +99,17 @@ class IdentityRecord:
                 m = matrix_from_entries(spec, item, self.realization)
             out = m if out is None else out * m
         if out is None:
-            dim = {"pgl3": 3, "a1std": 3}.get(self.realization,
-                                              build_basis(self.system).dim)
-            out = identity_matrix(spec, dim, self.realization)
+            out = identity_matrix(
+                spec, _realization_dim(self.system, self.realization),
+                self.realization)
         return out
-
-    # -- serialization --------------------------------------------------
-
-    def to_obj(self):
-        return {
-            "name": self.name,
-            "system": self.system.tag,
-            "realization": self.realization,
-            "ring": self.ring.to_obj(),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "expected": list(self.expected),
-        }
-
-    @staticmethod
-    def from_obj(obj):
-        return IdentityRecord(
-            obj["name"], obj["system"], obj["realization"],
-            RingSpec.from_obj(obj["ring"]), obj["lhs"], obj["rhs"],
-            tuple(obj["expected"]) if obj["expected"][0] != "entries"
-            else ("entries", [tuple(e) for e in obj["expected"][1]]))
 
     # -- mutation --------------------------------------------------------
 
     def mutate(self) -> "IdentityRecord":
-        """One deterministic mutant with a single coefficient bumped by +1."""
+        """One deterministic mutant with a single coefficient bumped by +1:
+        at ``mutation_site`` when it is set, else at the first bumpable
+        coefficient, rhs before lhs."""
         rec = IdentityRecord(self.name + "-mutant", self.system,
                              self.realization, self.ring,
                              [item if isinstance(item, str) else
@@ -146,12 +126,12 @@ class IdentityRecord:
             rec.expected = ("entries", [(label, i, j, f"({poly})+1")] + rest)
             return rec
 
-        def bump_word(text, letter_index=None):
-            word = parse_word(text, self.system, self.ring)
-            letters = list(word.letters)
-            order = ([letter_index] if letter_index is not None
-                     else [k for k, l in enumerate(letters) if l[0] == "x"]
-                     + [k for k, l in enumerate(letters) if l[0] != "x"])
+        def bump_word(text, letter_index):
+            letters = list(parse_word(text, self.system, self.ring).letters)
+            # x letters first, then the torus and Weyl letters
+            order = ([letter_index] if letter_index is not None else
+                     sorted(range(len(letters)),
+                            key=lambda k: letters[k][0] != "x"))
             for k in order:
                 kind, what, p = letters[k]
                 p2 = p + 1
@@ -164,24 +144,20 @@ class IdentityRecord:
                 return GroupWord(self.system, letters).format_text()
             return None
 
-        sides = [("rhs", rec.rhs), ("lhs", rec.lhs)]
-        if self.mutation_site:
-            which, item_idx, letter_idx = self.mutation_site
-            side = rec.rhs if which == "rhs" else rec.lhs
-            mutated = bump_word(side[item_idx], letter_idx)
-            assert mutated is not None
-            side[item_idx] = mutated
-            return rec
-        for which, side in sides:
-            for idx, item in enumerate(side):
-                if isinstance(item, str):
-                    mutated = bump_word(item)
-                    if mutated is not None:
-                        side[idx] = mutated
-                        return rec
-                else:
-                    item[0][0] = f"({item[0][0]})+1"
-                    return rec
+        # (side, item, letter or None for any): the hint is the only site
+        sites = ([self.mutation_site] if self.mutation_site else
+                 [(which, idx, None) for which in ("rhs", "lhs")
+                  for idx in range(len(getattr(rec, which)))])
+        for which, idx, letter_index in sites:
+            side = getattr(rec, which)
+            item = side[idx]
+            if not isinstance(item, str):
+                item[0][0] = f"({item[0][0]})+1"
+                return rec
+            mutated = bump_word(item, letter_index)
+            if mutated is not None:
+                side[idx] = mutated
+                return rec
         raise RuntimeError(f"record {self.name} has no mutable coefficient")
 
 
@@ -578,14 +554,14 @@ class CentralizerFamily:
     """
 
     def __init__(self, system, x0, letters=None, free=(), constraints=None,
-                 matrix_family=None, realization=None):
+                 matrix_family=None):
         self.system = SystemType(system)
         self.x0 = x0
         self.letters = letters or []
         self.free = tuple(free)
         self.constraints = dict(constraints or {})
         self.matrix_family = matrix_family
-        self.realization = realization or default_realization(self.system)
+        self.realization = default_realization(self.system)
 
     def ring(self) -> RingSpec:
         return RingSpec("poly", self.free)
@@ -650,46 +626,38 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
                       (time.perf_counter() - t0) * 1000)
 
 
-def centralizer_bruteforce(system, p: int, x0: str = None,
-                           cap: int = 50000):
-    """Exhaustive centralizer of x0 in E(system, F_p), checked elementwise
-    against the symbolic family; returns (count, centralizer keys)."""
+def centralizer_bruteforce(system, p: int, cap: int = 50000):
+    """Exhaustive centralizer of the family's x0 in E(system, F_p), checked
+    elementwise against the symbolic family; returns (count, centralizer
+    keys)."""
     from . import shacheck
     system = SystemType(system)
     fam = standard_family(system)
-    x0 = x0 or fam.x0
     table = shacheck.generate_group(system, p, cap=cap)
     spec = RingSpec("modular", modulus=p)
     basis = build_basis(system)
-    x0_mat = evaluate_word(parse_word(x0, system, spec), basis,
-                           table.realization, spec=spec)
-    X = np.array([[e.residue for e in row] for row in x0_mat.rows],
-                 dtype=np.int64)
-    X = shacheck._canonicalize(X[None], table.realization, p)[0]
-    stack = np.stack(table.elements).astype(np.int64)
-    left = shacheck._canonicalize(stack @ X, table.realization, p)
-    right = shacheck._canonicalize(X[None].astype(np.int64) @ stack,
-                                   table.realization, p)
-    mask = (left == right).all(axis=(1, 2))
-    cent = {table.elements[i].tobytes() for i in np.nonzero(mask)[0]}
+
+    def key(m):
+        return shacheck.matrix_key(m, table.realization, p)
+
+    # g commutes with x0 iff g x0 = x0 g; x -> x0 x is x -> (x^-1 x0^-1)^-1
+    x0 = table.index[key(evaluate_word(parse_word(fam.x0, system, spec),
+                                       basis, table.realization, spec=spec))]
+    inv = table.inverses
+    left = inv[table.right_multiplication(table.inv(x0))[inv]]
+    cent = {table.elements[g].tobytes() for g in
+            (table.right_multiplication(x0) == left).nonzero()[0]}
 
     # the family instantiated over F_p
     fam_keys = set()
     if fam.matrix_family is not None:
-        combos = itertools.product(range(p), repeat=len(fam.free))
-        for values in combos:
+        for values in itertools.product(range(p), repeat=len(fam.free)):
             bindings = dict(zip(fam.free, values))
-            rows = []
-            for row in fam.matrix_family:
-                rows.append([_eval_mod(e, bindings, p) for e in row])
-            arr = np.array(rows, dtype=np.int64)
-            try:
-                key = shacheck._canonicalize(arr[None], table.realization,
-                                             p)[0].astype(np.uint8).tobytes()
-            except ValueError:
-                continue
-            if key in table.index:
-                fam_keys.add(key)
+            k = key(matrix_from_entries(
+                spec, [[_eval_mod(e, bindings, p) for e in row]
+                       for row in fam.matrix_family], table.realization))
+            if k in table.index:
+                fam_keys.add(k)
     else:
         for values in itertools.product(range(p), repeat=len(fam.free)):
             bindings = {name: spec.const(v)
@@ -698,18 +666,15 @@ def centralizer_bruteforce(system, p: int, x0: str = None,
                               RingSpec("poly", fam.free))
             letters = [(k, w, substitute(param, bindings))
                        for k, w, param in word.letters]
-            m = evaluate_word(GroupWord(system, letters), basis,
-                              table.realization, spec=spec)
-            fam_keys.add(shacheck.matrix_key(m, table.realization, p))
+            fam_keys.add(key(evaluate_word(GroupWord(system, letters), basis,
+                                           table.realization, spec=spec)))
     if fam_keys != cent:
         raise CentralizerMismatch("centralizer does not match the family")
     return len(cent), cent
 
 
 def _eval_mod(expr: str, bindings, p: int) -> int:
-    spec = RingSpec("poly", tuple(bindings))
-    from .exactring import map_to_modular
-    val = parse_expr(expr, spec)
+    val = parse_expr(expr, RingSpec("poly", tuple(bindings)))
     return map_to_modular(val, p, bindings).residue
 
 
@@ -793,13 +758,9 @@ def _parse_rule(text: str) -> RewriteRule:
     return RewriteRule(mono, {m: c / coeff for m, c in rhs.terms.items()})
 
 
-_CHAIN_CACHE = {}
-
-
+@functools.cache
 def _chain_residual_entries():
     """Nonzero entries of g X6 - x_{2a+3b}(a) g over Q[a,b,c1..c5,d]."""
-    if "entries" in _CHAIN_CACHE:
-        return _CHAIN_CACHE["entries"]
     basis = build_basis("G2")
     spec = _chain_spec()
     word = parse_word(
@@ -818,28 +779,7 @@ def _chain_residual_entries():
             e = residual.rows[i][j]
             if not e.is_zero():
                 out.append(((i, j), e.terms))
-    _CHAIN_CACHE["entries"] = out
     return out
-
-
-def _set_divide(target, rows):
-    T = dict(target)
-    quot_used = False
-    while T:
-        lead = max(T, key=deglex_key)
-        hit = None
-        for rl, rc, rt in rows:
-            if all(x >= y for x, y in zip(lead, rl)):
-                hit = (rl, rc, rt)
-                break
-        if hit is None:
-            break
-        rl, rc, rt = hit
-        m = tuple(x - y for x, y in zip(lead, rl))
-        q = T[lead] / rc
-        T = sub_terms(T, mul_terms({m: q}, rt))
-        quot_used = True
-    return T, quot_used
 
 
 def _poly_divide(entry, claim):
@@ -925,29 +865,37 @@ def _chain_echelon(rules):
     return ech
 
 
+def _unit_entry(claim_red, rules):
+    """((i, j), unit scalar) for the first residual entry that reduces to
+    a unit multiple of the reduced claim, or None."""
+    for (i, j), terms in _chain_residual_entries():
+        tr = reduce_terms(terms, rules)
+        if tr:
+            u = _unit_shaped(_poly_divide(tr, claim_red))
+            if u:
+                return (i, j), u[0]
+    return None
+
+
 def entry_chain_probe(claim_text: str, rules=()) -> Report:
     """Entry-level probe: PASS only when some residual entry is a unit
     multiple of the claim (no linear-combination certificates), so a
     fabricated polynomial fails with an absence witness."""
     t0 = time.perf_counter()
-    claim = parse_expr(claim_text, _chain_spec()).terms
-    claim_red = reduce_terms(claim, tuple(rules))
-    if claim_red:
-        for (i, j), terms in _chain_residual_entries():
-            tr = reduce_terms(terms, tuple(rules))
-            if not tr:
-                continue
-            q = _poly_divide(tr, claim_red)
-            if q and _unit_shaped(q):
-                return Report(f"G2-chain-probe-{claim_text}", "PASS",
-                              "", (time.perf_counter() - t0) * 1000,
-                              f"entry ({i},{j})")
+    rules = tuple(rules)
+    claim_red = reduce_terms(parse_expr(claim_text, _chain_spec()).terms,
+                             rules)
+    hit = _unit_entry(claim_red, rules) if claim_red else None
+    if hit:
+        (i, j), _ = hit
+        return Report(f"G2-chain-probe-{claim_text}", "PASS", "",
+                      (time.perf_counter() - t0) * 1000, f"entry ({i},{j})")
     return Report(f"G2-chain-probe-{claim_text}", "FAIL",
                   "claimed polynomial absent from the residual entries",
                   (time.perf_counter() - t0) * 1000)
 
 
-def entry_chain_g2(stage: str = None) -> list:
+def entry_chain_g2() -> list:
     """Run the highest-root conjugacy constraint chain; one report per stage.
 
     A stage passes when its claimed polynomial is certified as a consequence
@@ -957,35 +905,26 @@ def entry_chain_g2(stage: str = None) -> list:
     Q-span of monomial multiples of the entries.  The final stage also
     checks that b rewrites to zero once invertibility of 2 is used.
     """
-    entries = _chain_residual_entries()
     spec0 = _chain_spec()
     reports = []
-    rules = []
+    rules = ()
     for name, claim_text, rule_texts in _CHAIN_STAGES:
         t0 = time.perf_counter()
         claim = parse_expr(claim_text, spec0).terms
-        claim_red = reduce_terms(claim, tuple(rules))
+        claim_red = reduce_terms(claim, rules)
         detail = ""
         ok = False
         if not claim_red:
             detail = "claim already rewrites to zero"
             ok = True
         else:
-            # single-entry unit match
-            for (i, j), terms in entries:
-                tr = reduce_terms(terms, tuple(rules))
-                if not tr:
-                    continue
-                q = _poly_divide(tr, claim_red)
-                if q:
-                    u = _unit_shaped(q)
-                    if u:
-                        ok = True
-                        detail = (f"entry ({i},{j}) = unit * claim,"
-                                  f" unit scalar {u[0]}")
-                        break
-            if not ok:
-                ech = _chain_echelon(tuple(rules))
+            hit = _unit_entry(claim_red, rules)
+            if hit:
+                ok = True
+                (i, j), unit = hit
+                detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
+            else:
+                ech = _chain_echelon(rules)
                 for ii in range(3):
                     if ok:
                         break
@@ -993,7 +932,7 @@ def entry_chain_g2(stage: str = None) -> list:
                         mono = tuple((ii if k == 0 else (jj if k == 7 else 0))
                                      for k in range(8))
                         T = reduce_terms(mul_terms({mono: Fraction(1)},
-                                                   claim_red), tuple(rules))
+                                                   claim_red), rules)
                         rem = ech.reduce(T)
                         if not rem:
                             ok = True
@@ -1009,7 +948,7 @@ def entry_chain_g2(stage: str = None) -> list:
                             break
         if name == "final-2b" and ok:
             # adjoining invertibility of 2 turns 2b = 0 into b = 0
-            final_rules = tuple(rules) + (RewriteRule(
+            final_rules = rules + (RewriteRule(
                 (0, 1, 0, 0, 0, 0, 0, 0), {}),)
             bspec = RingSpec("quotient", _CHAIN_VARS, rules=final_rules)
             assert bspec.var("b").is_zero()
@@ -1017,10 +956,7 @@ def entry_chain_g2(stage: str = None) -> list:
         reports.append(Report(f"G2-chain-{name}", "PASS" if ok else "FAIL",
                               "" if ok else "claim not certified",
                               (time.perf_counter() - t0) * 1000, detail))
-        for text in rule_texts:
-            rules.append(_parse_rule(text))
-    if stage is not None:
-        reports = [r for r in reports if r.name == f"G2-chain-{stage}"]
+        rules += tuple(_parse_rule(text) for text in rule_texts)
     return reports
 
 

@@ -69,9 +69,6 @@ class Root:
         longest = max(_norm2(r, self.system) for r in _POSITIVE[self.system.tag])
         return "long" if n == longest else "short"
 
-    def is_positive(self) -> bool:
-        return self.coords in _POSITIVE[self.system.tag]
-
     def __neg__(self):
         return Root(self.system, tuple(-c for c in self.coords))
 

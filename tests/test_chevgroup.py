@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import chevlab
 from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
                                diag_torus, evaluate_word, identity_matrix,
                                matrix_from_entries, parse_root, parse_word,
@@ -377,3 +381,42 @@ def test_not_a_unit_paths():
         torus_element(basis, basis.root("a"), spec.var("t"))
     with pytest.raises(NotAUnit):
         weyl_element(basis, basis.root("a"), spec.zero())
+
+
+MISMATCHED_PRODUCTS = """
+from chevlab.chevgroup import (GroupWord, RealizationError, build_basis,
+                               evaluate_word, root_element)
+from chevlab.exactring import RingError, RingSpec
+
+t = RingSpec("poly", ("t",)).var("t")
+s = RingSpec("poly", ("s",)).var("s")
+pgl3 = root_element(build_basis("A2"), "a1", t, "pgl3")
+a1std = root_element(build_basis("A1"), "a", t, "a1std")
+pgl3_s = root_element(build_basis("A2"), "a1", s, "pgl3")
+word = GroupWord.x("A1", "a", t)
+cases = [
+    (lambda: pgl3 * a1std, RealizationError),
+    (lambda: pgl3 * pgl3_s, RingError),
+    (lambda: word * GroupWord.x("A2", "a1", t), RealizationError),
+    (lambda: evaluate_word(word, build_basis("A2"), "a1std"),
+     RealizationError),
+]
+for case, error in cases:
+    try:
+        case()
+        print("returned")
+    except error:
+        print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_mismatched_products_raise(flags):
+    # the checks are explicit, so python -O keeps them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", MISMATCHED_PRODUCTS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 4

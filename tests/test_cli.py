@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from chevlab.cli import dispatch
+import pytest
+
+from chevlab.cli import _parser, dispatch
 
 
 def run(capsys, *argv):
@@ -100,3 +103,52 @@ def test_failure_exit_code(capsys):
                        "--filter", "A1-trace")
     # mutants are reported as PASS when they fail, so exit stays 0
     assert code == 0 and "mutant verdict" in out
+
+
+@pytest.mark.parametrize("argv", [
+    # a realization of another system
+    ["eval", "--system", "A2", "--realization", "a1std", "x(a1,1)"],
+    # a power with no exponent
+    ["eval", "--system", "A1", "x(a,1)^"],
+    ["eval", "--system", "A1", "x(a,1)^-"],
+], ids=["realization", "caret", "caret-minus"])
+def test_bad_input_exit_2_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sha", "--system", "A1", "--prime", "4"],
+    ["sha", "--system", "A1", "--prime", "9"],
+    ["centralizer", "--system", "A1", "--prime", "1"],
+    ["decompose", "--system", "A1", "--prime", "4", "x(a,1)"],
+    ["eval", "--system", "A1", "--prime", "6", "x(a,1)"],
+    ["eval", "--system", "A1", "--prime", "seven", "x(a,1)"],
+])
+def test_prime_must_be_prime(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--prime" in err
+
+
+def test_prime_power_ring(capsys):
+    # Z/p^k stays available through decompose --power
+    code, out, _ = run(capsys, "decompose", "--system", "A1", "--prime",
+                       "3", "--power", "2", "--output", "json-lines",
+                       "x(a,4) x(-a,3)")
+    assert code == 0 and "factorization" in json.loads(out)
+
+
+def test_option_counts(capsys):
+    # the settings each subcommand accepts, -h aside
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction)
+                        for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"relations": 3, "prooflab": 5, "chain": 2,
+                      "centralizer": 5, "sha": 5, "decompose": 7, "eval": 7}
+    # options no command reads are refused, not ignored
+    assert run(capsys, "chain", "--system", "A1")[0] == 2
+    assert run(capsys, "relations", "--cap", "5")[0] == 2

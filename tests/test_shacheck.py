@@ -183,9 +183,10 @@ def test_sha_p2_flagged():
                         "cp_endo_count", "inner_count", "verdict", "seconds"}
 
 
-def test_sha_a2_p3_needs_slow():
+def test_sha_a2_p3_over_cap():
+    # PGL3(3) has order 5616: only the cap bounds the enumeration
     with pytest.raises(CapExceeded):
-        sha_report("A2", 3)
+        sha_report("A2", 3, cap=5000)
 
 
 @pytest.mark.parametrize("system,p", [("A1", 5), ("A2", 2), ("B2", 2)])
