@@ -877,15 +877,13 @@ def _unit_entry(claim_red, rules):
     return None
 
 
-def entry_chain_probe(claim_text: str, rules=()) -> Report:
+def entry_chain_probe(claim_text: str) -> Report:
     """Entry-level probe: PASS only when some residual entry is a unit
     multiple of the claim (no linear-combination certificates), so a
     fabricated polynomial fails with an absence witness."""
     t0 = time.perf_counter()
-    rules = tuple(rules)
-    claim_red = reduce_terms(parse_expr(claim_text, _chain_spec()).terms,
-                             rules)
-    hit = _unit_entry(claim_red, rules) if claim_red else None
+    claim = parse_expr(claim_text, _chain_spec()).terms
+    hit = _unit_entry(claim, ()) if claim else None
     if hit:
         (i, j), _ = hit
         return Report(f"G2-chain-probe-{claim_text}", "PASS", "",
