@@ -168,6 +168,12 @@ def gauss_decompose_a1(M: AdjointMatrix,
     spec = M.spec
     if spec.kind != "modular":
         raise RingError("gauss_decompose_a1 works over Z/p^k")
+    try:
+        invert(spec.const(2))
+    except NotAUnit:
+        raise RingError(f"the Gauss decomposition needs 2 invertible, and it"
+                        f" is not mod {spec.modulus}; the Bruhat decomposition"
+                        " (--bruhat) works over F_2") from None
     if basis is None:
         basis = build_basis("A1")
     lift = _lift_to_sl2(M)

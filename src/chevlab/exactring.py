@@ -8,6 +8,8 @@ Four kinds of ring are supported, selected by a RingSpec:
   modular   Z/n
 
 Polynomials are dicts mapping dense exponent tuples to nonzero Fractions.
+``MonomialPacking`` packs exponent tuples into ints, for hot loops that need
+only deglex order, monomial products and divisibility.
 The only monomial order is degree-lexicographic (deglex): rewrite rules must
 strictly decrease it, so reduction always terminates; reduction to zero
 certifies membership in the ideal, failure to reduce certifies nothing.
@@ -256,6 +258,117 @@ def reduce_terms(terms: Terms, rules: Iterable[RewriteRule]) -> Terms:
     return terms
 
 
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+SLOT_BITS = 8     # per slot: 7 value bits under 1 guard bit
+
+
+class MonomialPacking:
+    """Exponent tuples of ``nvars`` variables packed into one int.
+
+    The key holds the slots (deg, e0, ..., e_{n-1}), most significant first,
+    each SLOT_BITS wide with its top bit a guard that a packed monomial
+    keeps clear.  So int order is deglex order, a monomial product is the
+    sum of two keys, and l divides m exactly when ((m | G) - l) & G == G,
+    G being the mask of guard bits: a slot where m is smaller than l
+    borrows its own guard bit and nothing beyond it.
+    """
+
+    __slots__ = ("nvars", "guard")
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        top = 1 << (SLOT_BITS - 1)
+        self.guard = sum(top << (SLOT_BITS * i) for i in range(nvars + 1))
+
+    def pack(self, exps: Exponents) -> int:
+        if len(exps) != self.nvars:
+            raise RingError(f"expected {self.nvars} exponents, got {len(exps)}")
+        if any(e < 0 for e in exps):
+            raise RingError(f"negative exponent in {tuple(exps)}")
+        key = sum(exps)
+        if key >> (SLOT_BITS - 1):
+            raise RingError(f"degree of {tuple(exps)} does not fit"
+                            f" {SLOT_BITS - 1}-bit slots")
+        for e in exps:
+            key = (key << SLOT_BITS) | e
+        return key
+
+    def unpack(self, key: int) -> Exponents:
+        mask = (1 << SLOT_BITS) - 1
+        exps = []
+        for _ in range(self.nvars):
+            exps.append(key & mask)
+            key >>= SLOT_BITS
+        return tuple(reversed(exps))
+
+    def divides(self, lhs: int, mono: int) -> bool:
+        g = self.guard
+        return ((mono | g) - lhs) & g == g
+
+    def shift(self, terms: dict, mono: int) -> dict:
+        """The terms multiplied by the monomial ``mono``.
+
+        No exponent exceeds its monomial's degree, so the product of the
+        leading term, which has the largest degree, is the only one that
+        needs checking for overflow.
+        """
+        if terms and (max(terms) + mono) & self.guard:
+            raise RingError("monomial product overflows its packed slots")
+        return {k + mono: c for k, c in terms.items()}
+
+    def pack_terms(self, terms: Terms) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> Terms:
+        return {self.unpack(k): Fraction(c) for k, c in terms.items()}
+
+    def pack_rule(self, rule: RewriteRule):
+        """(lhs key, rhs terms on keys); the coefficients are kept."""
+        return self.pack(rule.lhs), self.pack_terms(rule.rhs)
+
+    def reduce(self, terms: dict, rules) -> dict:
+        """``reduce_terms`` on packed terms and packed rules.
+
+        The same rewrites in the same order (rule by rule, monomials in
+        descending order, passes until nothing changes), so the normal form
+        is the one ``reduce_terms`` gives.  Coefficients may be ints or
+        Fractions.  The rules are (lhs, rhs) pairs as ``pack_rule`` makes
+        them, every rhs monomial below its lhs; so a rewrite makes only
+        monomials of at most the degree of the one it removes, and no slot
+        can overflow.
+        """
+        terms = dict(terms)
+        g = self.guard
+        rules = [(lhs, tuple(rhs.items())) for lhs, rhs in rules]
+        changed = True
+        while changed:
+            changed = False
+            for lhs, rhs in rules:
+                hits = [m for m in sorted(terms, reverse=True)
+                        if ((m | g) - lhs) & g == g]
+                for mono in hits:
+                    if mono not in terms:
+                        continue
+                    c = terms.pop(mono)
+                    quot = mono - lhs
+                    for r, rc in rhs:
+                        m = quot + r
+                        s = terms.get(m)
+                        if s is None:
+                            terms[m] = c * rc
+                        else:
+                            s += c * rc
+                            if s:
+                                terms[m] = s
+                            else:
+                                del terms[m]
+                    changed = True
+        return terms
+
+
 def content(terms: Terms) -> Fraction:
     """Positive rational content, signed by the deglex-leading coefficient."""
     if not terms:
@@ -496,7 +609,9 @@ def invert(a: RingElement) -> RingElement:
         power = power * n_over_c
         if power.is_zero():
             inv = acc * spec.const(1 / c)
-            assert (inv * a).is_one()
+            if not (inv * a).is_one():
+                raise RingError(f"{a!r}: computed inverse {inv!r} fails"
+                                " the check inv * a = 1")
             return inv
         acc = acc + power
     raise NotAUnit(f"{a!r}: non-constant part is not visibly nilpotent")

@@ -105,17 +105,22 @@ def test_failure_exit_code(capsys):
     assert code == 0 and "mutant verdict" in out
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,names", [
     # a realization of another system
-    ["eval", "--system", "A2", "--realization", "a1std", "x(a1,1)"],
+    (["eval", "--system", "A2", "--realization", "a1std", "x(a1,1)"],
+     "realization"),
     # a power with no exponent
-    ["eval", "--system", "A1", "x(a,1)^"],
-    ["eval", "--system", "A1", "x(a,1)^-"],
-], ids=["realization", "caret", "caret-minus"])
-def test_bad_input_exit_2_one_line(capsys, argv):
+    (["eval", "--system", "A1", "x(a,1)^"], "exponent"),
+    (["eval", "--system", "A1", "x(a,1)^-"], "exponent"),
+    # the Gauss decomposition divides by 2
+    (["decompose", "--system", "A1", "--prime", "2", "x(a,1)"],
+     "Gauss decomposition"),
+], ids=["realization", "caret", "caret-minus", "gauss-f2"])
+def test_bad_input_exit_2_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert names in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from chevlab.exactring import (DenominatorNotInvertible, NotAUnit,
-                               RewriteRule, RingElement, RingError, RingSpec,
+import chevlab
+from chevlab.exactring import (SLOT_BITS, DenominatorNotInvertible,
+                               MonomialPacking, NotAUnit, RewriteRule,
+                               RingElement, RingError, RingSpec, deglex_key,
                                invert, map_to_modular, mul_terms, parse_expr,
                                reduce_terms, substitute)
 
@@ -222,3 +228,128 @@ def test_expression_parser():
         parse_expr("q", spec)
     with pytest.raises(RingError):
         parse_expr("1 +", spec)
+
+
+INVERT_CHECK = """
+import sys
+from chevlab.exactring import RewriteRule, RingElement, RingError, RingSpec
+from chevlab.exactring import invert
+
+a = RingSpec("quotient", ("a",), rules=[RewriteRule((2,), {})]).var("a")
+RingElement.is_one = lambda self: False
+try:
+    invert(1 + a)
+except RingError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_invert_self_check_raises(flags):
+    # the geometric-series inverse is checked by an explicit raise, which
+    # python -O keeps
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", INVERT_CHECK],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "inv * a = 1" in proc.stdout
+
+
+# -- packed monomials ---------------------------------------------------------
+
+LIMIT = 1 << (SLOT_BITS - 1)
+
+
+def exponents(nvars, top=7):
+    return st.tuples(*[st.integers(0, top)] * nvars)
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(1, 8))
+    return n, draw(exponents(n)), draw(exponents(n))
+
+
+@given(exponent_pairs())
+def test_packed_order_product_and_divisibility(case):
+    n, a, b = case
+    pk = MonomialPacking(n)
+    ka, kb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(ka) == a
+    assert (ka < kb) == (deglex_key(a) < deglex_key(b))
+    assert (ka == kb) == (a == b)
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert pk.shift({ka: 1}, kb) == {pk.pack(ab): 1}
+    assert ka + kb == pk.pack(ab)
+    assert pk.divides(kb, ka) == all(x >= y for x, y in zip(a, b))
+    assert pk.divides(kb, pk.pack(ab))
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(exponents(n, 2 * LIMIT), exponents(n, 2 * LIMIT))))
+def test_packing_overflow_raises(pair):
+    a, b = pair
+    pk = MonomialPacking(len(a))
+    if sum(a) >= LIMIT:
+        with pytest.raises(RingError):
+            pk.pack(a)
+        return
+    ka = pk.pack(a)
+    if sum(b) >= LIMIT:
+        return
+    kb = pk.pack(b)
+    if sum(a) + sum(b) >= LIMIT:
+        with pytest.raises(RingError):
+            pk.shift({pk.pack((0,) * len(a)): 1, ka: 1}, kb)
+    else:
+        assert pk.shift({ka: 1}, kb) == {ka + kb: 1}
+        assert pk.unpack(ka + kb) == tuple(x + y for x, y in zip(a, b))
+
+
+def test_packing_rejects_bad_exponents():
+    pk = MonomialPacking(2)
+    with pytest.raises(RingError):
+        pk.pack((1, -1))
+    with pytest.raises(RingError):
+        pk.pack((1, 2, 3))
+    with pytest.raises(RingError):
+        pk.pack((LIMIT, 0))
+    assert pk.unpack(pk.pack((LIMIT - 1, 0))) == (LIMIT - 1, 0)
+
+
+@st.composite
+def rule_sets(draw):
+    """Random terms and deglex-decreasing rules in 2 or 3 variables, with
+    integer coefficients or with rationals."""
+    n = draw(st.integers(2, 3))
+    integral = draw(st.booleans())
+    mono = exponents(n, 4)
+    coef = (st.integers(-3, 3) if integral else
+            st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(mono.filter(any))
+        rhs = draw(st.dictionaries(mono, coef, max_size=3))
+        rules.append(RewriteRule(lhs, {m: c for m, c in rhs.items()
+                                       if deglex_key(m) < deglex_key(lhs)}))
+    terms = {m: c for m, c in
+             draw(st.dictionaries(mono, coef, max_size=8)).items() if c}
+    return n, integral, rules, terms
+
+
+@given(rule_sets())
+def test_packed_reduce_matches_reduce_terms(case):
+    n, integral, rules, terms = case
+    pk = MonomialPacking(n)
+    prules = [pk.pack_rule(r) for r in rules]
+    if integral:
+        prules = [(lhs, {m: int(c) for m, c in rhs.items()})
+                  for lhs, rhs in prules]
+    got = pk.reduce(pk.pack_terms(terms), prules)
+    assert got == pk.pack_terms(reduce_terms(terms, rules))
+    if integral:
+        assert all(type(c) is int for c in got.values())
+    assert pk.unpack_terms(got) == reduce_terms(terms, rules)

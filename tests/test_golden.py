@@ -357,9 +357,6 @@ GOLDEN = [
 ]
 IDS = [" ".join(argv[:3]) + (" bruhat" if "--bruhat" in argv else "")
        for argv, _ in GOLDEN]
-# the chain costs about 8 s a run, so it is checked in-process only
-OPTIMIZED = [(argv, expected) for argv, expected in GOLDEN
-             if argv[0] != "chain"]
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN, ids=IDS)
@@ -379,7 +376,7 @@ def test_golden_output_optimized():
         "    with contextlib.redirect_stdout(out):\n"
         "        code = dispatch(argv)\n"
         "    print(json.dumps([code, out.getvalue()]))\n")
-    jobs = [argv + FLAGS for argv, _ in OPTIMIZED]
+    jobs = [argv + FLAGS for argv, _ in GOLDEN]
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script,
                            json.dumps(jobs)],
@@ -387,4 +384,4 @@ def test_golden_output_optimized():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert results == [[0, expected] for _, expected in OPTIMIZED]
+    assert results == [[0, expected] for _, expected in GOLDEN]

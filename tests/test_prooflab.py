@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import chevlab
 from chevlab import prooflab
 from chevlab.chevgroup import (build_basis, identity_matrix,
                                matrix_from_entries, root_element)
-from chevlab.exactring import RingSpec
+from chevlab.exactring import (RewriteRule, RingError, RingSpec, deglex_key,
+                               mul_terms, reduce_terms, sub_terms)
 
 
 def test_catalog_sizes():
@@ -172,6 +174,110 @@ def test_entry_chain_fabricated_claim_fails():
     assert report.verdict == "FAIL" and "absent" in report.residual
     # while a genuine first-stage claim does
     assert prooflab.entry_chain_probe("b^2*c4").verdict == "PASS"
+
+
+class _FractionEchelon:
+    """The rational echelon form the chain used before fraction-free
+    elimination on packed monomials: pivots normalized to leading
+    coefficient 1, tuple exponents ordered by deglex_key."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        row = dict(row)
+        out = {}
+        while row:
+            lead = max(row, key=deglex_key)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                out[lead] = row.pop(lead)
+            else:
+                row = sub_terms(row, mul_terms({(0,) * 8: row[lead]}, piv))
+        return out
+
+    def insert(self, row):
+        row = self.reduce(row)
+        if row:
+            lead = max(row, key=deglex_key)
+            c = row[lead]
+            self.pivots[lead] = {m: x / c for m, x in row.items()}
+
+
+def _proportional(a, b):
+    """a = q * b for a nonzero rational q (both dicts nonzero)."""
+    if a.keys() != b.keys():
+        return False
+    m0 = next(iter(a))
+    return all(a[m] * b[m0] == b[m] * a[m0] for m in a)
+
+
+def _rules_before(stage):
+    rules = ()
+    for name, _, rule_texts in prooflab._CHAIN_STAGES:
+        if name == stage:
+            return rules
+        rules += tuple(prooflab._parse_rule(t) for t in rule_texts)
+    raise KeyError(stage)
+
+
+def test_packed_chain_stage_matches_fraction_path():
+    # the c2quad stage has the most rules; its rows and its nine T-vector
+    # remainders are compared with the tuple-keyed Fraction computation
+    rules = _rules_before("c2quad")
+    prules = prooflab._pack_rules(rules)
+    pk = prooflab._CHAIN_PACKING
+    mults = [pk.unpack(m) for m in prooflab._CHAIN_MULTS]
+    old_rows = []
+    for _, terms in prooflab._chain_residual_entries():
+        tr = reduce_terms(terms, rules)
+        assert pk.reduce(pk.pack_terms(terms), prules) == pk.pack_terms(tr)
+        if not tr:
+            continue
+        for m in mults:
+            r = reduce_terms(mul_terms({m: Fraction(1)}, tr), rules)
+            packed = pk.reduce(pk.shift(pk.pack_terms(tr), pk.pack(m)), prules)
+            assert packed == pk.pack_terms(r)
+            if r:
+                old_rows.append(r)
+    old_rows.sort(key=lambda r: (len(r), deglex_key(max(r, key=deglex_key))))
+    new_rows = prooflab._chain_rows(prules)
+    assert len(new_rows) == len(old_rows)
+    assert all(_proportional(new, pk.pack_terms(old))
+               for new, old in zip(new_rows, old_rows))
+
+    old_ech = _FractionEchelon()
+    for r in old_rows:
+        old_ech.insert(r)
+    new_ech = prooflab._chain_echelon(prules)
+    assert len(new_ech.pivots) == len(old_ech.pivots)
+    for lead in old_ech.pivots:
+        p, tail = new_ech.pivots[pk.pack(lead)]
+        assert p > 0 and math.gcd(p, *(x for _, x in tail)) == 1
+
+    claim = reduce_terms(prooflab.parse_expr(
+        "c2^4", prooflab._chain_spec()).terms, rules)
+    claim_row = prooflab._integer_row(pk.pack_terms(claim))
+    empty = 0
+    for i in range(3):
+        for j in range(3):
+            mono = (i, 0, 0, 0, 0, 0, 0, j)
+            old = old_ech.reduce(
+                reduce_terms(mul_terms({mono: Fraction(1)}, claim), rules))
+            new = new_ech.reduce(
+                pk.reduce(pk.shift(claim_row, pk.pack(mono)), prules))
+            if not old:
+                assert not new
+                empty += 1
+            else:
+                assert _proportional(pk.unpack_terms(new), old)
+    assert empty > 0          # the stage passes with d^1
+
+
+def test_chain_rules_need_integer_rhs():
+    rule = RewriteRule((1, 0, 0, 0, 0, 0, 0, 0), {(0,) * 8: Fraction(1, 2)})
+    with pytest.raises(RingError):
+        prooflab._pack_rules([rule])
 
 
 def test_transvection_criterion():
