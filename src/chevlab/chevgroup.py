@@ -64,7 +64,8 @@ def _structure_constants(system: SystemType) -> dict:
                 if order[g.coords] < order[d.coords] and plus(g, d) == eps.coords:
                     if best is None or order[g.coords] < order[best[0].coords]:
                         best = (g, d)
-        assert best is not None
+        if best is None:
+            raise RuntimeError(f"no extraspecial pair for {eps} in {system}")
         N[(best[0].coords, best[1].coords)] = _pair_magnitude(*best)
 
     def norm2(coords):
@@ -86,7 +87,8 @@ def _structure_constants(system: SystemType) -> dict:
             for (x, y), scale in (((d, e), norm2(gc)), ((e, g), norm2(dc))):
                 key = (x.coords, y.coords)
                 target = Fraction(val * scale, norm2(e.coords))
-                assert target.denominator == 1
+                if target.denominator != 1:
+                    raise RuntimeError(f"non-integral N for {key} in {system}")
                 if key not in N:
                     N[key] = int(target)
                     changed = True
@@ -132,7 +134,8 @@ def _structure_constants(system: SystemType) -> dict:
                 continue
             known = sum(t[0] for t in terms if t[0] is not None)
             value = -known / (weight * partner)
-            assert value.denominator == 1
+            if value.denominator != 1:
+                raise RuntimeError(f"non-integral N for {key} in {system}")
             N[key] = int(value)
             return True
         return False
@@ -148,7 +151,9 @@ def _structure_constants(system: SystemType) -> dict:
     # magnitude check
     for g, d in pairs:
         val = N[(g.coords, d.coords)]
-        assert abs(val) == _pair_magnitude(g, d), (g, d, val)
+        if abs(val) != _pair_magnitude(g, d):
+            raise RuntimeError(f"|N_{{{g},{d}}}| = {abs(val)} in {system},"
+                               f" not {_pair_magnitude(g, d)}")
     return N
 
 
@@ -225,7 +230,8 @@ class ChevalleyBasis:
                 tables.append([[Fraction(x, fact) for x in row] for row in power])
                 power = _int_mat_mul(power, mat)
                 k += 1
-                assert k <= dim + 1
+                if k > dim + 1:
+                    raise RuntimeError(f"ad e_{coords} is not nilpotent")
             self.exp_tables[coords] = tables
             for table in tables:
                 for row in table:
@@ -235,7 +241,9 @@ class ChevalleyBasis:
                             d //= 2
                         while d % 3 == 0:
                             d //= 3
-                        assert d == 1, "entry denominator outside Z[1/6]"
+                        if d != 1:
+                            raise RuntimeError(
+                                "entry denominator outside Z[1/6]")
         self._verify()
 
     def _verify(self):
@@ -261,7 +269,10 @@ class ChevalleyBasis:
                     for col in range(dim):
                         for row, x in enumerate(_col(mats[k], col)):
                             expect[row][col] += c * x
-                assert comm == expect, (self.labels[i], self.labels[j])
+                if comm != expect:
+                    raise RuntimeError(
+                        "ad is not a Lie-algebra homomorphism on"
+                        f" {self.labels[i]}, {self.labels[j]}")
 
     # -- calibration ----------------------------------------------------
 
@@ -300,7 +311,9 @@ class ChevalleyBasis:
                     break
             if ok:
                 solutions.append(signs)
-        assert solutions, f"no sign calibration reproduces the {self.system} relations"
+        if not solutions:
+            raise RuntimeError("no sign calibration reproduces the"
+                               f" {self.system} relations")
         # the displayed relations pin the signs only up to a torus-conjugation
         # kernel; the centralizer-family identity resolves the rest
         solutions.sort(key=lambda s: (sum(1 for x in s if x < 0), s))
@@ -317,14 +330,17 @@ class ChevalleyBasis:
             if self._calibration_filter():
                 chosen = signs
                 break
-        assert chosen is not None, \
-            f"no sign calibration satisfies the {self.system} centralizer identity"
+        if chosen is None:
+            raise RuntimeError("no sign calibration satisfies the"
+                               f" {self.system} centralizer identity")
         self.flips = dict(zip(pos_coords, chosen))
         for (gname, dname), want in targets.items():
             g, d = self.root(gname), self.root(dname)
             got = {(i, j): c for i, j, _, c in
                    commutator_relation(self, g, d).factors}
-            assert got == want, (gname, dname, got, want)
+            if got != want:
+                raise RuntimeError(f"calibrated [{gname}, {dname}] gives"
+                                   f" {got}, not {want}")
 
     def _calibration_filter(self) -> bool:
         """The centralizer-of-x_a(1)x_b(1) parametrization must come out in
@@ -509,7 +525,8 @@ class AdjointMatrix:
                              self.realization)
 
     def __pow__(self, n: int) -> "AdjointMatrix":
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"matrix power needs n >= 1, got {n}")
         out = self
         for _ in range(n - 1):
             out = out * self
@@ -948,7 +965,9 @@ def commutator_relation(basis: ChevalleyBasis, g, d) -> CommutatorRelation:
             if is_root(coords, basis.system):
                 span.append((i, j, Root(basis.system, coords)))
     if not span:
-        assert comm.is_identity(), (g, d)
+        if not comm.is_identity():
+            raise RuntimeError(f"[x_{g}, x_{d}] is not 1 though no"
+                               " i g + j d is a root")
         return CommutatorRelation(g, d, [])
     coord_list = unipotent_coordinates(comm, basis, [r for _, _, r in span])
     by_root = {r.coords: (i, j) for i, j, r in span}
@@ -958,9 +977,11 @@ def commutator_relation(basis: ChevalleyBasis, g, d) -> CommutatorRelation:
             continue
         i, j = by_root[root.coords]
         mono = {k for k in p.terms}
-        assert mono == {(i, j)}, f"non-monomial commutator coordinate {p!r}"
+        if mono != {(i, j)}:
+            raise RuntimeError(f"non-monomial commutator coordinate {p!r}")
         c = p.terms[(i, j)]
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise RuntimeError(f"non-integral commutator coefficient {c}")
         factors.append((i, j, root, int(c)))
     return CommutatorRelation(g, d, factors)
 

@@ -322,23 +322,15 @@ class MonomialPacking:
     def pack_terms(self, terms: Terms) -> dict:
         return {self.pack(m): c for m, c in terms.items()}
 
-    def unpack_terms(self, terms: dict) -> Terms:
-        return {self.unpack(k): Fraction(c) for k, c in terms.items()}
-
-    def pack_rule(self, rule: RewriteRule):
-        """(lhs key, rhs terms on keys); the coefficients are kept."""
-        return self.pack(rule.lhs), self.pack_terms(rule.rhs)
-
     def reduce(self, terms: dict, rules) -> dict:
         """``reduce_terms`` on packed terms and packed rules.
 
         The same rewrites in the same order (rule by rule, monomials in
         descending order, passes until nothing changes), so the normal form
         is the one ``reduce_terms`` gives.  Coefficients may be ints or
-        Fractions.  The rules are (lhs, rhs) pairs as ``pack_rule`` makes
-        them, every rhs monomial below its lhs; so a rewrite makes only
-        monomials of at most the degree of the one it removes, and no slot
-        can overflow.
+        Fractions.  The rules are (lhs key, packed rhs terms) pairs, every
+        rhs monomial below its lhs; so a rewrite makes only monomials of at
+        most the degree of the one it removes, and no slot can overflow.
         """
         terms = dict(terms)
         g = self.guard

@@ -23,11 +23,12 @@ from .chevgroup import (AdjointMatrix, GroupWord, _realization_dim,
                         build_basis, default_realization, evaluate_word,
                         identity_matrix, matrix_from_entries, parse_word,
                         pgl3_equal, root_element, unipotent_coordinates)
-from .exactring import (DenominatorNotInvertible, MonomialPacking, NotAUnit,
-                        RingElement, RingError, RingSpec, RewriteRule,
-                        assert_denominators_divide_power_of_six, deglex_key,
-                        invert, map_to_modular, mul_terms, parse_expr,
-                        reduce_terms, sub_terms, substitute)
+# reduce_terms is unused here; perfbench's tracer test calls prooflab's name
+from .exactring import (SLOT_BITS, DenominatorNotInvertible, MonomialPacking,
+                        NotAUnit, RingElement, RingError, RingSpec,
+                        RewriteRule, assert_denominators_divide_power_of_six,
+                        deglex_key, invert, map_to_modular, mul_terms,
+                        parse_expr, reduce_terms, sub_terms, substitute)
 from .rootsys import SystemType, positive_roots
 
 
@@ -520,7 +521,8 @@ def builtin_catalog(system) -> list:
     recs = {"A1": _a1_catalog, "A2": _a2_catalog,
             "B2": _b2_catalog, "G2": _g2_catalog}[tag]()
     names = [r.name for r in recs]
-    assert len(names) == len(set(names))
+    if len(names) != len(set(names)):
+        raise ValueError(f"the {tag} catalog repeats a record name")
     return recs
 
 
@@ -728,9 +730,17 @@ def _nullspace(rows):
 # ---------------------------------------------------------------------------
 # the G2 entry-constraint chain
 # ---------------------------------------------------------------------------
+#
+# The chain runs on packed monomials (``MonomialPacking``): a term dict maps
+# an int key to its coefficient, and a rule is a (lhs key, {key: int}) pair.
 
 _CHAIN_VARS = ("a", "b", "c1", "c2", "c3", "c4", "c5", "d")
-_CHAIN_RADICAL = {1, 2, 3, 4, 5, 6}       # indices of b, c1..c5
+_CHAIN_PACKING = MonomialPacking(len(_CHAIN_VARS))
+# the value bits of the slots of b, c1..c5 (d's slot is the lowest)
+_CHAIN_RADICAL = sum(((1 << SLOT_BITS - 1) - 1) << SLOT_BITS * (7 - k)
+                     for k in range(1, 7))
+_CHAIN_MULTS = [_CHAIN_PACKING.pack(m)
+                for m in itertools.product(range(3), repeat=8) if sum(m) <= 2]
 _CHAIN_STAGES = [
     # (name, claim, rules adjoined after the stage passes)
     ("b2c4", "b^2*c4", ["b^2*c4 -> 0"]),
@@ -745,23 +755,28 @@ _CHAIN_STAGES = [
 ]
 
 
-def _chain_spec(rules=()) -> RingSpec:
-    kind = "quotient" if rules else "poly"
-    return RingSpec(kind, _CHAIN_VARS, rules=rules)
+def _chain_spec() -> RingSpec:
+    return RingSpec("poly", _CHAIN_VARS)
 
 
-def _parse_rule(text: str) -> RewriteRule:
+def _parse_rule(text: str):
+    """The packed rule of ``lhs -> rhs``.  Its rhs must be integral, so
+    that reduction keeps integer rows integral."""
     lhs_text, rhs_text = text.split("->")
     spec = _chain_spec()
-    lhs = parse_expr(lhs_text.strip(), spec)
-    (mono, coeff), = lhs.terms.items()
+    (mono, coeff), = parse_expr(lhs_text.strip(), spec).terms.items()
     rhs = parse_expr(rhs_text.strip(), spec)
-    return RewriteRule(mono, {m: c / coeff for m, c in rhs.terms.items()})
+    rule = RewriteRule(mono, {m: c / coeff for m, c in rhs.terms.items()})
+    if any(c.denominator != 1 for c in rule.rhs.values()):
+        raise RingError(f"chain rule {text!r} has a non-integer rhs")
+    pack = _CHAIN_PACKING.pack
+    return pack(rule.lhs), {pack(m): int(c) for m, c in rule.rhs.items()}
 
 
 @functools.cache
 def _chain_residual_entries():
-    """Nonzero entries of g X6 - x_{2a+3b}(a) g over Q[a,b,c1..c5,d]."""
+    """Nonzero entries of g X6 - x_{2a+3b}(a) g over Q[a,b,c1..c5,d], as
+    ((i, j), packed terms)."""
     basis = build_basis("G2")
     spec = _chain_spec()
     word = parse_word(
@@ -779,45 +794,53 @@ def _chain_residual_entries():
         for j in range(14):
             e = residual.rows[i][j]
             if not e.is_zero():
-                out.append(((i, j), e.terms))
+                out.append(((i, j), _CHAIN_PACKING.pack_terms(e.terms)))
+    return out
+
+
+def _reduced_entries(rules):
+    """The residual entries that do not reduce to zero, reduced."""
+    out = []
+    for ij, terms in _chain_residual_entries():
+        tr = _CHAIN_PACKING.reduce(terms, rules)
+        if tr:
+            out.append((ij, tr))
     return out
 
 
 def _poly_divide(entry, claim):
+    """entry / claim when the division is exact within 800 steps, else
+    None.  Each step removes the lead of the remainder, so the quotient
+    monomials strictly decrease and none is written twice."""
     rem = dict(entry)
     quot = {}
-    clead = max(claim, key=deglex_key)
+    clead = max(claim)
     cc = claim[clead]
     guard = 0
     while rem:
-        lead = max(rem, key=deglex_key)
-        diff = tuple(x - y for x, y in zip(lead, clead))
-        if any(x < 0 for x in diff):
+        lead = max(rem)
+        if not _CHAIN_PACKING.divides(clead, lead):
             return None
-        q = rem[lead] / cc
-        quot[diff] = quot.get(diff, Fraction(0)) + q
-        rem = sub_terms(rem, mul_terms({diff: q}, claim))
+        mono = lead - clead
+        q = quot[mono] = rem[lead] / cc
+        rem = sub_terms(rem, {m + mono: q * c for m, c in claim.items()})
         guard += 1
         if guard > 800:
             return None
-    return {m: c for m, c in quot.items() if c}
+    return quot
 
 
 def _unit_shaped(quot):
-    """q * a^i * d^j * (1 + radical) with b, c1..c5 the radical variables."""
+    """q * a^i * d^j * (1 + radical) with b, c1..c5 the radical variables;
+    returns (q, a^i d^j)."""
     if not quot:
         return None
-    units = [m for m in quot if all(m[k] == 0 for k in _CHAIN_RADICAL)]
+    units = [m for m in quot if not m & _CHAIN_RADICAL]
     if len(units) != 1:
         return None
     base = units[0]
-    for m in quot:
-        if m == base:
-            continue
-        if any(x < y for x, y in zip(m, base)):
-            return None
-        if all(m[k] == base[k] for k in _CHAIN_RADICAL):
-            return None
+    if not all(_CHAIN_PACKING.divides(base, m) for m in quot):
+        return None
     return quot[base], base
 
 
@@ -874,70 +897,39 @@ class _Echelon:
                                  tuple((m, x // g) for m, x in row.items()))
 
 
-_CHAIN_PACKING = MonomialPacking(len(_CHAIN_VARS))
-_CHAIN_MULTS = [_CHAIN_PACKING.pack(m)
-                for m in itertools.product(range(3), repeat=8) if sum(m) <= 2]
-
-
 def _integer_row(terms):
-    """Packed terms scaled by a nonzero rational to primitive integers."""
+    """Packed terms scaled by a positive rational to primitive integers."""
     den = math.lcm(*(c.denominator for c in terms.values()))
     row = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     g = math.gcd(*row.values())
     return {m: x // g for m, x in row.items()}
 
 
-def _pack_rules(rules):
-    """The rules on packed monomials; each must have an integer rhs, so
-    that reduction keeps integer rows integral."""
-    packed = []
-    for rule in rules:
-        lhs, rhs = _CHAIN_PACKING.pack_rule(rule)
-        if any(c.denominator != 1 for c in rhs.values()):
-            raise RingError(f"chain rule {rule!r} has a non-integer rhs")
-        packed.append((lhs, {m: c.numerator for m, c in rhs.items()}))
-    return tuple(packed)
-
-
-@functools.cache
-def _packed_residual_rows():
-    return [_integer_row(_CHAIN_PACKING.pack_terms(terms))
-            for _, terms in _chain_residual_entries()]
-
-
-def _chain_rows(prules):
-    """The reduced monomial multiples of the reduced residual entries,
-    shortest first."""
+def _chain_echelon(entries, rules):
+    """The echelon form of the reduced monomial multiples of the reduced
+    entries, inserted shortest first."""
     reduce, shift = _CHAIN_PACKING.reduce, _CHAIN_PACKING.shift
     rows = []
-    for entry in _packed_residual_rows():
-        tr = reduce(entry, prules)
-        if not tr:
-            continue
+    for _, terms in entries:
+        row = _integer_row(terms)
         for m in _CHAIN_MULTS:
-            r = reduce(shift(tr, m), prules)
+            r = reduce(shift(row, m), rules)
             if r:
                 rows.append(r)
     rows.sort(key=lambda r: (len(r), max(r)))
-    return rows
-
-
-def _chain_echelon(prules):
     ech = _Echelon()
-    for r in _chain_rows(prules):
+    for r in rows:
         ech.insert(r)
     return ech
 
 
-def _unit_entry(claim_red, rules):
-    """((i, j), unit scalar) for the first residual entry that reduces to
-    a unit multiple of the reduced claim, or None."""
-    for (i, j), terms in _chain_residual_entries():
-        tr = reduce_terms(terms, rules)
-        if tr:
-            u = _unit_shaped(_poly_divide(tr, claim_red))
-            if u:
-                return (i, j), u[0]
+def _unit_entry(claim_red, entries):
+    """((i, j), unit scalar) for the first reduced entry that is a unit
+    multiple of the reduced claim, or None."""
+    for ij, terms in entries:
+        u = _unit_shaped(_poly_divide(terms, claim_red))
+        if u:
+            return ij, u[0]
     return None
 
 
@@ -946,8 +938,9 @@ def entry_chain_probe(claim_text: str) -> Report:
     multiple of the claim (no linear-combination certificates), so a
     fabricated polynomial fails with an absence witness."""
     t0 = time.perf_counter()
-    claim = parse_expr(claim_text, _chain_spec()).terms
-    hit = _unit_entry(claim, ()) if claim else None
+    claim = _CHAIN_PACKING.pack_terms(parse_expr(claim_text,
+                                                 _chain_spec()).terms)
+    hit = _unit_entry(claim, _chain_residual_entries()) if claim else None
     if hit:
         (i, j), _ = hit
         return Report(f"G2-chain-probe-{claim_text}", "PASS", "",
@@ -973,38 +966,38 @@ def entry_chain_g2() -> list:
     rules = ()
     for name, claim_text, rule_texts in _CHAIN_STAGES:
         t0 = time.perf_counter()
-        claim = parse_expr(claim_text, spec0).terms
-        claim_red = reduce_terms(claim, rules)
+        claim = P.pack_terms(parse_expr(claim_text, spec0).terms)
+        claim_red = P.reduce(claim, rules)
         detail = ""
         ok = False
         if not claim_red:
             detail = "claim already rewrites to zero"
             ok = True
         else:
-            hit = _unit_entry(claim_red, rules)
+            entries = _reduced_entries(rules)
+            hit = _unit_entry(claim_red, entries)
             if hit:
                 ok = True
                 (i, j), unit = hit
                 detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
             else:
-                prules = _pack_rules(rules)
-                ech = _chain_echelon(prules)
-                claim_row = _integer_row(P.pack_terms(claim_red))
+                ech = _chain_echelon(entries, rules)
+                claim_row = _integer_row(claim_red)
                 for ii in range(3):
                     if ok:
                         break
                     for jj in range(3):
                         mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
                         rem = ech.reduce(P.reduce(P.shift(claim_row, mono),
-                                                  prules))
+                                                  rules))
                         if not rem:
                             ok = True
                             detail = (f"claim * a^{ii} d^{jj} lies in the"
                                       " span of the residual entries")
                             break
-                        qq = _poly_divide(P.unpack_terms(rem), claim_red)
+                        qq = _poly_divide(rem, claim_red)
                         if qq is not None and all(
-                                any(m[k] for k in _CHAIN_RADICAL) for m in qq):
+                                m & _CHAIN_RADICAL for m in qq):
                             ok = True
                             detail = ("claim * unit lies in the span of the"
                                       " residual entries")
@@ -1038,7 +1031,8 @@ def transvection_criterion(u1: RingElement, u2: RingElement,
     for i in range(3):
         for j in range(3):
             expect.rows[i][j] = u1 * u2 if (i, j) == (0, 2) else spec.zero()
-    assert (sq - expect).is_zero(), "transvection identity violated"
+    if not (sq - expect).is_zero():
+        raise RuntimeError("transvection identity violated")
     return (u1 * u2).is_zero()
 
 
@@ -1132,7 +1126,8 @@ def symmetric_difference(F: RingElement) -> RingElement:
     """[F(t+1) + F(-t-1)] - [F(t) + F(-t)] for univariate F."""
     spec = F.spec
     names = [v for v in spec.variables]
-    assert len(names) == 1, "symmetric_difference expects one variable"
+    if len(names) != 1:
+        raise ValueError("symmetric_difference expects one variable")
     t = spec.var(names[0])
     sub = lambda val: substitute(F, {names[0]: val})
     return (sub(t + 1) + sub(-t - 1)) - (sub(t) + sub(-t))
@@ -1144,7 +1139,8 @@ def short_root_squares(system) -> Report:
     (G2)."""
     t0 = time.perf_counter()
     system = SystemType(system)
-    assert system.tag in ("B2", "G2")
+    if system.tag not in ("B2", "G2"):
+        raise ValueError(f"short_root_squares needs B2 or G2, not {system}")
     basis = build_basis(system)
     spec = RingSpec("poly", ("s",))
     s = spec.var("s")

@@ -133,7 +133,9 @@ def cartan_integer(beta: Root, alpha: Root) -> int:
     _same(beta, alpha)
     value = Fraction(2 * _inner(beta.coords, alpha.coords, beta.system),
                      _norm2(alpha.coords, alpha.system))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ValueError(f"<{beta}, {alpha}-check> = {value}"
+                         " is not an integer")
     return int(value)
 
 
@@ -167,6 +169,8 @@ def coroot_coefficients(gamma: Root) -> tuple:
     for i, alpha in enumerate(simple_roots(gamma.system)):
         c = Fraction(gamma.coords[i] * _norm2(alpha.coords, gamma.system),
                      _norm2(gamma.coords, gamma.system))
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ValueError(f"{gamma}-check has the non-integral"
+                             f" coefficient {c}")
         out.append(int(c))
     return tuple(out)

@@ -420,3 +420,36 @@ def test_mismatched_products_raise(flags):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 4
+
+
+SKEWED_COMMUTATOR = """
+from chevlab import chevgroup
+
+basis = chevgroup.build_basis("A2")
+exact = chevgroup.unipotent_coordinates
+
+
+def skewed(*args):
+    # one coordinate gains a stray t, so it is no longer a monomial
+    return [(root, p + p.spec.var("t")) for root, p in exact(*args)]
+
+
+chevgroup.unipotent_coordinates = skewed
+try:
+    chevgroup.commutator_relation(basis, "a1", "a2")
+    print("returned")
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_commutator_relation_check_raises(flags):
+    # the monomial check behind the relations output survives python -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SKEWED_COMMUTATOR],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: non-monomial"), proc.stdout

@@ -344,7 +344,7 @@ def rule_sets(draw):
 def test_packed_reduce_matches_reduce_terms(case):
     n, integral, rules, terms = case
     pk = MonomialPacking(n)
-    prules = [pk.pack_rule(r) for r in rules]
+    prules = [(pk.pack(r.lhs), pk.pack_terms(r.rhs)) for r in rules]
     if integral:
         prules = [(lhs, {m: int(c) for m, c in rhs.items()})
                   for lhs, rhs in prules]
@@ -352,4 +352,5 @@ def test_packed_reduce_matches_reduce_terms(case):
     assert got == pk.pack_terms(reduce_terms(terms, rules))
     if integral:
         assert all(type(c) is int for c in got.values())
-    assert pk.unpack_terms(got) == reduce_terms(terms, rules)
+    assert {pk.unpack(k): c for k, c in got.items()} == reduce_terms(
+        terms, rules)

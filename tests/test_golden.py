@@ -7,6 +7,7 @@ lookup replaced; the other lines by the code before the duplicate paths,
 dead helpers and unread options were deleted.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -385,3 +386,16 @@ def test_golden_output_optimized():
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     assert results == [[0, expected] for _, expected in GOLDEN]
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check may rest on one
+    pkg = os.path.join(SRC, "chevlab")
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

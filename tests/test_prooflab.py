@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import chevlab
-from chevlab import prooflab
+from chevlab import exactring, prooflab
 from chevlab.chevgroup import (build_basis, identity_matrix,
                                matrix_from_entries, root_element)
 from chevlab.exactring import (RewriteRule, RingError, RingSpec, deglex_key,
@@ -221,39 +221,59 @@ def _rules_before(stage):
     raise KeyError(stage)
 
 
+def _tuple_rules(rules):
+    """The packed chain rules as tuple-keyed RewriteRules."""
+    pk = prooflab._CHAIN_PACKING
+    return [RewriteRule(pk.unpack(lhs),
+                        {pk.unpack(m): c for m, c in rhs.items()})
+            for lhs, rhs in rules]
+
+
+def _unpacked(terms):
+    pk = prooflab._CHAIN_PACKING
+    return {pk.unpack(k): Fraction(c) for k, c in terms.items()}
+
+
 def test_packed_chain_stage_matches_fraction_path():
-    # the c2quad stage has the most rules; its rows and its nine T-vector
+    # the c2quad stage has the most rules; its rows, pivots and nine T-vector
     # remainders are compared with the tuple-keyed Fraction computation
-    rules = _rules_before("c2quad")
-    prules = prooflab._pack_rules(rules)
+    prules = _rules_before("c2quad")
+    rules = _tuple_rules(prules)
     pk = prooflab._CHAIN_PACKING
     mults = [pk.unpack(m) for m in prooflab._CHAIN_MULTS]
+    entries = prooflab._reduced_entries(prules)
     old_rows = []
-    for _, terms in prooflab._chain_residual_entries():
-        tr = reduce_terms(terms, rules)
-        assert pk.reduce(pk.pack_terms(terms), prules) == pk.pack_terms(tr)
+    reduced = []
+    for ij, terms in prooflab._chain_residual_entries():
+        tr = reduce_terms(_unpacked(terms), rules)
+        assert pk.reduce(terms, prules) == pk.pack_terms(tr)
         if not tr:
             continue
+        reduced.append((ij, pk.pack_terms(tr)))
+        row = prooflab._integer_row(pk.pack_terms(tr))
         for m in mults:
             r = reduce_terms(mul_terms({m: Fraction(1)}, tr), rules)
             packed = pk.reduce(pk.shift(pk.pack_terms(tr), pk.pack(m)), prules)
             assert packed == pk.pack_terms(r)
+            # the integer rows the echelon is built from
+            new = pk.reduce(pk.shift(row, pk.pack(m)), prules)
+            assert bool(new) == bool(r)
             if r:
+                assert _proportional(new, packed)
                 old_rows.append(r)
+    assert entries == reduced
     old_rows.sort(key=lambda r: (len(r), deglex_key(max(r, key=deglex_key))))
-    new_rows = prooflab._chain_rows(prules)
-    assert len(new_rows) == len(old_rows)
-    assert all(_proportional(new, pk.pack_terms(old))
-               for new, old in zip(new_rows, old_rows))
 
     old_ech = _FractionEchelon()
     for r in old_rows:
         old_ech.insert(r)
-    new_ech = prooflab._chain_echelon(prules)
+    new_ech = prooflab._chain_echelon(entries, prules)
     assert len(new_ech.pivots) == len(old_ech.pivots)
-    for lead in old_ech.pivots:
+    for lead, pivot in old_ech.pivots.items():
         p, tail = new_ech.pivots[pk.pack(lead)]
         assert p > 0 and math.gcd(p, *(x for _, x in tail)) == 1
+        tail = {pk.unpack(m): Fraction(x, p) for m, x in tail}
+        assert {lead: Fraction(1), **tail} == pivot
 
     claim = reduce_terms(prooflab.parse_expr(
         "c2^4", prooflab._chain_spec()).terms, rules)
@@ -270,14 +290,104 @@ def test_packed_chain_stage_matches_fraction_path():
                 assert not new
                 empty += 1
             else:
-                assert _proportional(pk.unpack_terms(new), old)
+                assert _proportional(_unpacked(new), old)
     assert empty > 0          # the stage passes with d^1
 
 
 def test_chain_rules_need_integer_rhs():
-    rule = RewriteRule((1, 0, 0, 0, 0, 0, 0, 0), {(0,) * 8: Fraction(1, 2)})
     with pytest.raises(RingError):
-        prooflab._pack_rules([rule])
+        prooflab._parse_rule("b^2 -> a/2")
+    with pytest.raises(RingError):                # deglex must decrease
+        prooflab._parse_rule("a -> b^2")
+    pk = prooflab._CHAIN_PACKING
+    b2, a, c3sq = ((0, 2, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0),
+                   (0, 0, 0, 0, 2, 0, 0, 0))
+    assert prooflab._parse_rule("b^2 -> 0") == (pk.pack(b2), {})
+    lhs, rhs = prooflab._parse_rule("2*b^2 -> 4*a + 6*c3^2")
+    assert lhs == pk.pack(b2) and rhs == {pk.pack(a): 2, pk.pack(c3sq): 3}
+    assert all(type(c) is int for c in rhs.values())
+
+
+def test_chain_runs_without_tuple_reduction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tuple-keyed term function called by the chain")
+
+    monkeypatch.setattr(exactring, "reduce_terms", refuse)
+    monkeypatch.setattr(prooflab, "reduce_terms", refuse)
+    monkeypatch.setattr(prooflab, "mul_terms", refuse)
+    reports = prooflab.entry_chain_g2()
+    assert len(reports) == 9
+    assert all(r.verdict == "PASS" for r in reports), reports
+
+
+def test_chain_radical_mask():
+    pk = prooflab._CHAIN_PACKING
+    assert pk.unpack(prooflab._CHAIN_RADICAL) == (0, 127, 127, 127, 127, 127,
+                                                  127, 0)
+    assert prooflab._CHAIN_RADICAL & pk.guard == 0
+
+
+def _tuple_poly_divide(entry, claim):
+    """The tuple-keyed exact division the chain used before packed keys."""
+    rem = dict(entry)
+    quot = {}
+    clead = max(claim, key=deglex_key)
+    cc = claim[clead]
+    guard = 0
+    while rem:
+        lead = max(rem, key=deglex_key)
+        diff = tuple(x - y for x, y in zip(lead, clead))
+        if any(x < 0 for x in diff):
+            return None
+        q = rem[lead] / cc
+        quot[diff] = quot.get(diff, Fraction(0)) + q
+        rem = sub_terms(rem, mul_terms({diff: q}, claim))
+        guard += 1
+        if guard > 800:
+            return None
+    return {m: c for m, c in quot.items() if c}
+
+
+def _tuple_unit_shaped(quot):
+    radical = range(1, 7)                      # b, c1..c5
+    if not quot:
+        return None
+    units = [m for m in quot if all(m[k] == 0 for k in radical)]
+    if len(units) != 1:
+        return None
+    base = units[0]
+    for m in quot:
+        if m == base:
+            continue
+        if any(x < y for x, y in zip(m, base)):
+            return None
+        if all(m[k] == base[k] for k in radical):
+            return None
+    return quot[base], base
+
+
+def test_packed_unit_test_matches_tuple_version():
+    pk = prooflab._CHAIN_PACKING
+    units = 0
+    rules = ()
+    for name, claim_text, rule_texts in prooflab._CHAIN_STAGES:
+        claim = pk.reduce(pk.pack_terms(prooflab.parse_expr(
+            claim_text, prooflab._chain_spec()).terms), rules)
+        assert claim, name
+        for _, terms in prooflab._reduced_entries(rules):
+            quot = prooflab._poly_divide(terms, claim)
+            old_quot = _tuple_poly_divide(_unpacked(terms), _unpacked(claim))
+            assert (quot is None) == (old_quot is None)
+            if quot is not None:
+                assert _unpacked(quot) == old_quot
+            u = prooflab._unit_shaped(quot)
+            old = _tuple_unit_shaped(old_quot)
+            assert (u is None) == (old is None)
+            if u:
+                assert u[0] == old[0] and pk.unpack(u[1]) == old[1]
+                units += 1
+        rules += tuple(prooflab._parse_rule(t) for t in rule_texts)
+    assert units > 0
 
 
 def test_transvection_criterion():
@@ -288,6 +398,35 @@ def test_transvection_criterion():
         spec.zero(), spec.var("u2"), spec.var("u3"))
     q = RingSpec("poly", ())
     assert not prooflab.transvection_criterion(q.one(), q.one(), q.zero())
+
+
+SKEWED_TRANSVECTION = """
+from chevlab import prooflab
+from chevlab.exactring import RingSpec
+
+exact = prooflab.root_element
+# doubled root elements break (u - 1)^2 = u1 u2 E_13
+prooflab.root_element = lambda basis, root, val, real: exact(
+    basis, root, 2 * val, real)
+spec = RingSpec("poly", ("u1", "u2", "u3"))
+try:
+    prooflab.transvection_criterion(*(spec.var(v) for v in spec.variables))
+    print("returned")
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_transvection_check_raises(flags):
+    # the identity check survives python -O
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", SKEWED_TRANSVECTION],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: transvection"), proc.stdout
 
 
 Y_ENTRIES = [[0, 1, 2], [0, 1, 1], [-1, 0, 0]]
