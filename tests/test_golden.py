@@ -4,7 +4,10 @@
 The ``sha`` and ``decompose --bruhat`` lines were produced by the exhaustive
 implementations that the generator-image ``sha`` search and the Bruhat
 lookup replaced; the other lines by the code before the duplicate paths,
-dead helpers and unread options were deleted.
+dead helpers and unread options were deleted.  The A2/F_5, B2/F_3 and
+G2/F_2 ``decompose --bruhat`` lines and the A1/F_5 and A2/F_2
+``centralizer --prime`` lines were produced by the ``AdjointMatrix`` search
+and family evaluation that integer arrays replaced.
 """
 
 import ast
@@ -43,6 +46,18 @@ GOLDEN = [
       "x(-a,1) x(-b,1) x(a+b,1) x(-a,1) x(-b,1)"],
      '{"factorization": "x(a, 1) x(a+b, 1) w(a, 1) w(b, 1) w(a, 1)'
      ' w(b, 1) x(a, 1) x(b, 1) x(a+2b, 1)", "weyl_word": [0, 1, 0, 1]}\n'),
+    (["decompose", "--system", "A2", "--prime", "5", "--bruhat",
+      "h(a1,2) x(-a1,3) x(-a2,1) x(a1+a2,4)"],
+     '{"factorization": "h(a1+a2, 4) x(a1, 2) x(a1+a2, 1) w(a1, 1)'
+     ' w(a2, 1) x(a1, 2) x(a2, 1) x(a1+a2, 2)", "weyl_word": [0, 1]}\n'),
+    (["decompose", "--system", "B2", "--prime", "3", "--bruhat",
+      "h(a,2) x(-a,1) x(-b,2) x(a+b,1)"],
+     '{"factorization": "x(a, 1) x(a+b, 1) w(a, 1) w(b, 1) x(a, 1)'
+     ' x(b, 2) x(a+2b, 2)", "weyl_word": [0, 1]}\n'),
+    (["decompose", "--system", "G2", "--prime", "2", "--bruhat",
+      "x(-a,1) x(-b,1) x(-a,1) x(a+2b,1)"],
+     '{"factorization": "x(a, 1) x(a+b, 1) w(a, 1) w(b, 1) w(a, 1)'
+     ' x(a, 1) x(a+b, 1) x(a+2b, 1)", "weyl_word": [0, 1, 0]}\n'),
     (["relations"],
      '{"long_root_trace": "t^2*s^2 + 4*t*s + 3", "system": "A1"}\n'
      '{"d": [0, 1], "factors": [[1, 1, [1, 1], 1]], "g": [1, 0], '
@@ -330,6 +345,16 @@ GOLDEN = [
      '"verdict": "PASS"}\n'
      '{"detail": "count 9", "name": "A2-centralizer-bruteforce-p3", '
      '"residual": "", "verdict": "PASS"}\n'),
+    (["centralizer", "--system", "A1", "--prime", "5"],
+     '{"name": "A1-centralizer-family", "residual": "", '
+     '"verdict": "PASS"}\n'
+     '{"detail": "count 5", "name": "A1-centralizer-bruteforce-p5", '
+     '"residual": "", "verdict": "PASS"}\n'),
+    (["centralizer", "--system", "A2", "--prime", "2"],
+     '{"name": "A2-centralizer-family", "residual": "", '
+     '"verdict": "PASS"}\n'
+     '{"detail": "count 4", "name": "A2-centralizer-bruteforce-p2", '
+     '"residual": "", "verdict": "PASS"}\n'),
     (["chain"],
      '{"detail": "entry (0,1) = unit * claim, unit scalar -1/4", '
      '"name": "G2-chain-b2c4", "residual": "", "verdict": "PASS"}\n'
@@ -356,8 +381,20 @@ GOLDEN = [
      '{"entries": [["-1", "t", "0"], ["0", "1", "0"], ["0", "s", "-1"]]}\n'),
 
 ]
-IDS = [" ".join(argv[:3]) + (" bruhat" if "--bruhat" in argv else "")
-       for argv, _ in GOLDEN]
+
+
+def _ids():
+    # a second target of the same command and system is told apart by p
+    ids = []
+    for argv, _ in GOLDEN:
+        name = " ".join(argv[:3]) + (" bruhat" if "--bruhat" in argv else "")
+        if name in ids:
+            name += " p" + argv[argv.index("--prime") + 1]
+        ids.append(name)
+    return ids
+
+
+IDS = _ids()
 
 
 @pytest.mark.parametrize("argv,expected", GOLDEN, ids=IDS)
