@@ -164,25 +164,22 @@ def cmd_chain(args):
 
 
 def cmd_centralizer(args):
+    # every check runs before any is printed, so an error line stands alone
     reports = []
     for tag in _systems(args):
-        report = prooflab.centralizer_check(prooflab.standard_family(tag))
-        reports.append(report)
-        _emit_report(report, args)
+        reports.append(
+            prooflab.centralizer_check(prooflab.standard_family(tag)))
         if args.prime:
+            name = f"{tag}-centralizer-bruteforce-p{args.prime}"
             try:
                 count, _ = prooflab.centralizer_bruteforce(
                     tag, args.prime, cap=args.cap)
-                report = prooflab.Report(
-                    f"{tag}-centralizer-bruteforce-p{args.prime}", "PASS",
-                    detail=f"count {count}")
-            except (prooflab.CentralizerMismatch,
-                    shacheck.CapExceeded) as exc:
-                report = prooflab.Report(
-                    f"{tag}-centralizer-bruteforce-p{args.prime}", "FAIL",
-                    str(exc))
-            reports.append(report)
-            _emit_report(report, args)
+                reports.append(prooflab.Report(name, "PASS",
+                                               detail=f"count {count}"))
+            except prooflab.CentralizerMismatch as exc:
+                reports.append(prooflab.Report(name, "FAIL", str(exc)))
+    for report in reports:
+        _emit_report(report, args)
     return reports
 
 
@@ -192,7 +189,7 @@ def cmd_sha(args):
         rep.pop("seconds", None)
     verdict = rep["verdict"]
     if rep["hypothesis_violated"]:
-        verdict = f"{verdict} (HYPOTHESIS-VIOLATED: p=2)"
+        verdict = f"{verdict} (HYPOTHESIS-VIOLATED: p={rep['p']})"
     _emit(rep, args,
           f"{verdict:12s} sha {rep['system']}/F_{rep['p']}: order"
           f" {rep['group_order']}, {rep['class_count']} classes,"

@@ -13,12 +13,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
-                        _realization_dim, build_basis, default_realization,
-                        evaluate_word, identity_matrix, pgl3_equal,
-                        root_element, weyl_element)
+import numpy as np
+
+from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord, build_basis,
+                        default_realization, evaluate_word, pgl3_equal)
 from .exactring import NotAUnit, RingElement, RingError, RingSpec, invert
 from .rootsys import Root, SystemType, positive_roots, simple_roots
+from .shacheck import _canonicalize, generate_group, matrix_array
 
 
 class NoFactorization(Exception):
@@ -208,85 +209,84 @@ def gauss_decompose_a1(M: AdjointMatrix,
 # ---------------------------------------------------------------------------
 
 class _BruhatContext:
-    """Enumerated torus, unipotent and Weyl data for E(system, F_p), with
-    the inverse matrix of every enumerated element."""
+    """Enumerated torus T, unipotent radical U and Weyl representatives of
+    E(system, F_p): their words, and stacks of their canonical integer
+    arrays and of the arrays of their inverses.  Only the letters of the
+    words are evaluated as AdjointMatrix, each once."""
 
     def __init__(self, system, p: int):
-        from . import shacheck
         self.system = SystemType(system)
         self.p = p
         self.realization = default_realization(self.system)
-        self.basis = build_basis(self.system)
-        self.spec = RingSpec("modular", modulus=p)
-        self.key = lambda m: shacheck.matrix_key(m, self.realization, p)
-        basis, spec = self.basis, self.spec
+        basis = build_basis(self.system)
+        spec = RingSpec("modular", modulus=p)
+
+        def evaluate(letters):
+            return matrix_array(evaluate_word(GroupWord(self.system, letters),
+                                              basis, self.realization,
+                                              spec=spec), self.realization, p)
+
+        ident, letters = evaluate(()), {}
+
+        def array(word):
+            out = ident
+            for letter in word.letters:
+                if letter not in letters:
+                    letters[letter] = evaluate([letter])
+                out = self.canon(out @ letters[letter])
+            return out
+
+        def closure(words, coset):
+            """Breadth-first products of ``words`` from the identity, as
+            (generator indices, word, array) in (length, word) order; a
+            product is new when no element of product @ coset is known."""
+            gens = [array(w) for w in words]
+            seen = set(self.keys(ident[None]))
+            found = frontier = [((), GroupWord(self.system), ident)]
+            while frontier:
+                nxt = []
+                for idx, word, m in frontier:
+                    for i, g in enumerate(gens):
+                        m2 = self.canon(m @ g)
+                        if seen.isdisjoint(self.keys(m2 @ coset)):
+                            seen.add(m2.astype(np.uint8).tobytes())
+                            nxt.append((idx + (i,), word * words[i], m2))
+                found, frontier = found + nxt, nxt
+            return zip(*found)
+
         pos = positive_roots(self.system)
+        _, self.torus_words, torus = closure(
+            [GroupWord.h(self.system, g, spec.const(u))
+             for g in pos for u in range(2, p)], ident[None])
+        self.torus = np.stack(torus)
 
-        def xmat(root, t):
-            return root_element(basis, root, spec.const(t), self.realization)
-
-        dim = _realization_dim(self.system, self.realization)
-        ident = identity_matrix(spec, dim, self.realization)
-
-        # torus H = closure of the h_g(u)
-        torus = {self.key(ident): (ident, GroupWord(self.system))}
-        frontier = [(ident, GroupWord(self.system))]
-        hwords = [GroupWord.h(self.system, g, spec.const(u))
-                  for g in pos for u in range(2, p)]
-        while frontier:
-            nxt = []
-            for m, w in frontier:
-                for hw in hwords:
-                    m2 = m * evaluate_word(hw, basis, self.realization, spec=spec)
-                    k = self.key(m2)
-                    if k not in torus:
-                        torus[k] = (m2, w * hw)
-                        nxt.append((m2, w * hw))
-            frontier = nxt
-        self.torus = list(torus.values())
-
-        # unipotent radical U with coordinates; u_index maps a key to the
-        # first position in u_elements that has it
-        self.u_elements = []
+        # U in coordinate order; u_index maps a key to its first position
+        self.u_words = [
+            GroupWord(self.system, [("x", root, spec.const(t))
+                                    for root, t in zip(pos, params) if t])
+            for params in itertools.product(range(p), repeat=len(pos))]
+        self.u = np.stack([array(w) for w in self.u_words])
         self.u_index = {}
-        for params in itertools.product(range(p), repeat=len(pos)):
-            m = ident
-            w = GroupWord(self.system)
-            for root, t in zip(pos, params):
-                if t:
-                    m = m * xmat(root, t)
-                    w = w * GroupWord.x(self.system, root, spec.const(t))
-            self.u_index.setdefault(self.key(m), len(self.u_elements))
-            self.u_elements.append((m, w, params))
+        for i, k in enumerate(self.keys(self.u)):
+            self.u_index.setdefault(k, i)
 
-        # Weyl representatives: BFS over simple-reflection words
-        simples = simple_roots(self.system)
-        wmats = [weyl_element(basis, g, spec.one(), self.realization)
-                 for g in simples]
-        self.weyl = {self.key(ident): ((), ident, GroupWord(self.system))}
-        frontier = [((), ident, GroupWord(self.system))]
-        while frontier:
-            nxt = []
-            for word, m, gw in frontier:
-                for i, wm in enumerate(wmats):
-                    m2 = m * wm
-                    # identify the coset modulo the torus
-                    cosets = [self.key(m2 * t) for t, _ in self.torus]
-                    if any(k in self.weyl for k in cosets):
-                        continue
-                    gw2 = gw * GroupWord.w(self.system, simples[i], spec.one())
-                    self.weyl[self.key(m2)] = (word + (i,), m2, gw2)
-                    nxt.append((word + (i,), m2, gw2))
-            frontier = nxt
-        self.weyl_reps = sorted(self.weyl.values(), key=lambda x: (len(x[0]), x[0]))
+        # Weyl representatives, one per coset of T
+        idx, weyl_words, weyl = closure(
+            [GroupWord.w(self.system, g, spec.one())
+             for g in simple_roots(self.system)], self.torus)
+        self.weyl_reps = list(zip(idx, weyl_words))
+        self.weyl = np.stack(weyl)
 
-        def inverse(word):
-            return evaluate_word(word.inverse(), basis, self.realization,
-                                 spec=spec)
+        self.torus_inv, self.u_inv, self.weyl_inv = (
+            np.stack([array(w.inverse()) for w in words])
+            for words in (self.torus_words, self.u_words, weyl_words))
 
-        self.torus_inv = [inverse(tw) for _, tw in self.torus]
-        self.u_inv = [inverse(uw) for _, uw, _ in self.u_elements]
-        self.weyl_inv = [inverse(gw) for _, _, gw in self.weyl_reps]
+    def canon(self, arr):
+        return _canonicalize(arr, self.realization, self.p)
+
+    def keys(self, stack) -> list:
+        """The byte keys of a stack of integer matrices."""
+        return [m.tobytes() for m in self.canon(stack).astype(np.uint8)]
 
 
 def _bruhat_context(system, p) -> _BruhatContext:
@@ -301,17 +301,14 @@ def _context(tag: str, p: int) -> _BruhatContext:
 def bruhat_cells(system, p):
     """All Bruhat factorizations of every element of E(system, F_p):
     map matrix key -> list of Weyl words whose cell contains the element."""
-    from . import shacheck
     ctx = _bruhat_context(system, p)
-    table = shacheck.generate_group(system, p, cap=100000)
+    table = generate_group(system, p, cap=100000)
     cells = {key: [] for key in table.index}
-    for wword, wmat, _ in ctx.weyl_reps:
+    for (wword, _), w in zip(ctx.weyl_reps, ctx.weyl):
         seen = set()
-        for t, _tw in ctx.torus:
-            for u, _uw, _ in ctx.u_elements:
-                left = t * u * wmat
-                for u2, _u2w, _ in ctx.u_elements:
-                    k = ctx.key(left * u2)
+        for t in ctx.torus:
+            for left in (t @ ctx.u) % p @ w % p:
+                for k in ctx.keys(left @ ctx.u):
                     if k in cells and k not in seen:
                         seen.add(k)
                         cells[k].append(wword)
@@ -323,16 +320,18 @@ def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
     canonical order wins.
 
     For each (w, t, u) in that order, u' = w^-1 u^-1 t^-1 M is the only
-    candidate, so it is looked up in U instead of searched for."""
+    candidate, so it is looked up in U instead of searched for; all u of
+    one (w, t) are tried in one stacked product."""
     ctx = _bruhat_context(system, p)
-    torus_m = [t_inv * M for t_inv in ctx.torus_inv]
-    for (wword, _, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):
-        for (_, tw), t_m in zip(ctx.torus, torus_m):
-            for (_, uw, _), u_inv in zip(ctx.u_elements, ctx.u_inv):
-                pos = ctx.u_index.get(ctx.key(w_inv * (u_inv * t_m)))
+    torus_m = ctx.torus_inv @ matrix_array(M, ctx.realization, p) % p
+    for (wword, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):
+        for tw, t_m in zip(ctx.torus_words, torus_m):
+            keys = ctx.keys(w_inv @ (ctx.u_inv @ t_m % p))
+            for uw, k in zip(ctx.u_words, keys):
+                pos = ctx.u_index.get(k)
                 if pos is not None:
-                    u2w = ctx.u_elements[pos][1]
-                    return BruhatFactorization(tw, uw, wgw, u2w, wword)
+                    return BruhatFactorization(tw, uw, wgw, ctx.u_words[pos],
+                                               wword)
     raise ElementNotInGroup("no Bruhat factorization found")
 
 

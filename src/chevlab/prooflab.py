@@ -19,6 +19,8 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from .chevgroup import (AdjointMatrix, GroupWord, _realization_dim,
                         build_basis, default_realization, evaluate_word,
                         identity_matrix, matrix_from_entries, parse_word,
@@ -606,6 +608,14 @@ def standard_family(system) -> CentralizerFamily:
                      "q5": "3/4*b^4 - 1/2*b^3 - 1/4*b^2"})
 
 
+def _family_matrix(fam: CentralizerFamily, spec: RingSpec, basis):
+    """The family's generic element over ``spec``."""
+    if fam.matrix_family is not None:
+        return matrix_from_entries(spec, fam.matrix_family, fam.realization)
+    return evaluate_word(parse_word(fam.word_text(), fam.system, spec),
+                         basis, fam.realization, spec=spec)
+
+
 def centralizer_check(fam: CentralizerFamily) -> Report:
     t0 = time.perf_counter()
     name = f"{fam.system.tag}-centralizer-family"
@@ -614,11 +624,7 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
     try:
         x0 = evaluate_word(parse_word(fam.x0, fam.system, spec), basis,
                            fam.realization, spec=spec)
-        if fam.matrix_family is not None:
-            g = matrix_from_entries(spec, fam.matrix_family, fam.realization)
-        else:
-            g = evaluate_word(parse_word(fam.word_text(), fam.system, spec),
-                              basis, fam.realization, spec=spec)
+        g = _family_matrix(fam, spec, basis)
         residual = g * x0 - x0 * g
         ok = residual.is_zero()
         return Report(name, "PASS" if ok else "FAIL",
@@ -632,53 +638,43 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
 def centralizer_bruteforce(system, p: int, cap: int = 50000):
     """Exhaustive centralizer of the family's x0 in E(system, F_p), checked
     elementwise against the symbolic family; returns (count, centralizer
-    keys)."""
+    keys).  A family that needs p invertible raises before the closure."""
     from . import shacheck
     system = SystemType(system)
     fam = standard_family(system)
-    table = shacheck.generate_group(system, p, cap=cap)
-    spec = RingSpec("modular", modulus=p)
     basis = build_basis(system)
 
-    def key(m):
-        return shacheck.matrix_key(m, table.realization, p)
+    # the family over F_p: its generic element under every parameter value
+    generic = _family_matrix(fam, fam.ring(), basis)
+    values = [dict(zip(fam.free, v))
+              for v in itertools.product(range(p), repeat=len(fam.free))]
+    try:
+        mats = np.array([[[map_to_modular(e, p, b).residue for e in row]
+                          for row in generic.rows] for b in values])
+    except DenominatorNotInvertible:
+        raise DenominatorNotInvertible(
+            f"the {system.tag} centralizer family needs {p} invertible, and"
+            f" it is not mod {p}") from None
+    canon = shacheck._canonicalize(mats, fam.realization, p).astype(np.uint8)
+    fam_keys = {m.tobytes() for m in canon}
 
     # g commutes with x0 iff g x0 = x0 g; x -> x0 x is x -> (x^-1 x0^-1)^-1
-    x0 = table.index[key(evaluate_word(parse_word(fam.x0, system, spec),
-                                       basis, table.realization, spec=spec))]
+    table = shacheck.generate_group(system, p, cap=cap)
+    spec = RingSpec("modular", modulus=p)
+    x0 = table.index[shacheck.matrix_key(evaluate_word(
+        parse_word(fam.x0, system, spec), basis, table.realization,
+        spec=spec), table.realization, p)]
     inv = table.inverses
     left = inv[table.right_multiplication(table.inv(x0))[inv]]
     cent = {table.elements[g].tobytes() for g in
             (table.right_multiplication(x0) == left).nonzero()[0]}
 
-    # the family instantiated over F_p
-    fam_keys = set()
     if fam.matrix_family is not None:
-        for values in itertools.product(range(p), repeat=len(fam.free)):
-            bindings = dict(zip(fam.free, values))
-            k = key(matrix_from_entries(
-                spec, [[_eval_mod(e, bindings, p) for e in row]
-                       for row in fam.matrix_family], table.realization))
-            if k in table.index:
-                fam_keys.add(k)
-    else:
-        for values in itertools.product(range(p), repeat=len(fam.free)):
-            bindings = {name: spec.const(v)
-                        for name, v in zip(fam.free, values)}
-            word = parse_word(fam.word_text(), system,
-                              RingSpec("poly", fam.free))
-            letters = [(k, w, substitute(param, bindings))
-                       for k, w, param in word.letters]
-            fam_keys.add(key(evaluate_word(GroupWord(system, letters), basis,
-                                           table.realization, spec=spec)))
+        # the A1 grid meets matrices outside the group
+        fam_keys &= table.index.keys()
     if fam_keys != cent:
         raise CentralizerMismatch("centralizer does not match the family")
     return len(cent), cent
-
-
-def _eval_mod(expr: str, bindings, p: int) -> int:
-    val = parse_expr(expr, RingSpec("poly", tuple(bindings)))
-    return map_to_modular(val, p, bindings).residue
 
 
 def matrix_centralizer_a1(x: AdjointMatrix):

@@ -19,8 +19,8 @@ import time
 
 import numpy as np
 
-from .chevgroup import (GroupWord, build_basis, default_realization,
-                        root_element)
+from .chevgroup import (GroupWord, RealizationError, build_basis,
+                        default_realization, root_element)
 from .exactring import RingSpec
 from .rootsys import SystemType, simple_roots
 
@@ -35,23 +35,31 @@ REJECT = "REJECT"
 
 
 def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
-    """Canonical representative mod p (projective scaling for pgl3)."""
+    """Canonical representative mod p of a matrix or a stack of matrices
+    (projective scaling for pgl3)."""
     arr = arr % p
     if realization != "pgl3":
         return arr
-    flat = arr.reshape(arr.shape[0], -1)
-    idx = (flat != 0).argmax(axis=1)
-    lead = flat[np.arange(flat.shape[0]), idx]
+    flat = arr.reshape(arr.shape[:-2] + (-1,))
+    idx = (flat != 0).argmax(axis=-1)
+    lead = np.take_along_axis(flat, idx[..., None], axis=-1)
     inv = np.array([0] + [pow(int(u), -1, p) for u in range(1, p)],
                    dtype=np.int64)
-    return (arr * inv[lead][:, None, None]) % p
+    return (arr * inv[lead][..., None]) % p
+
+
+def matrix_array(m, realization: str, p: int) -> np.ndarray:
+    """Canonical int64 array of an exact AdjointMatrix over Z/p."""
+    if m.realization != realization or m.spec.modulus != p:
+        raise RealizationError(f"expected a {realization} matrix mod {p}")
+    arr = np.array([[e.residue for e in row] for row in m.rows],
+                   dtype=np.int64)
+    return _canonicalize(arr, realization, p)
 
 
 def matrix_key(m, realization: str, p: int) -> bytes:
     """Canonical byte key of an exact AdjointMatrix over Z/p."""
-    arr = np.array([[e.residue for e in row] for row in m.rows],
-                   dtype=np.int64)[None, :, :]
-    return _canonicalize(arr, realization, p)[0].astype(np.uint8).tobytes()
+    return matrix_array(m, realization, p).astype(np.uint8).tobytes()
 
 
 def _lookup(index, mats: np.ndarray, realization: str, p: int) -> np.ndarray:
@@ -141,12 +149,8 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         gen_roots += [g, -g]
 
     gen_words = [GroupWord.x(system, g, one) for g in gen_roots]
-    gen_mats = []
-    for g in gen_roots:
-        m = root_element(basis, g, one, realization)
-        gen_mats.append(np.array([[e.residue for e in row] for row in m.rows],
-                                 dtype=np.int64))
-    gens = _canonicalize(np.stack(gen_mats), realization, p)
+    gens = np.stack([matrix_array(root_element(basis, g, one, realization),
+                                  realization, p) for g in gen_roots])
 
     dim = gens.shape[1]
     ident = _canonicalize(np.eye(dim, dtype=np.int64)[None], realization, p)
@@ -321,6 +325,11 @@ def class_preserving_endos(G: FiniteGroupTable):
     return sorted(found)
 
 
+def hypothesis_violated(system, p: int) -> bool:
+    """Is p a prime the theorem needs invertible (2, and 3 for G2)?"""
+    return p == 2 or (p == 3 and SystemType(system).tag == "G2")
+
+
 def sha_report(system, p: int, cap: int = DEFAULT_CAP):
     """PASS iff every class-preserving endomorphism of E(system, F_p) is
     inner and the counts agree; the group order is bounded by ``cap``."""
@@ -340,6 +349,6 @@ def sha_report(system, p: int, cap: int = DEFAULT_CAP):
         "cp_endo_count": len(cp),
         "inner_count": len(inner),
         "verdict": verdict,
-        "hypothesis_violated": p == 2,
+        "hypothesis_violated": hypothesis_violated(system, p),
         "seconds": round(time.perf_counter() - t0, 3),
     }

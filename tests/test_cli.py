@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from chevlab import shacheck
 from chevlab.cli import _parser, dispatch
 
 
@@ -66,6 +67,19 @@ def test_sha(capsys):
     assert rep["verdict"] == "PASS" and rep["group_order"] == 12
 
 
+def test_sha_names_the_prime_that_violates_the_hypothesis(capsys,
+                                                         monkeypatch):
+    def report(system, p, cap):
+        return {"system": system, "p": p, "group_order": 1,
+                "class_count": 1, "cp_endo_count": 1, "inner_count": 1,
+                "verdict": "PASS", "hypothesis_violated": True}
+
+    monkeypatch.setattr(shacheck, "sha_report", report)
+    code, out, _ = run(capsys, "sha", "--system", "G2", "--prime", "3")
+    assert code == 0
+    assert out.startswith("PASS (HYPOTHESIS-VIOLATED: p=3) sha G2/F_3")
+
+
 def test_decompose_gauss(capsys):
     code, out, _ = run(capsys, "decompose", "--system", "A1", "--prime", "5",
                        "x(a,2) x(-a,3)")
@@ -91,9 +105,10 @@ def test_centralizer(capsys):
     assert code == 0
     assert "B2-centralizer-family" in out
     assert "bruteforce" in out
-    code, out, _ = run(capsys, "centralizer", "--system", "B2", "--prime",
-                       "3")
-    assert code == 1 and "cap" in out
+    # a group over the cap is a usage error, not a FAIL
+    code, out, err = run(capsys, "centralizer", "--system", "B2", "--prime",
+                         "3")
+    assert code == 2 and "cap" in err
 
 
 def test_failure_exit_code(capsys):
@@ -115,7 +130,14 @@ def test_failure_exit_code(capsys):
     # the Gauss decomposition divides by 2
     (["decompose", "--system", "A1", "--prime", "2", "x(a,1)"],
      "Gauss decomposition"),
-], ids=["realization", "caret", "caret-minus", "gauss-f2"])
+    # the B2 and G2 families divide by 2, and the G2 family by 3; the
+    # groups are over the cap, so the check comes before the closure
+    (["centralizer", "--system", "B2", "--prime", "2"], "invertible"),
+    (["centralizer", "--system", "G2", "--prime", "3"], "invertible"),
+    # order 25920 is over the default cap
+    (["centralizer", "--system", "B2", "--prime", "3"], "cap"),
+], ids=["realization", "caret", "caret-minus", "gauss-f2",
+        "centralizer-b2-f2", "centralizer-g2-f3", "centralizer-cap"])
 def test_bad_input_exit_2_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from chevlab import decomp, shacheck
-from chevlab.chevgroup import (GroupWord, build_basis, default_realization,
-                               evaluate_word, parse_word, root_element)
+from chevlab.chevgroup import (GroupWord, RealizationError, build_basis,
+                               default_realization, evaluate_word, parse_word,
+                               root_element)
 from chevlab.exactring import NotAUnit, RingSpec
 from chevlab.rootsys import Root, all_roots
 
@@ -131,21 +132,30 @@ def _residues(m):
 
 def _bruhat_oracle(M, system, p):
     """The exhaustive O(|W| |T| |U|^2) search: for each (w, t, u) in
-    canonical order, the first u' in U with t u w u' = M."""
+    canonical order, the first u' in U with t u w u' = M.  Only the order
+    and the words come from the context; every word is evaluated here."""
     ctx = decomp._bruhat_context(system, p)
+    basis = build_basis(system)
+    spec = RingSpec("modular", modulus=p)
 
     def canon(arr):
         return shacheck._canonicalize(arr, ctx.realization, p)
 
+    def ev(word):
+        return _residues(evaluate_word(word, basis, ctx.realization,
+                                       spec=spec))
+
     target = canon(_residues(M)[None])[0]
-    u2_stack = np.stack([_residues(u2) for u2, _, _ in ctx.u_elements])
-    for wword, wmat, wgw in ctx.weyl_reps:
-        for t, tw in ctx.torus:
-            for u, uw, _ in ctx.u_elements:
-                left = _residues(t) @ _residues(u) @ _residues(wmat) % p
-                hits = (canon(left @ u2_stack) == target).all(axis=(1, 2))
+    u_stack = np.stack([ev(uw) for uw in ctx.u_words])
+    torus = [(tw, ev(tw)) for tw in ctx.torus_words]
+    for wword, wgw in ctx.weyl_reps:
+        wmat = ev(wgw)
+        for tw, t in torus:
+            for uw, u in zip(ctx.u_words, u_stack):
+                left = t @ u @ wmat % p
+                hits = (canon(left @ u_stack) == target).all(axis=(1, 2))
                 if hits.any():
-                    u2w = ctx.u_elements[int(hits.argmax())][1]
+                    u2w = ctx.u_words[int(hits.argmax())]
                     return decomp.BruhatFactorization(tw, uw, wgw, u2w, wword)
     raise decomp.ElementNotInGroup("no Bruhat factorization found")
 
@@ -173,7 +183,51 @@ def test_bruhat_matches_exhaustive_search(system, p):
     assert len(cells) >= 2 and longest in cells
 
 
-@pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A2", 2)])
+BRUHAT_GOLDEN = [
+    ("A2", 3, "x(a1,2) x(-a1,1) x(-a2,2) x(a1+a2,1) x(-a1,1)",
+     "h(a1+a2, 2) x(a2, 2) x(a1+a2, 1) w(a1, 1) w(a2, 1) w(a1, 1) x(a1, 1)"
+     " x(a1+a2, 2)"),
+    ("B2", 2, "x(-a,1) x(-b,1) x(a+b,1) x(-a,1) x(-b,1)",
+     "x(a, 1) x(a+b, 1) w(a, 1) w(b, 1) w(a, 1) w(b, 1) x(a, 1) x(b, 1)"
+     " x(a+2b, 1)"),
+]
+
+
+def test_bruhat_search_multiplies_no_adjoint_matrix(monkeypatch):
+    # with the contexts built, the search runs on integer arrays only
+    from chevlab import chevgroup
+    targets = []
+    for system, p, text, expect in BRUHAT_GOLDEN:
+        spec = RingSpec("modular", modulus=p)
+        M = evaluate_word(parse_word(text, system, spec), build_basis(system),
+                          default_realization(system), spec=spec)
+        decomp._bruhat_context(system, p)
+        targets.append((M, system, p, expect))
+
+    def refuse(*args):
+        raise AssertionError("AdjointMatrix product or matrix_key call")
+
+    monkeypatch.setattr(chevgroup.AdjointMatrix, "__mul__", refuse)
+    monkeypatch.setattr(shacheck, "matrix_key", refuse)
+    for M, system, p, expect in targets:
+        fact = decomp.bruhat_bruteforce(M, system, p)
+        assert fact.word().format_text() == expect
+
+
+def test_bruhat_rejects_a_matrix_of_another_realization_or_ring():
+    basis = build_basis("A1")
+    f3, f5 = RingSpec("modular", modulus=3), RingSpec("modular", modulus=5)
+    # the A1 adjoint matrix is 3x3 like the a1std one
+    adjoint = root_element(basis, basis.root("a"), f3.one(), "adjoint")
+    with pytest.raises(RealizationError):
+        decomp.bruhat_bruteforce(adjoint, "A1", 3)
+    mod5 = root_element(basis, basis.root("a"), f5.one(), "a1std")
+    with pytest.raises(RealizationError):
+        decomp.bruhat_bruteforce(mod5, "A1", 3)
+
+
+@pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A2", 2),
+                                      ("B2", 2)])
 def test_bruhat_cells_partition(system, p):
     cells, table = decomp.bruhat_cells(system, p)
     assert len(cells) == len(table)

@@ -8,7 +8,8 @@ import pytest
 from chevlab.shacheck import (CapExceeded, REJECT, _canonicalize,
                               class_preserving_endos, conjugacy_classes,
                               extend_homomorphism, generate_group,
-                              inner_endomorphisms, sha_report)
+                              hypothesis_violated, inner_endomorphisms,
+                              sha_report)
 
 
 def matrix_mul(G, i, j):
@@ -181,6 +182,14 @@ def test_sha_p2_flagged():
     assert rep["hypothesis_violated"]
     assert set(rep) >= {"system", "p", "group_order", "class_count",
                         "cp_endo_count", "inner_count", "verdict", "seconds"}
+
+
+@pytest.mark.parametrize("system", ["A1", "A2", "B2", "G2"])
+def test_hypothesis_violated(system):
+    # the theorem needs 2 invertible, and G2 needs 3 invertible too
+    assert hypothesis_violated(system, 2)
+    assert hypothesis_violated(system, 3) == (system == "G2")
+    assert not hypothesis_violated(system, 5)
 
 
 def test_sha_a2_p3_over_cap():
