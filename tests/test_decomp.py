@@ -194,7 +194,8 @@ BRUHAT_GOLDEN = [
 
 
 def test_bruhat_search_multiplies_no_adjoint_matrix(monkeypatch):
-    # with the contexts built, the search runs on integer arrays only
+    # with the contexts built, the search and the cells run on integer
+    # arrays only
     from chevlab import chevgroup
     targets = []
     for system, p, text, expect in BRUHAT_GOLDEN:
@@ -212,6 +213,9 @@ def test_bruhat_search_multiplies_no_adjoint_matrix(monkeypatch):
     for M, system, p, expect in targets:
         fact = decomp.bruhat_bruteforce(M, system, p)
         assert fact.word().format_text() == expect
+    cells, table = decomp.bruhat_cells("B2", 2)
+    assert len(cells) == len(table) == 720
+    assert all(len(ws) == 1 for ws in cells.values())
 
 
 def test_bruhat_rejects_a_matrix_of_another_realization_or_ring():
