@@ -3,7 +3,9 @@
 
 The ``sha`` and ``decompose --bruhat`` lines were produced by the exhaustive
 implementations that the generator-image ``sha`` search and the Bruhat
-lookup replaced; the other lines by the code before the duplicate paths,
+lookup replaced, except the A2/F_3 ``sha`` line, which the full
+generator-image search produced before the search was restricted to the
+maps fixing the first generator; the other lines by the code before the duplicate paths,
 dead helpers and unread options were deleted.  The A2/F_5, B2/F_3 and
 G2/F_2 ``decompose --bruhat`` lines and the A1/F_5 and A2/F_2
 ``centralizer --prime`` lines were produced by the ``AdjointMatrix`` search
@@ -35,6 +37,10 @@ GOLDEN = [
      '{"class_count": 11, "cp_endo_count": 720, "group_order": 720,'
      ' "hypothesis_violated": true, "inner_count": 720, "p": 2,'
      ' "system": "B2", "verdict": "PASS"}\n'),
+    (["sha", "--system", "A2", "--prime", "3"],
+     '{"class_count": 12, "cp_endo_count": 5616, "group_order": 5616,'
+     ' "hypothesis_violated": false, "inner_count": 5616, "p": 3,'
+     ' "system": "A2", "verdict": "PASS"}\n'),
     (["decompose", "--system", "A1", "--prime", "3", "--bruhat",
       "x(a,1) x(-a,2) x(a,2)"],
      '{"factorization": "w(alpha, 1) x(alpha, 1)", "weyl_word": [0]}\n'),
