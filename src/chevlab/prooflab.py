@@ -658,16 +658,12 @@ def centralizer_bruteforce(system, p: int, cap: int = 50000):
     canon = shacheck._canonicalize(mats, fam.realization, p).astype(np.uint8)
     fam_keys = {m.tobytes() for m in canon}
 
-    # g commutes with x0 iff g x0 = x0 g; x -> x0 x is x -> (x^-1 x0^-1)^-1
     table = shacheck.generate_group(system, p, cap=cap)
     spec = RingSpec("modular", modulus=p)
     x0 = table.index[shacheck.matrix_key(evaluate_word(
         parse_word(fam.x0, system, spec), basis, table.realization,
         spec=spec), table.realization, p)]
-    inv = table.inverses
-    left = inv[table.right_multiplication(table.inv(x0))[inv]]
-    cent = {table.elements[g].tobytes() for g in
-            (table.right_multiplication(x0) == left).nonzero()[0]}
+    cent = {table.elements[g].tobytes() for g in table.centralizer(x0)}
 
     if fam.matrix_family is not None:
         # the A1 grid meets matrices outside the group

@@ -1,9 +1,10 @@
 """Brute-force Sha-rigidity certification over small prime fields.
 
 Builds the elementary group E(system, F_p) by closure of the root-element
-generators, enumerates every class-preserving endomorphism by searching
-generator images inside the generators' conjugacy classes, and checks that
-each one is inner.
+generators, enumerates the class-preserving endomorphisms that fix the first
+generator s_1 by searching generator images inside the generators' conjugacy
+classes, and checks that each one is inner.  Conjugation moves s_1 around its
+whole class, so these maps determine all the others (see ``sha_report``).
 
 An endomorphism is fixed by its images of the generators, so everything is
 done with the generators: the closure records the right-multiplication
@@ -130,6 +131,14 @@ class FiniteGroupTable:
 
     def conj(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))
+
+    def centralizer(self, x: int) -> np.ndarray:
+        """Ids of the g with g x = x g, sorted.  g -> g x composes ``rmul``
+        columns along x's tree word and g -> x g is g -> (g^-1 x^-1)^-1, so
+        no matrix is multiplied."""
+        inv = self.inverses
+        left = inv[self.right_multiplication(self.inv(x))[inv]]
+        return (self.right_multiplication(x) == left).nonzero()[0]
 
 
 def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
@@ -268,17 +277,23 @@ def extend_homomorphism(G: FiniteGroupTable, images):
     return EndoMap(images, table)
 
 
-def inner_endomorphisms(G: FiniteGroupTable):
-    """The image tuples (g s_i g^-1)_i of all conjugation maps, one per
-    coset of the center."""
-    stack = np.stack(G.elements).astype(np.int64)
-    inverse = stack[G.inverses]
+def inner_endomorphisms(G: FiniteGroupTable) -> dict:
+    """The image tuples (g s_i g^-1)_i of the conjugations fixing the first
+    generator s_1, i.e. by g in C_G(s_1), each mapped to its least
+    conjugator g: a certificate that the tuple is inner."""
+    cent = G.centralizer(G.generators[0][1])
+    stack = np.stack([G.elements[g] for g in cent]).astype(np.int64)
+    inverse = np.stack([G.elements[g]
+                        for g in G.inverses[cent]]).astype(np.int64)
     cols = []
     for _, gid in G.generators:
         s = G.elements[gid].astype(np.int64)
         cols.append(_lookup(G.index, stack @ s @ inverse, G.realization,
                             G.p).tolist())
-    return set(zip(*cols))
+    conjugators = {}
+    for g, images in zip(cent.tolist(), zip(*cols)):
+        conjugators.setdefault(images, g)
+    return conjugators
 
 
 def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int, target) -> bool:
@@ -290,12 +305,12 @@ def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int, target) -> bool:
     return class_of[comm] == target[1]
 
 
-def class_preserving_endos(G: FiniteGroupTable):
-    """The image tuples of all endomorphisms sending every element into its
-    conjugacy class, sorted."""
-    classes, class_of = conjugacy_classes(G)
+def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
+    """The image tuples of the endomorphisms that fix the first generator
+    s_1 and send every element into its conjugacy class, sorted; ``classes``
+    and ``class_of`` are the output of ``conjugacy_classes(G)``."""
     gen_ids = [gid for _, gid in G.generators]
-    candidates = [classes[class_of[g]] for g in gen_ids]
+    candidates = [[gen_ids[0]]] + [classes[class_of[g]] for g in gen_ids[1:]]
 
     n = len(gen_ids)
     pair_target = {}
@@ -332,22 +347,30 @@ def hypothesis_violated(system, p: int) -> bool:
 
 def sha_report(system, p: int, cap: int = DEFAULT_CAP):
     """PASS iff every class-preserving endomorphism of E(system, F_p) is
-    inner and the counts agree; the group order is bounded by ``cap``."""
+    inner and the counts agree; the group order is bounded by ``cap``.
+
+    phi -> c_g o phi permutes the class-preserving endomorphisms, and the
+    inner ones, and moves phi(s_1) around the whole class of s_1 (Burnside
+    1913, Wall 1947).  So each fibre of phi -> phi(s_1) is a copy of the
+    fibre N over s_1, every such phi is inner iff every psi in N is, and
+    the counts are |class(s_1)| times the counts over N."""
     t0 = time.perf_counter()
     system = SystemType(system)
     G = generate_group(system, p, cap=cap)
-    classes, _ = conjugacy_classes(G)
-    cp = class_preserving_endos(G)
+    classes, class_of = conjugacy_classes(G)
+    normalized = class_preserving_endos(G, classes, class_of)
     inner = inner_endomorphisms(G)
-    all_inner = all(images in inner for images in cp)
-    verdict = "PASS" if (all_inner and len(cp) == len(inner)) else "FAIL"
+    orbit = len(classes[class_of[G.generators[0][1]]])
+    cp_count, inner_count = orbit * len(normalized), orbit * len(inner)
+    all_inner = all(images in inner for images in normalized)
+    verdict = "PASS" if (all_inner and cp_count == inner_count) else "FAIL"
     return {
         "system": system.tag,
         "p": p,
         "group_order": len(G),
         "class_count": len(classes),
-        "cp_endo_count": len(cp),
-        "inner_count": len(inner),
+        "cp_endo_count": cp_count,
+        "inner_count": inner_count,
         "verdict": verdict,
         "hypothesis_violated": hypothesis_violated(system, p),
         "seconds": round(time.perf_counter() - t0, 3),

@@ -1,15 +1,23 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from chevlab.shacheck import (CapExceeded, REJECT, _canonicalize,
-                              class_preserving_endos, conjugacy_classes,
-                              extend_homomorphism, generate_group,
-                              hypothesis_violated, inner_endomorphisms,
-                              sha_report)
+import chevlab
+from chevlab import shacheck
+from chevlab.shacheck import (CapExceeded, REJECT, _canonicalize, _lookup,
+                              _pair_ok, class_preserving_endos,
+                              conjugacy_classes, extend_homomorphism,
+                              generate_group, hypothesis_violated,
+                              inner_endomorphisms, sha_report)
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
 
 
 def matrix_mul(G, i, j):
@@ -24,6 +32,57 @@ def matrix_conj(G, g, x):
     g_inv = next(y for y in range(len(G))
                  if matrix_mul(G, g, y) == G.identity_id)
     return matrix_mul(G, matrix_mul(G, g, x), g_inv)
+
+
+def normalized_search(G):
+    """The normalized class-preserving tuples N, the inner set over
+    C_G(s_1) and the size of the class of s_1."""
+    classes, class_of = conjugacy_classes(G)
+    s1 = G.generators[0][1]
+    return (class_preserving_endos(G, classes, class_of),
+            inner_endomorphisms(G), len(classes[class_of[s1]]))
+
+
+def full_class_preserving_endos(G):
+    """Reference: every class-preserving endomorphism, with each image
+    searched in the whole class of its generator."""
+    classes, class_of = conjugacy_classes(G)
+    gen_ids = [gid for _, gid in G.generators]
+    candidates = [classes[class_of[g]] for g in gen_ids]
+    n = len(gen_ids)
+    pair_target = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                prod = G.mul(gen_ids[i], gen_ids[j])
+                comm = G.mul(prod, G.mul(G.inv(gen_ids[i]),
+                                         G.inv(gen_ids[j])))
+                pair_target[(i, j)] = (class_of[prod], class_of[comm])
+    chosen = [()]
+    for k in range(n):
+        chosen = [prefix + (c,) for prefix in chosen for c in candidates[k]
+                  if all(_pair_ok(G, class_of, prefix[i], c,
+                                  pair_target[(i, k)]) for i in range(k))]
+    class_arr = np.array(class_of)
+    found = []
+    for images in chosen:
+        endo = extend_homomorphism(G, images)
+        if endo is not REJECT and np.array_equal(class_arr[endo.table],
+                                                 class_arr):
+            found.append(endo.images)
+    return sorted(found)
+
+
+def full_inner_endomorphisms(G):
+    """Reference: the image tuples (g s_i g^-1)_i over every g in G."""
+    stack = np.stack(G.elements).astype(np.int64)
+    inverse = stack[G.inverses]
+    cols = []
+    for _, gid in G.generators:
+        s = G.elements[gid].astype(np.int64)
+        cols.append(_lookup(G.index, stack @ s @ inverse, G.realization,
+                            G.p).tolist())
+    return set(zip(*cols))
 
 
 def test_group_orders():
@@ -116,13 +175,17 @@ def test_extension_composes():
 
 def test_class_preserving_endos_a1_p3():
     G = generate_group("A1", 3)
-    cp = class_preserving_endos(G)
-    inner = inner_endomorphisms(G)
-    assert len(cp) == len(set(cp)) == len(inner) == 12
+    cp, inner, orbit = normalized_search(G)
+    # PSL2(3) has order 12 and the class of s_1 has 4 elements
+    assert orbit == 4
+    assert len(cp) == len(set(cp)) == len(inner) == 3
+    assert orbit * len(cp) == orbit * len(inner) == 12
     classes, class_of = conjugacy_classes(G)
+    s1 = G.generators[0][1]
     tables = set()
     for images in cp:
         assert images in inner
+        assert images[0] == s1
         endo = extend_homomorphism(G, images)
         assert endo is not REJECT
         # exhaustive search for a conjugator realizing the map on every
@@ -135,11 +198,11 @@ def test_class_preserving_endos_a1_p3():
         assert all(class_of[endo.table[x]] == class_of[x]
                    for x in range(len(G)))
         tables.add(tuple(endo.table.tolist()))
-    assert len(tables) == 12
-    # inner maps form a subgroup under composition
+    assert len(tables) == 3
+    # the inner maps fixing s_1 form a subgroup under composition
     table_list = sorted(tables)
-    for t1 in table_list[:4]:
-        for t2 in table_list[:4]:
+    for t1 in table_list:
+        for t2 in table_list:
             comp = tuple(t1[t2[x]] for x in range(len(G)))
             assert comp in tables
 
@@ -147,7 +210,9 @@ def test_class_preserving_endos_a1_p3():
 def test_is_inner_identity():
     G = generate_group("A1", 3)
     ident = extend_homomorphism(G, [g for _, g in G.generators])
-    assert ident.images in inner_endomorphisms(G)
+    inner = inner_endomorphisms(G)
+    assert ident.images in inner
+    assert inner[ident.images] == G.identity_id
     conjugators = [g for g in range(len(G))
                    if all(ident.table[x] == matrix_conj(G, g, x)
                           for x in range(len(G)))]
@@ -221,9 +286,12 @@ def test_tables_match_matrix_products(system, p):
 def test_inner_endomorphisms_match_conjugation():
     G = generate_group("A1", 5)
     gen_ids = [g for _, g in G.generators]
-    expected = {tuple(matrix_conj(G, g, s) for s in gen_ids)
-                for g in range(len(G))}
-    assert inner_endomorphisms(G) == expected
+    s1 = gen_ids[0]
+    cent = [g for g in range(len(G))
+            if matrix_mul(G, g, s1) == matrix_mul(G, s1, g)]
+    assert G.centralizer(s1).tolist() == cent
+    expected = {tuple(matrix_conj(G, g, s) for s in gen_ids) for g in cent}
+    assert set(inner_endomorphisms(G)) == expected
 
 
 def test_group_table_freed_without_collector():
@@ -233,8 +301,77 @@ def test_group_table_freed_without_collector():
     try:
         G = generate_group("A1", 5)
         ref = weakref.ref(G)
-        assert len(class_preserving_endos(G)) == 60
+        cp, _, orbit = normalized_search(G)
+        assert orbit * len(cp) == 60
+        del cp
         del G
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A1", 7),
+                                      ("A1", 11), ("A1", 13), ("A2", 2),
+                                      ("B2", 2)])
+def test_normalized_search_matches_full_search(system, p):
+    G = generate_group(system, p)
+    cp, inner, orbit = normalized_search(G)
+    full_cp = full_class_preserving_endos(G)
+    full_inner = full_inner_endomorphisms(G)
+    s1 = G.generators[0][1]
+    assert orbit * len(cp) == len(full_cp)
+    assert cp == [images for images in full_cp if images[0] == s1]
+    assert set(inner) == {images for images in full_inner
+                          if images[0] == s1}
+    assert orbit * len(inner) == len(full_inner)
+
+
+@pytest.mark.parametrize("system,p", [("A1", 13), ("B2", 2)])
+def test_conjugators_certify_inner(system, p):
+    G = generate_group(system, p)
+    cp, inner, _ = normalized_search(G)
+    gen_ids = [g for _, g in G.generators]
+    cent = set(G.centralizer(gen_ids[0]).tolist())
+    for images in cp:
+        g = inner[images]
+        assert g in cent
+        assert tuple(matrix_conj(G, g, s) for s in gen_ids) == images
+
+
+def test_sha_fail_branch(monkeypatch):
+    search = shacheck.class_preserving_endos
+
+    def planted(G, classes, class_of):
+        # conjugation is injective and s_2 != s_1, so no g sends s_1 and
+        # s_2 both to s_1
+        s1 = G.generators[0][1]
+        return search(G, classes, class_of) + [(s1,) * len(G.generators)]
+
+    G = generate_group("A1", 5)
+    assert planted(G, *conjugacy_classes(G))[-1] not in inner_endomorphisms(G)
+    monkeypatch.setattr(shacheck, "class_preserving_endos", planted)
+    rep = sha_report("A1", 5)
+    assert rep["verdict"] == "FAIL"
+    # PSL2(5): the class of s_1 has 12 elements and |N| = 5
+    assert rep["inner_count"] == 60
+    assert rep["cp_endo_count"] == 12 * 6 != rep["inner_count"]
+
+
+def test_sha_fail_branch_optimized():
+    script = (
+        "import json\n"
+        "from chevlab import shacheck\n"
+        "search = shacheck.class_preserving_endos\n"
+        "def planted(G, classes, class_of):\n"
+        "    s1 = G.generators[0][1]\n"
+        "    return (search(G, classes, class_of)\n"
+        "            + [(s1,) * len(G.generators)])\n"
+        "shacheck.class_preserving_endos = planted\n"
+        "rep = shacheck.sha_report('A1', 5)\n"
+        "print(json.dumps([rep['verdict'], rep['cp_endo_count'],"
+        " rep['inner_count']]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["FAIL", 72, 60]
