@@ -6,8 +6,8 @@ implementations that the generator-image ``sha`` search and the Bruhat
 lookup replaced, except the A2/F_3 ``sha`` line, which the full
 generator-image search produced before the search was restricted to the
 maps fixing the first generator; the other lines by the code before the
-duplicate paths, dead helpers and unread options were deleted.  The A2/F_5, B2/F_3 and
-G2/F_2 ``decompose --bruhat`` lines and the A1/F_5 and A2/F_2
+duplicate paths, dead helpers and unread options were deleted.  The A2/F_5,
+B2/F_3 and G2/F_2 ``decompose --bruhat`` lines and the A1/F_5 and A2/F_2
 ``centralizer --prime`` lines were produced by the ``AdjointMatrix`` search
 and family evaluation that integer arrays replaced.
 """
