@@ -524,14 +524,6 @@ class AdjointMatrix:
         return AdjointMatrix(self.spec, [[a * c for a in row] for row in self.rows],
                              self.realization)
 
-    def __pow__(self, n: int) -> "AdjointMatrix":
-        if n < 1:
-            raise ValueError(f"matrix power needs n >= 1, got {n}")
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def __repr__(self):
         body = "\n".join("  [" + ", ".join(repr(a) for a in row) + "]"
                          for row in self.rows)

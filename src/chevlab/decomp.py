@@ -16,10 +16,10 @@ import itertools
 import numpy as np
 
 from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord, build_basis,
-                        default_realization, evaluate_word, pgl3_equal)
+                        default_realization, evaluate_word)
 from .exactring import NotAUnit, RingElement, RingError, RingSpec, invert
 from .rootsys import Root, SystemType, positive_roots, simple_roots
-from .shacheck import _canonicalize, generate_group, matrix_array
+from .shacheck import CapExceeded, element_keys, generate_group, matrix_array
 
 
 class NoFactorization(Exception):
@@ -147,13 +147,7 @@ def _lift_to_sl2(M: AdjointMatrix):
             Bi = invert(B)
             candidates.append((e(0, 2) * half * Bi, B, (e(2, 2) - 1) * half * Bi,
                                e(2, 1) * Bi))
-    else:
-        for C in units_sqrt(e(1, 0)):
-            if not is_unit(C):
-                continue
-            Ci = invert(C)
-            candidates.append((e(2, 0) * Ci, (e(2, 2) - 1) * half * Ci,
-                               C, e(1, 2) * half * Ci))
+    # when none of A^2, D^2, B^2 is a unit, AD - BC is not one: no lift
     for A, B, C, D in candidates:
         if (A * D - B * C).is_one() and _a1std_matrix(spec, A, B, C, D) == M:
             return A, B, C, D
@@ -161,7 +155,7 @@ def _lift_to_sl2(M: AdjointMatrix):
 
 
 def gauss_decompose_a1(M: AdjointMatrix,
-                       basis: ChevalleyBasis = None) -> GaussFactorization:
+                       basis: ChevalleyBasis) -> GaussFactorization:
     """TUVU factorization of an element of E(A1, Z/p^k) given in the
     standard 3x3 realization; verified by re-multiplication."""
     if M.realization != "a1std":
@@ -175,8 +169,6 @@ def gauss_decompose_a1(M: AdjointMatrix,
         raise RingError(f"the Gauss decomposition needs 2 invertible, and it"
                         f" is not mod {spec.modulus}; the Bruhat decomposition"
                         " (--bruhat) works over F_2") from None
-    if basis is None:
-        basis = build_basis("A1")
     lift = _lift_to_sl2(M)
     if lift is None:
         raise NoFactorization("matrix is not in the image of SL2")
@@ -208,15 +200,24 @@ def gauss_decompose_a1(M: AdjointMatrix,
 # Bruhat decomposition by search and lookup over a small field
 # ---------------------------------------------------------------------------
 
+# the largest group, or unipotent radical U, a Bruhat search enumerates
+BRUHAT_CAP = 100000
+
+
 class _BruhatContext:
     """Enumerated torus T, unipotent radical U and Weyl representatives of
-    E(system, F_p): their words, and stacks of their canonical integer
-    arrays and of the arrays of their inverses.  Only the letters of the
-    words are evaluated as AdjointMatrix, each once."""
+    E(system, F_p): their words, and stacks of their integer arrays mod p
+    and of the arrays of their inverses.  Only the letters of the words are
+    evaluated as AdjointMatrix, each once."""
 
     def __init__(self, system, p: int):
         self.system = SystemType(system)
         self.p = p
+        pos = positive_roots(self.system)
+        if p ** len(pos) > BRUHAT_CAP:
+            raise CapExceeded(
+                f"|U| = {p}^{len(pos)} = {p ** len(pos)} exceeds the Bruhat"
+                f" search bound {BRUHAT_CAP}")
         self.realization = default_realization(self.system)
         basis = build_basis(self.system)
         spec = RingSpec("modular", modulus=p)
@@ -233,7 +234,7 @@ class _BruhatContext:
             for letter in word.letters:
                 if letter not in letters:
                     letters[letter] = evaluate([letter])
-                out = self.canon(out @ letters[letter])
+                out = out @ letters[letter] % p
             return out
 
         def closure(words, coset):
@@ -247,14 +248,13 @@ class _BruhatContext:
                 nxt = []
                 for idx, word, m in frontier:
                     for i, g in enumerate(gens):
-                        m2 = self.canon(m @ g)
+                        m2 = m @ g % p
                         if seen.isdisjoint(self.keys(m2 @ coset)):
-                            seen.add(m2.astype(np.uint8).tobytes())
+                            seen.update(self.keys(m2[None]))
                             nxt.append((idx + (i,), word * words[i], m2))
                 found, frontier = found + nxt, nxt
             return zip(*found)
 
-        pos = positive_roots(self.system)
         _, self.torus_words, torus = closure(
             [GroupWord.h(self.system, g, spec.const(u))
              for g in pos for u in range(2, p)], ident[None])
@@ -281,12 +281,9 @@ class _BruhatContext:
             np.stack([array(w.inverse()) for w in words])
             for words in (self.torus_words, self.u_words, weyl_words))
 
-    def canon(self, arr):
-        return _canonicalize(arr, self.realization, self.p)
-
     def keys(self, stack) -> list:
-        """The byte keys of a stack of integer matrices."""
-        return [m.tobytes() for m in self.canon(stack).astype(np.uint8)]
+        """The ``shacheck`` keys of a stack of integer matrices."""
+        return element_keys(stack, self.realization, self.p)
 
 
 def _bruhat_context(system, p) -> _BruhatContext:
@@ -302,7 +299,7 @@ def bruhat_cells(system, p):
     """All Bruhat factorizations of every element of E(system, F_p):
     map matrix key -> list of Weyl words whose cell contains the element."""
     ctx = _bruhat_context(system, p)
-    table = generate_group(system, p, cap=100000)
+    table = generate_group(system, p, cap=BRUHAT_CAP)
     cells = {key: [] for key in table.index}
     for (wword, _), w in zip(ctx.weyl_reps, ctx.weyl):
         seen = set()
@@ -336,8 +333,7 @@ def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
 
 
 def verify_factorization(target, claim, basis: ChevalleyBasis = None,
-                         realization: str = "adjoint", spec=None,
-                         projective: bool = False):
+                         realization: str = "adjoint", spec=None):
     """Evaluate two words (or take matrices) and compare.
 
     Returns (ok, residual matrix); residual is None when ok.
@@ -347,10 +343,6 @@ def verify_factorization(target, claim, basis: ChevalleyBasis = None,
             return x
         return evaluate_word(x, basis, realization, spec=spec)
 
-    T, C = ev(target), ev(claim)
-    if projective:
-        ok = pgl3_equal(T, C)
-        return ok, None if ok else T - C
-    residual = T - C
+    residual = ev(target) - ev(claim)
     ok = residual.is_zero()
     return ok, None if ok else residual

@@ -167,42 +167,24 @@ class IdentityRecord:
 
 def _unit_monomial_quotient(entry: RingElement, claim: RingElement):
     """q or None: entry == q * claim with q a nonzero rational times a
-    (Laurent) monomial; the meaningful notion of 'unit multiple' here."""
+    Laurent monomial of a fraction field, the meaningful notion of 'unit
+    multiple' here."""
     spec = entry.spec
-    if claim.is_zero():
+    if spec.kind != "fraction":
+        raise RingError(f"entries records need a fraction field, not a"
+                        f" {spec.kind} ring")
+    if claim.is_zero() or entry.is_zero():
         return None
-    if spec.kind == "fraction":
-        if entry.is_zero():
-            return None
-        num = mul_terms(entry.num, claim.den)
-        den = mul_terms(entry.den, claim.num)
-        mono_n = max(num, key=deglex_key)
-        mono_d = max(den, key=deglex_key)
-        # num/den is the quotient; it is a unit iff it is a monomial ratio
-        lhs = mul_terms(num, {mono_d: den[mono_d]})
-        rhs = mul_terms(den, {mono_n: num[mono_n]})
-        if lhs == rhs:
-            return RingElement(spec, num={mono_n: num[mono_n]},
-                               den={mono_d: den[mono_d]})
-        return None
-    if spec.kind == "modular":
-        if claim.is_zero():
-            return None
-        q = entry * invert(claim)
-        return q if not q.is_zero() else None
-    # poly / quotient: factor a plain monomial
-    if not entry.terms or len(entry.terms) % len(claim.terms):
-        return None
-    lead_e = max(entry.terms, key=deglex_key)
-    lead_c = max(claim.terms, key=deglex_key)
-    diff = tuple(x - y for x, y in zip(lead_e, lead_c))
-    if any(x < 0 for x in diff):
-        return None
-    qc = entry.terms[lead_e] / claim.terms[lead_c]
-    test = {tuple(x + y for x, y in zip(m, diff)): c * qc
-            for m, c in claim.terms.items()}
-    if test == entry.terms:
-        return RingElement(spec, terms={diff: qc})
+    num = mul_terms(entry.num, claim.den)
+    den = mul_terms(entry.den, claim.num)
+    mono_n = max(num, key=deglex_key)
+    mono_d = max(den, key=deglex_key)
+    # num/den is the quotient; it is a unit iff it is a monomial ratio
+    lhs = mul_terms(num, {mono_d: den[mono_d]})
+    rhs = mul_terms(den, {mono_n: num[mono_n]})
+    if lhs == rhs:
+        return RingElement(spec, num={mono_n: num[mono_n]},
+                           den={mono_d: den[mono_d]})
     return None
 
 
@@ -655,15 +637,17 @@ def centralizer_bruteforce(system, p: int, cap: int = 50000):
         raise DenominatorNotInvertible(
             f"the {system.tag} centralizer family needs {p} invertible, and"
             f" it is not mod {p}") from None
-    canon = shacheck._canonicalize(mats, fam.realization, p).astype(np.uint8)
-    fam_keys = {m.tobytes() for m in canon}
+    fam_keys = set(shacheck.element_keys(mats, fam.realization, p))
 
     table = shacheck.generate_group(system, p, cap=cap)
     spec = RingSpec("modular", modulus=p)
-    x0 = table.index[shacheck.matrix_key(evaluate_word(
+    x0 = shacheck.matrix_array(evaluate_word(
         parse_word(fam.x0, system, spec), basis, table.realization,
-        spec=spec), table.realization, p)]
-    cent = {table.elements[g].tobytes() for g in table.centralizer(x0)}
+        spec=spec), table.realization, p)
+    [key] = shacheck.element_keys(x0[None], table.realization, p)
+    cent = set(shacheck.element_keys(
+        table.elements[table.centralizer(table.index[key])],
+        table.realization, p))
 
     if fam.matrix_family is not None:
         # the A1 grid meets matrices outside the group

@@ -50,24 +50,25 @@ def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
 
 
 def matrix_array(m, realization: str, p: int) -> np.ndarray:
-    """Canonical int64 array of an exact AdjointMatrix over Z/p."""
+    """The int64 array of residues of an exact AdjointMatrix over Z/p."""
     if m.realization != realization or m.spec.modulus != p:
         raise RealizationError(f"expected a {realization} matrix mod {p}")
-    arr = np.array([[e.residue for e in row] for row in m.rows],
-                   dtype=np.int64)
-    return _canonicalize(arr, realization, p)
+    return np.array([[e.residue for e in row] for row in m.rows],
+                    dtype=np.int64)
 
 
-def matrix_key(m, realization: str, p: int) -> bytes:
-    """Canonical byte key of an exact AdjointMatrix over Z/p."""
-    return matrix_array(m, realization, p).astype(np.uint8).tobytes()
+def element_keys(mats: np.ndarray, realization: str, p: int) -> list:
+    """The keys of a stack of integer matrices as elements of E(system,
+    F_p): the bytes of their canonical uint8 arrays.  Every search over
+    F_p keys its elements here and nowhere else."""
+    canon = _canonicalize(mats, realization, p).astype(np.uint8)
+    return [m.tobytes() for m in canon]
 
 
 def _lookup(index, mats: np.ndarray, realization: str, p: int) -> np.ndarray:
     """Ids of a stack of integer matrices that lie in the group."""
-    canon = _canonicalize(mats, realization, p).astype(np.uint8)
-    return np.fromiter((index[m.tobytes()] for m in canon), dtype=np.int32,
-                       count=len(canon))
+    return np.fromiter((index[k] for k in element_keys(mats, realization, p)),
+                       dtype=np.int32, count=len(mats))
 
 
 def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
@@ -81,9 +82,10 @@ class FiniteGroupTable:
 
     Element ids follow the breadth-first closure from the identity (id 0),
     so the ids of one tree level form the contiguous range
-    ``levels[d]:levels[d + 1]``.  ``rmul[x, i]`` is the id of x * s_i for
-    the generator s_i; ``parent[y] * s_{parent_gen[y]} = y`` spans the
-    group; ``inverses[x]`` is the id of x^-1.
+    ``levels[d]:levels[d + 1]``.  ``elements[x]`` is the canonical uint8
+    array whose bytes are x's key in ``index``.  ``rmul[x, i]`` is the id
+    of x * s_i for the generator s_i; ``parent[y] * s_{parent_gen[y]} = y``
+    spans the group; ``inverses[x]`` is the id of x^-1.
     """
 
     def __init__(self, system, p, realization, elements, index, generators,
@@ -91,7 +93,7 @@ class FiniteGroupTable:
         self.system = SystemType(system)
         self.p = p
         self.realization = realization
-        self.elements = elements          # list of canonical uint8 arrays
+        self.elements = elements          # (|G|, d, d) uint8 array
         self.index = index                # bytes -> id
         self.generators = generators      # list of (GroupWord, id)
         self.rmul = rmul
@@ -162,39 +164,45 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
                                   realization, p) for g in gen_roots])
 
     dim = gens.shape[1]
-    ident = _canonicalize(np.eye(dim, dtype=np.int64)[None], realization, p)
-    elements = [ident[0].astype(np.uint8)]
-    index = {elements[0].tobytes(): 0}
+
+    def rows(keys):
+        # a key is the bytes of a canonical uint8 array
+        return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+            -1, dim, dim)
+
+    ident = element_keys(np.eye(dim, dtype=np.int64)[None], realization, p)
+    index = {ident[0]: 0}
+    blocks = [rows(ident)]
     parent, parent_gen = [0], [0]
     rmul_levels = []
     levels = [0]
 
-    # breadth-first closure; every product x * s_i is looked up once
-    lo, hi = 0, 1
-    while lo < hi:
-        stack = np.stack(elements[lo:hi]).astype(np.int64)
-        cols = []
+    # breadth-first closure, one level (one block of rows) at a time; every
+    # product x * s_i is looked up once
+    lo = 0
+    while lo < len(index):
+        stack = blocks[-1].astype(np.int64)
+        new, cols = [], []
         for i, g in enumerate(gens):
-            prods = _canonicalize(stack @ g, realization, p).astype(np.uint8)
-            col = np.empty(hi - lo, dtype=np.int32)
-            for r, arr in enumerate(prods):
-                key = arr.tobytes()
+            col = np.empty(len(stack), dtype=np.int32)
+            for r, key in enumerate(element_keys(stack @ g, realization, p)):
                 j = index.get(key)
                 if j is None:
-                    if len(elements) >= cap:
+                    if len(index) >= cap:
                         raise CapExceeded(
                             f"group order exceeds cap {cap}; raise --cap")
-                    j = index[key] = len(elements)
-                    # a copy: a view would keep all of prods alive
-                    elements.append(arr.copy())
+                    j = index[key] = len(index)
+                    new.append(key)
                     parent.append(lo + r)
                     parent_gen.append(i)
                 col[r] = j
             cols.append(col)
         rmul_levels.append(np.stack(cols, axis=1))
-        levels.append(hi)
-        lo, hi = hi, len(elements)
+        blocks.append(rows(new))
+        lo += len(stack)
+        levels.append(lo)
 
+    elements = np.concatenate(blocks)
     rmul = np.concatenate(rmul_levels)
     parent = np.array(parent, dtype=np.int32)
     parent_gen = np.array(parent_gen, dtype=np.int32)
@@ -203,7 +211,7 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     # with the inverse permutations of the left-multiplication columns
     lmul = np.empty_like(rmul)
     for lo, hi in zip(levels, levels[1:]):
-        stack = np.stack(elements[lo:hi]).astype(np.int64)
+        stack = elements[lo:hi].astype(np.int64)
         for i, g in enumerate(gens):
             lmul[lo:hi, i] = _lookup(index, g @ stack, realization, p)
     left_inv = np.stack([_inverse_permutation(lmul[:, i])
@@ -282,9 +290,8 @@ def inner_endomorphisms(G: FiniteGroupTable) -> dict:
     generator s_1, i.e. by g in C_G(s_1), each mapped to its least
     conjugator g: a certificate that the tuple is inner."""
     cent = G.centralizer(G.generators[0][1])
-    stack = np.stack([G.elements[g] for g in cent]).astype(np.int64)
-    inverse = np.stack([G.elements[g]
-                        for g in G.inverses[cent]]).astype(np.int64)
+    stack = G.elements[cent].astype(np.int64)
+    inverse = G.elements[G.inverses[cent]].astype(np.int64)
     cols = []
     for _, gid in G.generators:
         s = G.elements[gid].astype(np.int64)

@@ -374,6 +374,27 @@ def test_torus_letters():
         assert (lhs - root_element(basis, d, scaled)).is_zero()
 
 
+def test_pgl3_torus_letters():
+    # over F_5: t_i(u) x_delta(1) t_i(u)^-1 = x_delta(u^c_i(delta)) and
+    # h_{-g}(u) = h_g(u^-1), projectively
+    f5 = RingSpec("modular", modulus=5)
+    basis = build_basis("A2")
+    one = f5.one()
+    for u in (f5.const(2), f5.const(3), f5.const(4)):
+        for i in (0, 1):
+            t = diag_torus(basis, i, u, "pgl3")
+            t_inv = diag_torus(basis, i, invert(u), "pgl3")
+            for d in all_roots("A2"):
+                n = d.coords[i]
+                scaled = u ** n if n >= 0 else invert(u) ** (-n)
+                lhs = t * root_element(basis, d, one, "pgl3") * t_inv
+                assert pgl3_equal(lhs,
+                                  root_element(basis, d, scaled, "pgl3"))
+        for g in all_roots("A2"):
+            assert pgl3_equal(torus_element(basis, -g, u, "pgl3"),
+                              torus_element(basis, g, invert(u), "pgl3"))
+
+
 def test_not_a_unit_paths():
     spec = RingSpec("poly", ("t",))
     basis = build_basis("A1")

@@ -136,8 +136,15 @@ def test_failure_exit_code(capsys):
     (["centralizer", "--system", "G2", "--prime", "3"], "invertible"),
     # order 25920 is over the default cap
     (["centralizer", "--system", "B2", "--prime", "3"], "cap"),
+    # |U| = 7^6 = 117649 and 19^4 = 130321 are over the Bruhat bound, so
+    # the search stops before it enumerates U
+    (["decompose", "--bruhat", "--system", "G2", "--prime", "7", "x(a,1)"],
+     "Bruhat search bound"),
+    (["decompose", "--bruhat", "--system", "B2", "--prime", "19",
+      "x(a,1)"], "Bruhat search bound"),
 ], ids=["realization", "caret", "caret-minus", "gauss-f2",
-        "centralizer-b2-f2", "centralizer-g2-f3", "centralizer-cap"])
+        "centralizer-b2-f2", "centralizer-g2-f3", "centralizer-cap",
+        "bruhat-g2-f7", "bruhat-b2-f19"])
 def test_bad_input_exit_2_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -431,14 +431,41 @@ def test_golden_output_optimized():
     assert results == [[0, expected] for _, expected in GOLDEN]
 
 
-def test_no_assert_in_src():
-    # python -O strips assert statements, so no check may rest on one
+def _src_nodes():
+    """(module file name, node) for every ast node of src/chevlab."""
     pkg = os.path.join(SRC, "chevlab")
-    found = []
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so no check may rest on one
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _keys_an_element(node) -> bool:
+    """Does ``node`` name ``_canonicalize``, or call ``.tobytes()`` or
+    ``.astype(np.uint8)``?"""
+    if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+        return "_canonicalize" in (getattr(node, field, None)
+                                   for field in ("id", "attr", "name"))
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "tobytes":
+            return True
+        return node.func.attr == "astype" and any(
+            "uint8" in ast.unparse(arg) for arg in node.args)
+    return False
+
+
+def test_only_shacheck_keys_group_elements():
+    # E(system, F_p) is stored and keyed by shacheck alone: no other module
+    # canonicalizes an integer matrix or turns one into a byte key
+    found = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+             if name != "shacheck.py" and _keys_an_element(node)]
     assert found == []

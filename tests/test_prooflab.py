@@ -65,6 +65,18 @@ def test_run_identity_fail_witness():
     assert report.verdict == "FAIL" and report.residual
 
 
+def test_entries_record_needs_a_fraction_field():
+    # entry (1,3) of x(a,p) - 1 is 2p, a unit multiple of p only once the
+    # field of fractions says what a unit is
+    rec = prooflab.IdentityRecord(
+        "A1-entries-over-poly", "A1", "a1std", RingSpec("poly", ("p",)),
+        ["x(a,p)"], [], expected=("entries", [("(1,3)", 0, 2, "p")]))
+    report = prooflab.run_identity(rec)
+    assert report.verdict == "FAIL"
+    assert report.residual == ("error: entries records need a fraction"
+                               " field, not a poly ring")
+
+
 def test_inconclusive_in_quotient_ring():
     from chevlab.exactring import RewriteRule
     q = RingSpec("quotient", ("u",), rules=[RewriteRule((3,), {})])

@@ -75,7 +75,7 @@ def full_class_preserving_endos(G):
 
 def full_inner_endomorphisms(G):
     """Reference: the image tuples (g s_i g^-1)_i over every g in G."""
-    stack = np.stack(G.elements).astype(np.int64)
+    stack = G.elements.astype(np.int64)
     inverse = stack[G.inverses]
     cols = []
     for _, gid in G.generators:
