@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .exactring import (RingElement, RingError, RingSpec, invert,
@@ -218,32 +219,35 @@ class ChevalleyBasis:
                 for i, c in self._bracket_basis(gi, j).items():
                     mat[i][j] = c
             self.ad[r.coords] = mat
-        # exp tables: ad^k / k!
-        self.exp_tables = {}
+        # exp(t ad e_g) = sum_k t^k ad^k / k!, kept as its nonzero entries
+        # (i, j, k, ad^k[i][j] / k!); ad e_g^k moves the root grading by
+        # k g, so each entry (i, j) comes from one k alone
+        self.exp_entries = {}
         for coords, mat in self.ad.items():
-            tables = [_int_identity(dim)]
+            entries = [(i, i, 0, 1) for i in range(dim)]
             power = mat
             k = 1
             fact = 1
             while any(any(row) for row in power):
                 fact *= k
-                tables.append([[Fraction(x, fact) for x in row] for row in power])
+                entries += [(i, j, k, Fraction(x, fact))
+                            for i, row in enumerate(power)
+                            for j, x in enumerate(row) if x]
                 power = _int_mat_mul(power, mat)
                 k += 1
                 if k > dim + 1:
                     raise RuntimeError(f"ad e_{coords} is not nilpotent")
-            self.exp_tables[coords] = tables
-            for table in tables:
-                for row in table:
-                    for c in row:
-                        d = c.denominator
-                        while d % 2 == 0:
-                            d //= 2
-                        while d % 3 == 0:
-                            d //= 3
-                        if d != 1:
-                            raise RuntimeError(
-                                "entry denominator outside Z[1/6]")
+            if len({(i, j) for i, j, _, _ in entries}) != len(entries):
+                raise RuntimeError(f"powers of ad e_{coords} share an entry")
+            for *_, c in entries:
+                d = c.denominator
+                while d % 2 == 0:
+                    d //= 2
+                while d % 3 == 0:
+                    d //= 3
+                if d != 1:
+                    raise RuntimeError("entry denominator outside Z[1/6]")
+            self.exp_entries[coords] = entries
         self._verify()
 
     def _verify(self):
@@ -392,10 +396,6 @@ def _col(mat, j):
     return [row[j] for row in mat]
 
 
-def _int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _int_mat_mul(a, b):
     n = len(a)
     out = [[0] * n for _ in range(n)]
@@ -471,6 +471,13 @@ class AdjointMatrix:
                                    f" a {other.realization} matrix")
         if self.spec != other.spec:
             raise RingError("matrices live in different rings")
+        if self.spec.kind == "poly":
+            return AdjointMatrix(self.spec,
+                                 _poly_product(self.spec, self.rows,
+                                               other.rows),
+                                 self.realization)
+        # residues, content and rewrite rules are normalized after every
+        # ring operation, so these rings multiply entry by entry
         n = self.dim
         zero = self.spec.zero()
         out = [[zero] * n for _ in range(n)]
@@ -528,6 +535,70 @@ class AdjointMatrix:
         body = "\n".join("  [" + ", ".join(repr(a) for a in row) + "]"
                          for row in self.rows)
         return f"<{self.realization} {self.dim}x{self.dim}\n{body}\n>"
+
+
+def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
+    """The rows of the product of two matrices over a poly ring.
+
+    Each factor is put over one common denominator, the lcm of its
+    coefficient denominators, and the integer numerators are multiplied and
+    accumulated in one term dict per output entry, on monomials packed into
+    ints: exponent i sits in bits [i w, (i + 1) w), w wide enough for any
+    exponent of the product, so a sum of keys is a monomial product with no
+    carry.  Each output term becomes one Fraction.
+    """
+    monos = set()
+    for rows in (a_rows, b_rows):
+        for row in rows:
+            for x in row:
+                monos.update(x.terms)
+    width = (2 * max((max(m) for m in monos if m), default=0)).bit_length()
+    keys = {m: sum(e << width * i for i, e in enumerate(m)) for m in monos}
+
+    def numerators(rows):
+        den = math.lcm(*{c.denominator for row in rows for x in row
+                         for c in x.terms.values()})
+        return den, [[(j, [(keys[m], c.numerator * (den // c.denominator))
+                           for m, c in x.terms.items()])
+                      for j, x in enumerate(row) if x.terms]
+                     for row in rows]
+
+    da, a = numerators(a_rows)
+    db, b = numerators(b_rows)
+    den = da * db
+    nvars = len(spec.variables)
+    mask = (1 << width) - 1
+    unpacked = {}
+    zero = spec.zero()
+    ncols = len(b_rows[0]) if b_rows else 0
+    out = []
+    for arow in a:
+        acc = [None] * ncols
+        for k, aterms in arow:
+            for j, bterms in b[k]:
+                d = acc[j]
+                if d is None:
+                    d = acc[j] = {}
+                for ma, ca in aterms:
+                    for mb, cb in bterms:
+                        m = ma + mb
+                        d[m] = d.get(m, 0) + ca * cb
+        row = []
+        for d in acc:
+            if d is None:
+                row.append(zero)
+                continue
+            terms = {}
+            for key, c in d.items():
+                if c:
+                    m = unpacked.get(key)
+                    if m is None:
+                        m = unpacked[key] = tuple(
+                            key >> width * i & mask for i in range(nvars))
+                    terms[m] = Fraction(c, den)
+            row.append(RingElement(spec, terms=terms, _normalized=True))
+        out.append(row)
+    return out
 
 
 def identity_matrix(spec: RingSpec, dim: int, realization: str) -> AdjointMatrix:
@@ -588,19 +659,21 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
     gamma = basis.root(gamma)
     spec = t.spec
     if realization == "adjoint":
-        tables = basis.exp_tables[gamma.coords]
+        entries = basis.exp_entries[gamma.coords]
         powers = [spec.one()]
-        for _ in range(len(tables) - 1):
+        for _ in range(entries[-1][2]):
             powers.append(powers[-1] * t)
-        dim = basis.dim
         zero = spec.zero()
-        rows = [[zero] * dim for _ in range(dim)]
-        for k, table in enumerate(tables):
-            for i in range(dim):
-                for j in range(dim):
-                    c = table[i][j]
-                    if c:
-                        rows[i][j] = rows[i][j] + powers[k] * c
+        poly = spec.kind == "poly"
+        rows = [[zero] * basis.dim for _ in range(basis.dim)]
+        for i, j, k, c in entries:
+            if poly:
+                # the term dict of c t^k, scaled without a ring operation
+                rows[i][j] = RingElement(
+                    spec, terms={m: c * x for m, x in powers[k].terms.items()},
+                    _normalized=True)
+            else:
+                rows[i][j] = powers[k] * c
         return AdjointMatrix(spec, rows, "adjoint")
     if realization == "pgl3":
         _realization_dim(basis.system, realization)
@@ -799,7 +872,7 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
     if spec is None:
         raise RingError("cannot evaluate an empty word without a ring spec")
     dim = _realization_dim(basis.system, realization)
-    out = identity_matrix(spec, dim, realization)
+    out = None
     for kind, what, p in word.letters:
         if p.spec != spec:
             raise RingError("word letters live in different rings")
@@ -811,7 +884,9 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
             m = weyl_element(basis, what, p, realization)
         else:
             m = diag_torus(basis, what, p, realization)
-        out = out * m
+        out = m if out is None else out * m
+    if out is None:
+        return identity_matrix(spec, dim, realization)
     return out
 
 

@@ -339,8 +339,10 @@ class MonomialPacking:
         while changed:
             changed = False
             for lhs, rhs in rules:
-                hits = [m for m in sorted(terms, reverse=True)
-                        if ((m | g) - lhs) & g == g]
+                hits = [m for m in terms if ((m | g) - lhs) & g == g]
+                if not hits:
+                    continue
+                hits.sort(reverse=True)
                 for mono in hits:
                     if mono not in terms:
                         continue

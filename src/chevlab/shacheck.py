@@ -102,6 +102,7 @@ class FiniteGroupTable:
         self.levels = levels
         self.inverses = inverses
         self.identity_id = 0
+        self._right = {}                  # position -> (image, permutation)
 
     def __len__(self):
         return len(self.elements)
@@ -121,6 +122,19 @@ class FiniteGroupTable:
         for i in self.word(f):
             perm = self.rmul[perm, i]
         return perm
+
+    def right_multiplications(self, images) -> list:
+        """``right_multiplication(f)`` for each f in ``images``.  A position
+        whose image is the one it had in the previous call reuses that
+        permutation, so one permutation per position is kept and a search
+        that walks image tuples in prefix order rebuilds few of them."""
+        out = []
+        for i, f in enumerate(images):
+            kept = self._right.get(i)
+            if kept is None or kept[0] != f:
+                kept = self._right[i] = (f, self.right_multiplication(f))
+            out.append(kept[1])
+        return out
 
     def mul(self, i: int, j: int) -> int:
         rmul = self.rmul
@@ -272,7 +286,7 @@ def extend_homomorphism(G: FiniteGroupTable, images):
     """Extend generator images over the spanning tree, then check every
     Cayley edge x -> x s_i; returns an EndoMap, or REJECT on any conflict."""
     images = tuple(int(f) for f in images)
-    right = np.stack([G.right_multiplication(f) for f in images])
+    right = np.stack(G.right_multiplications(images))
     table = np.full(len(G), -1, dtype=np.int32)
     table[G.identity_id] = G.identity_id
     for lo, hi in zip(G.levels[1:], G.levels[2:]):

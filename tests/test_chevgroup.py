@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import chevlab
 from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
@@ -13,7 +15,8 @@ from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
                                pgl3_equal, root_element, torus_element,
                                trace_poly, unipotent_coordinates,
                                weyl_element, RealizationError)
-from chevlab.exactring import NotAUnit, RingError, RingSpec, invert
+from chevlab.exactring import (NotAUnit, RingElement, RingError, RingSpec,
+                               invert, parse_expr)
 from chevlab.rootsys import all_roots, positive_roots, reflect
 
 SYSTEMS = ("A1", "A2", "B2", "G2")
@@ -474,3 +477,112 @@ def test_commutator_relation_check_raises(flags):
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: non-monomial"), proc.stdout
+
+
+# -- poly-ring kernels ---------------------------------------------------
+
+QXY = RingSpec("poly", ("x", "y"))
+# no rules, so the same entries, multiplied by the general per-entry loop
+QXY_GENERAL = RingSpec("quotient", ("x", "y"))
+SX, SY = sympy.symbols("x y")
+
+
+@st.composite
+def poly_terms(draw):
+    """Zero (more than half the time) or up to three terms of degree at
+    most 3 in each variable, with mixed denominators."""
+    if draw(st.integers(0, 4)) < 3:
+        return {}
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        mono = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        c = Fraction(draw(st.integers(-6, 6)),
+                     draw(st.sampled_from((1, 2, 3, 4, 5, 6))))
+        if c:
+            terms[mono] = c
+    return terms
+
+
+@st.composite
+def poly_matrix_pairs(draw):
+    """Term dicts of two n x n matrices, n = 3 or 8.  Columns k0 and k1 of
+    the first agree and rows k0 and k1 of the second are opposite, so their
+    contributions cancel term by term; row i of the first has no other
+    entry, so row i of the product is zero."""
+    n = draw(st.sampled_from((3, 8)))
+    a = [[draw(poly_terms()) for _ in range(n)] for _ in range(n)]
+    b = [[draw(poly_terms()) for _ in range(n)] for _ in range(n)]
+    k0, k1 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                           unique=True))
+    i = draw(st.integers(0, n - 1))
+    a[i] = [{} for _ in range(n)]
+    a[i][k0] = draw(poly_terms()) or {(1, 0): Fraction(-3, 2)}
+    b[k0][draw(st.integers(0, n - 1))] = {(0, 2): Fraction(5, 6), (0, 0): 1}
+    for row in a:
+        row[k1] = dict(row[k0])
+    b[k1] = [{m: -c for m, c in e.items()} for e in b[k0]]
+    return a, b
+
+
+def _matrix(spec, terms):
+    return matrix_from_entries(
+        spec, [[RingElement(spec, terms=e) for e in row] for row in terms],
+        "adjoint")
+
+
+def _sympy(terms):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * SX ** m[0] * SY ** m[1] for m, c in terms.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_matrix_pairs())
+def test_poly_product_matches_sympy_and_general_loop(pair):
+    a, b = pair
+    n = len(a)
+    got = _matrix(QXY, a) * _matrix(QXY, b)
+    general = _matrix(QXY_GENERAL, a) * _matrix(QXY_GENERAL, b)
+    want = sympy.Matrix(n, n, [_sympy(e) for row in a for e in row]) \
+        * sympy.Matrix(n, n, [_sympy(e) for row in b for e in row])
+    zeros = 0
+    for i in range(n):
+        for j in range(n):
+            entry = got.rows[i][j]
+            assert entry.terms == general.rows[i][j].terms
+            poly = sympy.Poly(want[i, j], SX, SY, domain="QQ").as_dict()
+            assert {m: sympy.Rational(c.numerator, c.denominator)
+                    for m, c in entry.terms.items()} == poly
+            if not poly:
+                assert entry.is_zero()
+                zeros += 1
+    assert zeros >= n                     # the cancelled row
+
+
+@pytest.mark.parametrize("tag", SYSTEMS)
+def test_poly_root_elements_and_words_match_general_loop(tag):
+    poly, general = RingSpec("poly", ("b", "c")), RingSpec("quotient",
+                                                           ("b", "c"))
+    t = {spec: parse_expr("b - 1/2*c^2 + 3", spec) for spec in (poly, general)}
+    basis = build_basis(tag)
+    extra = {"A1": ["a1std"], "A2": ["pgl3"]}.get(tag, [])
+    for realization in ["adjoint"] + extra:
+        for g in all_roots(tag):
+            x = root_element(basis, g, t[poly], realization)
+            ref = root_element(basis, g, t[general], realization)
+            assert ([[e.terms for e in row] for row in x.rows]
+                    == [[e.terms for e in row] for row in ref.rows])
+            assert evaluate_word(GroupWord.x(tag, g, t[poly]), basis,
+                                 realization) == x
+        h = GroupWord.h(tag, g, poly.const(2))
+        assert evaluate_word(h, basis, realization) == torus_element(
+            basis, g, poly.const(2), realization)
+        empty = evaluate_word(GroupWord(tag), basis, realization, spec=poly)
+        assert empty.is_identity() and empty.spec == poly
+        # a word over every root, evaluated in both rings
+        words = {spec: GroupWord(tag, [("x", g, t[spec] * (k + 1))
+                                       for k, g in enumerate(all_roots(tag))])
+                 for spec in (poly, general)}
+        got, ref = (evaluate_word(words[spec], basis, realization)
+                    for spec in (poly, general))
+        assert ([[e.terms for e in row] for row in got.rows]
+                == [[e.terms for e in row] for row in ref.rows])

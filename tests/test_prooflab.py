@@ -306,6 +306,17 @@ def test_packed_chain_stage_matches_fraction_path():
     assert empty > 0          # the stage passes with d^1
 
 
+@pytest.mark.parametrize("stage, pivots", [
+    ("b-ac2sq", 2284), ("c4-c2sq", 2011), ("c3sq-plus-c2cube", 1642),
+    ("c2quad", 1458)])
+def test_chain_echelon_pivot_counts(stage, pivots):
+    # the four stages that need the echelon: a change in the rewrite order
+    # or in the rows shows here, not only in a golden string
+    rules = _rules_before(stage)
+    ech = prooflab._chain_echelon(prooflab._reduced_entries(rules), rules)
+    assert len(ech.pivots) == pivots
+
+
 def test_chain_rules_need_integer_rhs():
     with pytest.raises(RingError):
         prooflab._parse_rule("b^2 -> a/2")

@@ -85,6 +85,29 @@ def full_inner_endomorphisms(G):
     return set(zip(*cols))
 
 
+def test_class_preserving_endos_reuses_right_multiplications(monkeypatch):
+    G = generate_group("A2", 3)
+    classes, class_of = conjugacy_classes(G)
+    built = []
+    original = shacheck.FiniteGroupTable.right_multiplication
+
+    def counted(self, f):
+        built.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(shacheck.FiniteGroupTable, "right_multiplication",
+                        counted)
+    normalized = class_preserving_endos(G, classes, class_of)
+    # one per changed position of each tuple in prefix order; one per
+    # position of every tuple would be 432
+    assert len(built) == 243
+    assert len(G._right) == len(G.generators)
+    monkeypatch.undo()
+    # A2/F_3 passes: the normalized tuples are exactly the inner ones
+    assert len(normalized) == 54
+    assert normalized == sorted(inner_endomorphisms(G))
+
+
 def test_group_orders():
     assert len(generate_group("A1", 3)) == 12
     assert len(generate_group("A1", 5)) == 60
