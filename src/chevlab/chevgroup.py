@@ -570,7 +570,7 @@ def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
     mask = (1 << width) - 1
     unpacked = {}
     zero = spec.zero()
-    ncols = len(b_rows[0]) if b_rows else 0
+    ncols = len(b_rows[0])
     out = []
     for arow in a:
         acc = [None] * ncols

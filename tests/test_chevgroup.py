@@ -517,7 +517,8 @@ def poly_matrix_pairs(draw):
     i = draw(st.integers(0, n - 1))
     a[i] = [{} for _ in range(n)]
     a[i][k0] = draw(poly_terms()) or {(1, 0): Fraction(-3, 2)}
-    b[k0][draw(st.integers(0, n - 1))] = {(0, 2): Fraction(5, 6), (0, 0): 1}
+    b[k0][draw(st.integers(0, n - 1))] = {(0, 2): Fraction(5, 6),
+                                          (0, 0): Fraction(1)}
     for row in a:
         row[k1] = dict(row[k0])
     b[k1] = [{m: -c for m, c in e.items()} for e in b[k0]]
@@ -573,6 +574,7 @@ def test_poly_root_elements_and_words_match_general_loop(tag):
                     == [[e.terms for e in row] for row in ref.rows])
             assert evaluate_word(GroupWord.x(tag, g, t[poly]), basis,
                                  realization) == x
+        g = all_roots(tag)[0]
         h = GroupWord.h(tag, g, poly.const(2))
         assert evaluate_word(h, basis, realization) == torus_element(
             basis, g, poly.const(2), realization)
