@@ -9,11 +9,17 @@ vectors are calibrated so that the commutator relations come out exactly
 in the normalization used by every identity this package checks; the flip
 vector is recorded on the basis.
 
-Realizations:
+Realizations are data: each is a ``Realization`` record on the basis
+(dimension, the sparse entries of every x_g(t), the diagonal exponents of
+h_g(u) and t_i(u)), and one code path per letter reads it.
   adjoint  dim 3 / 8 / 10 / 14 matrices acting on the Lie algebra itself
   pgl3     the standard 3x3 model of the A2 adjoint group (equality is
            only meaningful up to scalar)
-  a1std    the standard 3x3 model of the A1 adjoint group
+  a1std    the standard 3x3 model of the A1 adjoint group: the A1 adjoint
+           realization on the basis (-e_a, e_{-a}, h)
+
+The centralizer families of x_a(1) x_b(1) (``standard_family``) live here
+too: the sign calibration of B2 and G2 evaluates them.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
-from .exactring import (RingElement, RingError, RingSpec, invert,
-                        parse_expr)
+from .exactring import (RingElement, RingError, RingSpec,
+                        divides_power_of_six, invert, parse_expr)
 from .rootsys import (Root, SystemType, all_roots, cartan_integer,
                       coroot_coefficients, is_root, positive_roots,
                       root_string, simple_roots, _norm2)
@@ -32,6 +39,17 @@ from .rootsys import (Root, SystemType, all_roots, cartan_integer,
 
 class RealizationError(Exception):
     pass
+
+
+class Realization(NamedTuple):
+    """A matrix model of the group as data: x_g(t) = sum of c t^k E_ij over
+    ``exp_entries[g]`` = [(i, j, k, c), ...] (k ascending), and h_g(u),
+    t_i(u) are diagonal with u^n at position k for n =
+    ``h_exponents[g][k]``, ``t_exponents[i][k]``."""
+    dim: int
+    exp_entries: dict
+    h_exponents: dict
+    t_exponents: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +240,7 @@ class ChevalleyBasis:
         # exp(t ad e_g) = sum_k t^k ad^k / k!, kept as its nonzero entries
         # (i, j, k, ad^k[i][j] / k!); ad e_g^k moves the root grading by
         # k g, so each entry (i, j) comes from one k alone
-        self.exp_entries = {}
+        exp_entries = {}
         for coords, mat in self.ad.items():
             entries = [(i, i, 0, 1) for i in range(dim)]
             power = mat
@@ -239,15 +257,26 @@ class ChevalleyBasis:
                     raise RuntimeError(f"ad e_{coords} is not nilpotent")
             if len({(i, j) for i, j, _, _ in entries}) != len(entries):
                 raise RuntimeError(f"powers of ad e_{coords} share an entry")
-            for *_, c in entries:
-                d = c.denominator
-                while d % 2 == 0:
-                    d //= 2
-                while d % 3 == 0:
-                    d //= 3
-                if d != 1:
-                    raise RuntimeError("entry denominator outside Z[1/6]")
-            self.exp_entries[coords] = entries
+            if not all(divides_power_of_six(c.denominator)
+                       for *_, c in entries):
+                raise RuntimeError("entry denominator outside Z[1/6]")
+            exp_entries[coords] = entries
+        # delta in the root grading is scaled by u^<delta, g-check> under
+        # h_g(u) and by u^(coefficient of alpha_i in delta) under t_i(u)
+        def diagonal(value):
+            return tuple(0 if lab[0] == "h" else value(lab[1])
+                         for lab in self.labels)
+
+        adjoint = Realization(
+            dim, exp_entries,
+            {g.coords: diagonal(lambda d: cartan_integer(d, g))
+             for g in self.pos + [-r for r in self.pos]},
+            tuple(diagonal(lambda d: d.coords[i]) for i in range(self.rank)))
+        self.realizations = {"adjoint": adjoint}
+        if self.system.tag == "A1":
+            self.realizations["a1std"] = _permuted(adjoint, _A1STD_FRAME)
+        elif self.system.tag == "A2":
+            self.realizations["pgl3"] = _PGL3
         self._verify()
 
     def _verify(self):
@@ -347,28 +376,15 @@ class ChevalleyBasis:
                                    f" {got}, not {want}")
 
     def _calibration_filter(self) -> bool:
-        """The centralizer-of-x_a(1)x_b(1) parametrization must come out in
-        the normalization every later identity relies on."""
-        tag = self.system.tag
-        if tag in ("A1", "A2"):
+        """The B2 and G2 centralizer families must come out in the
+        normalization every later identity relies on."""
+        if self.system.tag not in ("B2", "G2"):
             return True
-        spec = RingSpec("poly", ("b", "d"))
-        b, d = spec.var("b"), spec.var("d")
-        if tag == "B2":
-            params = [("a", b), ("b", b), ("a+b", (b * b - b) * Fraction(1, 2)),
-                      ("a+2b", d)]
-        else:
-            params = [("a", b), ("b", b), ("a+b", (b - b * b) * Fraction(1, 2)),
-                      ("a+2b", b * b * Fraction(1, 2) + b * Fraction(1, 6)
-                       - b ** 3 * Fraction(2, 3)),
-                      ("a+3b", b ** 4 * Fraction(3, 4) - b ** 3 * Fraction(1, 2)
-                       - b * b * Fraction(1, 4)),
-                      ("2a+3b", d)]
-        g = identity_matrix(spec, self.dim, "adjoint")
-        for name, p in params:
-            g = g * root_element(self, self.root(name), p)
-        x0 = (root_element(self, self.root("a"), spec.one())
-              * root_element(self, self.root("b"), spec.one()))
+        fam = standard_family(self.system)
+        spec = fam.ring()
+        g, x0 = (evaluate_word(parse_word(text, self.system, spec), self,
+                               fam.realization, spec=spec)
+                 for text in (fam.word_text(), fam.x0))
         return (g * x0 - x0 * g).is_zero()
 
     # -- helpers ----------------------------------------------------------
@@ -378,18 +394,16 @@ class ChevalleyBasis:
             return name
         return parse_root(name, self.system)
 
-    def basis_weight(self, k: int, gamma: Root) -> int:
-        """<delta, gamma-check> for basis vector k (0 on the Cartan part)."""
-        lab = self.labels[k]
-        if lab[0] == "h":
-            return 0
-        return cartan_integer(lab[1], gamma)
-
-    def basis_coefficient_of_alpha_i(self, k: int, i: int) -> int:
-        lab = self.labels[k]
-        if lab[0] == "h":
-            return 0
-        return lab[1].coords[i]
+    def realization(self, name: str) -> Realization:
+        """The record of realization ``name``; RealizationError when this
+        system has none by that name."""
+        rec = self.realizations.get(name)
+        if rec is None:
+            for tag, model in _MODELS.items():
+                if name == model:
+                    raise RealizationError(f"{name} is an {tag} realization")
+            raise RealizationError(f"unknown realization {name!r}")
+        return rec
 
 
 def _col(mat, j):
@@ -622,26 +636,37 @@ def matrix_from_entries(spec: RingSpec, entries, realization: str) -> AdjointMat
     return AdjointMatrix(spec, rows, realization)
 
 
+# the 3x3 model of each system that has one
+_MODELS = {"A1": "a1std", "A2": "pgl3"}
+
+
 def default_realization(system) -> str:
     """The realization used unless one is asked for: the 3x3 models for A1
     and A2, the adjoint representation otherwise."""
-    return {"A1": "a1std", "A2": "pgl3"}.get(SystemType(system).tag,
-                                             "adjoint")
+    return _MODELS.get(SystemType(system).tag, "adjoint")
 
 
-def _realization_dim(system: SystemType, realization: str) -> int:
-    if realization == "adjoint":
-        return 2 * len(positive_roots(system)) + system.rank
-    if realization == "pgl3":
-        if system.tag != "A2":
-            raise RealizationError("pgl3 is an A2 realization")
-        return 3
-    if realization == "a1std":
-        if system.tag != "A1":
-            raise RealizationError("a1std is an A1 realization")
-        return 3
-    raise RealizationError(f"unknown realization {realization!r}")
+def _permuted(rec: Realization, frame) -> Realization:
+    """``rec`` rewritten on the basis whose k-th vector is sign * v_index
+    for frame[k] = (index, sign), v the basis of ``rec``."""
+    new = {old: (k, sign) for k, (old, sign) in enumerate(frame)}
 
+    def entry(i, j, k, c):
+        (a, sa), (b, sb) = new[i], new[j]
+        return a, b, k, sa * sb * c
+
+    def diagonal(exps):
+        return tuple(exps[old] for old, _ in frame)
+
+    return Realization(
+        rec.dim,
+        {g: [entry(*e) for e in es] for g, es in rec.exp_entries.items()},
+        {g: diagonal(exps) for g, exps in rec.h_exponents.items()},
+        tuple(diagonal(exps) for exps in rec.t_exponents))
+
+
+# a1std is the A1 adjoint realization on the basis (-e_a, e_{-a}, h)
+_A1STD_FRAME = ((0, -1), (2, 1), (1, 1))
 
 _PGL3_UNITS = {
     (1, 0): (0, 1), (0, 1): (1, 2), (1, 1): (0, 2),
@@ -651,122 +676,65 @@ _PGL3_UNITS = {
 # weights of the standard 3-dim lift under each coroot of A2
 _PGL3_COWEIGHTS = {
     (1, 0): (1, -1, 0), (0, 1): (0, 1, -1), (1, 1): (1, 0, -1),
+    (-1, 0): (-1, 1, 0), (0, -1): (0, -1, 1), (-1, -1): (-1, 0, 1),
 }
+
+_PGL3 = Realization(
+    3, {g: [(k, k, 0, 1) for k in range(3)] + [(i, j, 1, 1)]
+        for g, (i, j) in _PGL3_UNITS.items()},
+    _PGL3_COWEIGHTS, ((1, 0, 0), (0, 0, -1)))
 
 
 def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
                  realization: str = "adjoint") -> AdjointMatrix:
     gamma = basis.root(gamma)
+    rec = basis.realization(realization)
+    entries = rec.exp_entries[gamma.coords]
     spec = t.spec
-    if realization == "adjoint":
-        entries = basis.exp_entries[gamma.coords]
-        powers = [spec.one()]
-        for _ in range(entries[-1][2]):
-            powers.append(powers[-1] * t)
-        zero = spec.zero()
-        poly = spec.kind == "poly"
-        rows = [[zero] * basis.dim for _ in range(basis.dim)]
-        for i, j, k, c in entries:
-            if poly:
-                # the term dict of c t^k, scaled without a ring operation
-                rows[i][j] = RingElement(
-                    spec, terms={m: c * x for m, x in powers[k].terms.items()},
-                    _normalized=True)
-            else:
-                rows[i][j] = powers[k] * c
-        return AdjointMatrix(spec, rows, "adjoint")
-    if realization == "pgl3":
-        _realization_dim(basis.system, realization)
-        i, j = _PGL3_UNITS[gamma.coords]
-        m = identity_matrix(spec, 3, "pgl3")
-        m.rows[i][j] = m.rows[i][j] + t
-        return m
-    if realization == "a1std":
-        _realization_dim(basis.system, realization)
-        one, zero = spec.one(), spec.zero()
-        t2 = t * t
-        if gamma.coords == (1,):
-            rows = [[one, t2, 2 * t], [zero, one, zero], [zero, t, one]]
+    powers = [spec.one()]
+    for _ in range(entries[-1][2]):
+        powers.append(powers[-1] * t)
+    zero = spec.zero()
+    poly = spec.kind == "poly"
+    rows = [[zero] * rec.dim for _ in range(rec.dim)]
+    for i, j, k, c in entries:
+        if poly:
+            # the term dict of c t^k, scaled without a ring operation
+            rows[i][j] = RingElement(
+                spec, terms={m: c * x for m, x in powers[k].terms.items()},
+                _normalized=True)
         else:
-            rows = [[one, zero, zero], [t2, one, 2 * t], [t, zero, one]]
-        return AdjointMatrix(spec, rows, "a1std")
-    raise RealizationError(f"unknown realization {realization!r}")
+            rows[i][j] = powers[k] * c
+    return AdjointMatrix(spec, rows, realization)
 
 
-def _unit_power(u: RingElement):
-    """n -> u^n for every integer n; u is inverted at most once."""
+def _diagonal(u: RingElement, exponents, realization: str) -> AdjointMatrix:
+    """diag(u^n for n in exponents); u is inverted at most once."""
+    m = identity_matrix(u.spec, len(exponents), realization)
     u_inv = None
-
-    def power(n: int) -> RingElement:
-        nonlocal u_inv
-        if n >= 0:
-            return u ** n
-        if u_inv is None:
+    for k, n in enumerate(exponents):
+        if n < 0 and u_inv is None:
             u_inv = invert(u)
-        return u_inv ** (-n)
-    return power
+        m.rows[k][k] = u ** n if n >= 0 else u_inv ** -n
+    return m
 
 
 def torus_element(basis: ChevalleyBasis, gamma, u: RingElement,
                   realization: str = "adjoint") -> AdjointMatrix:
     gamma = basis.root(gamma)
-    spec = u.spec
-    power = _unit_power(u)
-    if realization == "adjoint":
-        dim = basis.dim
-        m = identity_matrix(spec, dim, "adjoint")
-        for k in range(dim):
-            m.rows[k][k] = power(basis.basis_weight(k, gamma))
-        return m
-    if realization == "pgl3":
-        _realization_dim(basis.system, realization)
-        coords = gamma.coords
-        sign = 1
-        if coords not in _PGL3_COWEIGHTS:
-            coords = tuple(-c for c in coords)
-            sign = -1
-        m = identity_matrix(spec, 3, "pgl3")
-        for k, w in enumerate(_PGL3_COWEIGHTS[coords]):
-            m.rows[k][k] = power(sign * w)
-        return m
-    if realization == "a1std":
-        _realization_dim(basis.system, realization)
-        s = 2 if gamma.coords == (1,) else -2
-        m = identity_matrix(spec, 3, "a1std")
-        m.rows[0][0] = power(s)
-        m.rows[1][1] = power(-s)
-        return m
-    raise RealizationError(f"unknown realization {realization!r}")
+    return _diagonal(
+        u, basis.realization(realization).h_exponents[gamma.coords],
+        realization)
 
 
 def diag_torus(basis: ChevalleyBasis, i: int, u: RingElement,
                realization: str = "adjoint") -> AdjointMatrix:
     """t_i(u): the adjoint-torus generator scaling x_delta(s) by u^(coefficient
     of the i-th simple root in delta)."""
-    spec = u.spec
-    power = _unit_power(u)
     if i < 0 or i >= basis.rank:
         raise RealizationError(f"no torus coordinate t{i + 1} in {basis.system}")
-    if realization == "adjoint":
-        m = identity_matrix(spec, basis.dim, "adjoint")
-        for k in range(basis.dim):
-            m.rows[k][k] = power(basis.basis_coefficient_of_alpha_i(k, i))
-        return m
-    if realization == "pgl3":
-        _realization_dim(basis.system, realization)
-        m = identity_matrix(spec, 3, "pgl3")
-        if i == 0:
-            m.rows[0][0] = u
-        else:
-            m.rows[2][2] = power(-1)
-        return m
-    if realization == "a1std":
-        _realization_dim(basis.system, realization)
-        m = identity_matrix(spec, 3, "a1std")
-        m.rows[0][0] = u
-        m.rows[1][1] = power(-1)
-        return m
-    raise RealizationError(f"unknown realization {realization!r}")
+    return _diagonal(u, basis.realization(realization).t_exponents[i],
+                     realization)
 
 
 def weyl_element(basis: ChevalleyBasis, gamma, u: RingElement,
@@ -827,10 +795,7 @@ class GroupWord:
     def __pow__(self, n: int) -> "GroupWord":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GroupWord(self.system)
-        for _ in range(n):
-            out = out * self
-        return out
+        return GroupWord(self.system, self.letters * n)
 
     def spec(self) -> RingSpec:
         for _, _, p in self.letters:
@@ -871,7 +836,7 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
         spec = word.spec()
     if spec is None:
         raise RingError("cannot evaluate an empty word without a ring spec")
-    dim = _realization_dim(basis.system, realization)
+    dim = basis.realization(realization).dim
     out = None
     for kind, what, p in word.letters:
         if p.spec != spec:
@@ -1081,6 +1046,68 @@ def pgl3_equal(M: AdjointMatrix, N: AdjointMatrix) -> bool:
         return True
     return all((M.rows[i][j] - lam * N.rows[i][j]).is_zero()
                for i in range(3) for j in range(3))
+
+
+# ---------------------------------------------------------------------------
+# centralizer families
+# ---------------------------------------------------------------------------
+
+class CentralizerFamily:
+    """A claimed parametrization of the centralizer of x0 inside U+.
+
+    ``letters`` is a list of (root name, parameter expression); expressions
+    reference the free parameters.  ``matrix_family`` (A1 only) is a grid
+    of expressions instead.
+    """
+
+    def __init__(self, system, x0, letters=None, free=(), constraints=None,
+                 matrix_family=None):
+        self.system = SystemType(system)
+        self.x0 = x0
+        self.letters = letters or []
+        self.free = tuple(free)
+        self.constraints = dict(constraints or {})
+        self.matrix_family = matrix_family
+        self.realization = default_realization(self.system)
+
+    def ring(self) -> RingSpec:
+        return RingSpec("poly", self.free)
+
+    def word_text(self) -> str:
+        parts = []
+        for root, param in self.letters:
+            expr = self.constraints.get(param, param)
+            parts.append(f"x({root}, {expr})")
+        return " ".join(parts)
+
+
+def standard_family(system) -> CentralizerFamily:
+    tag = SystemType(system).tag
+    if tag == "A1":
+        return CentralizerFamily(
+            "A1", "x(a,1)",
+            matrix_family=[["p", "q", "2*r"], ["0", "p", "0"],
+                           ["0", "r", "p"]],
+            free=("p", "q", "r"))
+    if tag == "A2":
+        return CentralizerFamily(
+            "A2", "x(a1,1) x(a2,1)",
+            letters=[("a1", "a"), ("a2", "a"), ("a1+a2", "b")],
+            free=("a", "b"))
+    if tag == "B2":
+        return CentralizerFamily(
+            "B2", "x(a,1) x(b,1)",
+            letters=[("a", "b"), ("b", "b"), ("a+b", "q3"), ("a+2b", "d")],
+            free=("b", "d"),
+            constraints={"q3": "(b^2-b)/2"})
+    return CentralizerFamily(
+        "G2", "x(a,1) x(b,1)",
+        letters=[("a", "b"), ("b", "b"), ("a+b", "q3"), ("a+2b", "q4"),
+                 ("a+3b", "q5"), ("2a+3b", "d")],
+        free=("b", "d"),
+        constraints={"q3": "(b-b^2)/2",
+                     "q4": "-2/3*b^3 + 1/2*b^2 + 1/6*b",
+                     "q5": "3/4*b^4 - 1/2*b^3 - 1/4*b^2"})
 
 
 # ---------------------------------------------------------------------------

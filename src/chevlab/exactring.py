@@ -686,15 +686,19 @@ def map_to_modular(a: RingElement, p: int, bindings: Mapping[str, int]) -> RingE
     return RingElement(target, residue=image(a.terms))
 
 
+def divides_power_of_six(d: int) -> bool:
+    """Whether the positive integer d divides a power of 6."""
+    for q in (2, 3):
+        while d % q == 0:
+            d //= q
+    return d == 1
+
+
 def assert_denominators_divide_power_of_six(a: RingElement):
     """All in-scope identities have coefficients in Z[1/6]; flag anything else."""
     if a.spec.kind in ("poly", "quotient"):
         for c in a.terms.values():
-            d = c.denominator
-            for q in (2, 3):
-                while d % q == 0:
-                    d //= q
-            if d != 1:
+            if not divides_power_of_six(c.denominator):
                 raise RingError(f"coefficient {c} has denominator outside Z[1/6]")
 
 

@@ -21,17 +21,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chevgroup import (AdjointMatrix, GroupWord, _realization_dim,
-                        build_basis, default_realization, evaluate_word,
-                        identity_matrix, matrix_from_entries, parse_word,
-                        pgl3_equal, root_element, unipotent_coordinates)
+from . import shacheck
+from .chevgroup import (AdjointMatrix, CentralizerFamily, GroupWord,
+                        build_basis, evaluate_word, identity_matrix,
+                        matrix_from_entries, parse_word, pgl3_equal,
+                        root_element, standard_family, unipotent_coordinates)
 # reduce_terms is unused here; perfbench's tracer test calls prooflab's name
 from .exactring import (SLOT_BITS, DenominatorNotInvertible, MonomialPacking,
                         NotAUnit, RingElement, RingError, RingSpec,
                         RewriteRule, assert_denominators_divide_power_of_six,
                         deglex_key, invert, map_to_modular, mul_terms,
                         parse_expr, reduce_terms, sub_terms, substitute)
-from .rootsys import SystemType, positive_roots
+from .rootsys import SystemType, cartan_integer, positive_roots
 
 
 class Report:
@@ -104,7 +105,7 @@ class IdentityRecord:
             out = m if out is None else out * m
         if out is None:
             out = identity_matrix(
-                spec, _realization_dim(self.system, self.realization),
+                spec, basis.realization(self.realization).dim,
                 self.realization)
         return out
 
@@ -391,7 +392,6 @@ def _b2_catalog():
     grid = []
     a2b = basis.root("a+2b")
     beta = basis.root("b")
-    from .rootsys import cartan_integer
     for k, lab in enumerate(basis.labels):
         row = []
         for kk in range(basis.dim):
@@ -402,7 +402,7 @@ def _b2_catalog():
             else:
                 w1 = cartan_integer(lab[1], a2b)
                 w2 = cartan_integer(lab[1], beta)
-                row.append(f"x^{w1}*y^{w2}".replace("^-", "^-"))
+                row.append(f"x^{w1}*y^{w2}")
         grid.append(row)
     recs.append(IdentityRecord(
         "B2-torus-compare-weights", "B2", "adjoint", spec,
@@ -532,64 +532,6 @@ class CentralizerMismatch(Exception):
     """The brute-force centralizer differs from the claimed family."""
 
 
-class CentralizerFamily:
-    """A claimed parametrization of the centralizer of x0 inside U+.
-
-    ``letters`` is a list of (root name, parameter expression); expressions
-    reference the free parameters.  ``matrix_family`` (A1 only) is a grid
-    of expressions instead.
-    """
-
-    def __init__(self, system, x0, letters=None, free=(), constraints=None,
-                 matrix_family=None):
-        self.system = SystemType(system)
-        self.x0 = x0
-        self.letters = letters or []
-        self.free = tuple(free)
-        self.constraints = dict(constraints or {})
-        self.matrix_family = matrix_family
-        self.realization = default_realization(self.system)
-
-    def ring(self) -> RingSpec:
-        return RingSpec("poly", self.free)
-
-    def word_text(self) -> str:
-        parts = []
-        for root, param in self.letters:
-            expr = self.constraints.get(param, param)
-            parts.append(f"x({root}, {expr})")
-        return " ".join(parts)
-
-
-def standard_family(system) -> CentralizerFamily:
-    tag = SystemType(system).tag
-    if tag == "A1":
-        return CentralizerFamily(
-            "A1", "x(a,1)",
-            matrix_family=[["p", "q", "2*r"], ["0", "p", "0"],
-                           ["0", "r", "p"]],
-            free=("p", "q", "r"))
-    if tag == "A2":
-        return CentralizerFamily(
-            "A2", "x(a1,1) x(a2,1)",
-            letters=[("a1", "a"), ("a2", "a"), ("a1+a2", "b")],
-            free=("a", "b"))
-    if tag == "B2":
-        return CentralizerFamily(
-            "B2", "x(a,1) x(b,1)",
-            letters=[("a", "b"), ("b", "b"), ("a+b", "q3"), ("a+2b", "d")],
-            free=("b", "d"),
-            constraints={"q3": "(b^2-b)/2"})
-    return CentralizerFamily(
-        "G2", "x(a,1) x(b,1)",
-        letters=[("a", "b"), ("b", "b"), ("a+b", "q3"), ("a+2b", "q4"),
-                 ("a+3b", "q5"), ("2a+3b", "d")],
-        free=("b", "d"),
-        constraints={"q3": "(b-b^2)/2",
-                     "q4": "-2/3*b^3 + 1/2*b^2 + 1/6*b",
-                     "q5": "3/4*b^4 - 1/2*b^3 - 1/4*b^2"})
-
-
 def _family_matrix(fam: CentralizerFamily, spec: RingSpec, basis):
     """The family's generic element over ``spec``."""
     if fam.matrix_family is not None:
@@ -617,11 +559,10 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
                       (time.perf_counter() - t0) * 1000)
 
 
-def centralizer_bruteforce(system, p: int, cap: int = 50000):
+def centralizer_bruteforce(system, p: int, cap: int = shacheck.DEFAULT_CAP):
     """Exhaustive centralizer of the family's x0 in E(system, F_p), checked
     elementwise against the symbolic family; returns (count, centralizer
     keys).  A family that needs p invertible raises before the closure."""
-    from . import shacheck
     system = SystemType(system)
     fam = standard_family(system)
     basis = build_basis(system)
@@ -756,10 +697,8 @@ def _chain_residual_entries():
     basis = build_basis("G2")
     spec = _chain_spec()
     word = parse_word(
-        "x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4) x(-2a-3b,c5)"
-        " x(a,b) x(b,b) x(a+b, (b-b^2)/2)"
-        " x(a+2b, -2/3*b^3 + 1/2*b^2 + 1/6*b)"
-        " x(a+3b, 3/4*b^4 - 1/2*b^3 - 1/4*b^2) x(2a+3b, d)", "G2", spec)
+        "x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4) x(-2a-3b,c5) "
+        + standard_family("G2").word_text(), "G2", spec)
     left = evaluate_word(word, basis, "adjoint", spec=spec)
     right = evaluate_word(parse_word(
         "x(2a+3b, a) x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4)"
@@ -1012,19 +951,30 @@ def transvection_criterion(u1: RingElement, u2: RingElement,
     return (u1 * u2).is_zero()
 
 
+def _integer_cube_root(n: int):
+    """r with r^3 = n for an integer n >= 0, or None (Newton's method on
+    integers from an overestimate, so no float precision is involved)."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r if r ** 3 == n else None
+        r = s
+
+
 def _cube_roots(x: RingElement):
     spec = x.spec
     if spec.kind == "modular":
         return [spec.const(r) for r in range(1, spec.modulus)
                 if (pow(r, 3, spec.modulus) - x.residue) % spec.modulus == 0]
     val = x.constant_value()
-    num = round(abs(val.numerator) ** (1 / 3))
-    den = round(val.denominator ** (1 / 3))
-    for n in (num - 1, num, num + 1):
-        for d in (den - 1, den, den + 1):
-            if d > 0 and Fraction((-n if val < 0 else n) ** 3, d ** 3) == val:
-                return [spec.const(Fraction(-n if val < 0 else n, d))]
-    return []
+    num = _integer_cube_root(abs(val.numerator))
+    den = _integer_cube_root(val.denominator)
+    if num is None or den is None:
+        return []
+    return [spec.const(Fraction(-num if val < 0 else num, den))]
 
 
 def _det3(M: AdjointMatrix) -> RingElement:

@@ -15,6 +15,7 @@ from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
                                pgl3_equal, root_element, torus_element,
                                trace_poly, unipotent_coordinates,
                                weyl_element, RealizationError)
+from chevlab.decomp import _a1std_matrix
 from chevlab.exactring import (NotAUnit, RingElement, RingError, RingSpec,
                                invert, parse_expr)
 from chevlab.rootsys import all_roots, positive_roots, reflect
@@ -588,3 +589,50 @@ def test_poly_root_elements_and_words_match_general_loop(tag):
                     for spec in (poly, general))
         assert ([[e.terms for e in row] for row in got.rows]
                 == [[e.terms for e in row] for row in ref.rows])
+
+
+@pytest.mark.parametrize("spec", [
+    RingSpec("poly", ("t",)), RingSpec("fraction", ("t", "u")),
+    RingSpec("modular", modulus=7)], ids=["poly", "fraction", "mod7"])
+def test_a1std_letters_are_sym2_of_sl2(spec):
+    # the a1std letters against the image of their SL2 matrices under the
+    # independent Sym^2 formula used by the Gauss decomposition
+    basis = build_basis("A1")
+    if spec.kind == "modular":
+        t, u = spec.const(3), spec.const(5)
+    else:
+        t = spec.var("t")
+        u = spec.var("u") if spec.kind == "fraction" else spec.const(-3)
+    zero, one, v = spec.zero(), spec.one(), invert(u)
+    a, na = basis.root("a"), basis.root("-a")
+    cases = [
+        (root_element(basis, a, t, "a1std"), (one, t, zero, one)),
+        (root_element(basis, na, t, "a1std"), (one, zero, t, one)),
+        (torus_element(basis, a, u, "a1std"), (u, zero, zero, v)),
+        (torus_element(basis, na, u, "a1std"), (v, zero, zero, u)),
+        (weyl_element(basis, a, u, "a1std"), (zero, u, -v, zero)),
+        (weyl_element(basis, na, u, "a1std"), (zero, -v, u, zero)),
+        # t_1(u) is the image of diag(u, 1) in PGL2: Sym^2 over the det
+        (diag_torus(basis, 0, u, "a1std").scale(u),
+         (u, zero, zero, one)),
+    ]
+    for got, (A, B, C, D) in cases:
+        assert got == _a1std_matrix(spec, A, B, C, D)
+
+
+@pytest.mark.parametrize("tag,realization,message", [
+    ("A1", "pgl3", "pgl3 is an A2 realization"),
+    ("B2", "a1std", "a1std is an A1 realization"),
+    ("G2", "sl2", "unknown realization 'sl2'")])
+def test_missing_realization_messages(tag, realization, message):
+    basis = build_basis(tag)
+    spec = RingSpec("modular", modulus=5)
+    g = all_roots(tag)[0]
+    for make in (lambda: root_element(basis, g, spec.one(), realization),
+                 lambda: torus_element(basis, g, spec.one(), realization),
+                 lambda: diag_torus(basis, 0, spec.one(), realization),
+                 lambda: evaluate_word(GroupWord(tag), basis, realization,
+                                       spec=spec)):
+        with pytest.raises(RealizationError) as err:
+            make()
+        assert str(err.value) == message

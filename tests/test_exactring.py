@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -5,7 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import chevlab
 from chevlab.exactring import (SLOT_BITS, DenominatorNotInvertible,
@@ -354,3 +356,94 @@ def test_packed_reduce_matches_reduce_terms(case):
         assert all(type(c) is int for c in got.values())
     assert {pk.unpack(k): c for k, c in got.items()} == reduce_terms(
         terms, rules)
+
+
+# -- sympy as an independent oracle -------------------------------------------
+
+SX, SY = sympy.symbols("x y")
+COEFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+POLY_TERMS = st.dictionaries(exponents(2, 3), COEFS, max_size=4)
+
+
+def _element(spec, terms):
+    """The element sum c x^i y^j, built with ring operations only."""
+    x, y = spec.var("x"), spec.var("y")
+    out = spec.zero()
+    for (i, j), c in terms.items():
+        out = out + spec.const(c) * x ** i * y ** j
+    return out
+
+
+def _to_sympy(terms):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * SX ** m[0] * SY ** m[1] for m, c in terms.items()))
+
+
+def _poly_dict(expr):
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in
+            sympy.Poly(expr, SX, SY, domain="QQ").as_dict().items()}
+
+
+@settings(deadline=None)
+@given(POLY_TERMS, POLY_TERMS)
+def test_poly_arithmetic_matches_sympy(ta, tb):
+    spec = RingSpec("poly", ("x", "y"))
+    a, b = _element(spec, ta), _element(spec, tb)
+    sa, sb = _to_sympy(ta), _to_sympy(tb)
+    for got, want in ((a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb),
+                      (-a, -sa), (a ** 3, sa ** 3)):
+        assert got.terms == _poly_dict(want)
+    assert (a == b) == (sympy.expand(sa - sb) == 0)
+    assert a * b - b * a == spec.zero() and (a + b) - b == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(POLY_TERMS, POLY_TERMS, POLY_TERMS, POLY_TERMS)
+def test_fraction_arithmetic_matches_sympy(ta, tb, tc, td):
+    spec = RingSpec("fraction", ("x", "y"))
+    num_a, den_a, num_b, den_b = (_element(spec, t) for t in (ta, tb, tc, td))
+    if den_a.is_zero() or den_b.is_zero():
+        return
+    a, b = num_a / den_a, num_b / den_b
+    sa = _to_sympy(ta) / _to_sympy(tb)
+    sb = _to_sympy(tc) / _to_sympy(td)
+
+    def same(got, want):
+        return sympy.cancel(_to_sympy(got.num) / _to_sympy(got.den)
+                            - want) == 0
+
+    assert same(a + b, sa + sb) and same(a - b, sa - sb)
+    assert same(a * b, sa * sb)
+    if not a.is_zero():
+        assert same(invert(a), 1 / sa) and same(b / a, sb / sa)
+    assert (a == b) == (sympy.cancel(sa - sb) == 0)
+    if not b.is_zero():
+        assert a * b / b == a
+
+
+@settings(deadline=None)
+@given(st.integers(2, 60), st.integers(-100, 100))
+def test_modular_inverse_matches_sympy(n, r):
+    spec = RingSpec("modular", modulus=n)
+    if math.gcd(r, n) != 1:
+        with pytest.raises(NotAUnit):
+            invert(spec.const(r))
+        return
+    assert invert(spec.const(r)).residue == sympy.mod_inverse(r, n)
+
+
+@settings(deadline=None)
+@given(POLY_TERMS, st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.integers(-20, 20), st.integers(-20, 20))
+def test_map_to_modular_matches_sympy(terms, p, bx, by):
+    spec = RingSpec("poly", ("x", "y"))
+    a = _element(spec, terms)
+    value = _to_sympy(terms).subs({SX: bx, SY: by})
+    if any(c.denominator % p == 0 for c in a.terms.values()):
+        with pytest.raises(DenominatorNotInvertible):
+            map_to_modular(a, p, {"x": bx, "y": by})
+        return
+    # terms with denominators prime to p sum to a value whose denominator
+    # is prime to p, and the map must send the polynomial to that value
+    got = map_to_modular(a, p, {"x": bx, "y": by})
+    assert got.residue == int(value.p) * sympy.mod_inverse(int(value.q), p) % p

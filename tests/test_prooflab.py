@@ -481,6 +481,25 @@ def test_scalar_conjugacy_obstruction():
     assert v == "POSSIBLE" and lam.is_one()
 
 
+@pytest.mark.parametrize("lam", [
+    Fraction(10 ** 20 + 7, 2),            # lambda^3 beyond float precision
+    Fraction(-(10 ** 110 + 1), 3),        # lambda^3 beyond the float range
+    Fraction(5, 7)], ids=["precision", "overflow", "small"])
+def test_scalar_obstruction_exact_cube_roots(lam):
+    # N^3 = 2: trace 0 and inverse trace 0, so only the determinant (a cube
+    # root of lambda^3) can pin lambda
+    spec = RingSpec("poly", ())
+    N = [[0, 1, 0], [0, 0, 1], [2, 0, 0]]
+    M = matrix_from_entries(spec, N, "pgl3").scale(spec.const(lam))
+    v, got = prooflab.scalar_conjugacy_obstruction(
+        M, matrix_from_entries(spec, N, "pgl3"))
+    assert v == "POSSIBLE" and got == spec.const(lam)
+    # against N' with N'^3 = 3 the determinant ratio 2 lambda^3 / 3 is no cube
+    N3 = matrix_from_entries(spec, [[0, 1, 0], [0, 0, 1], [3, 0, 0]], "pgl3")
+    assert prooflab.scalar_conjugacy_obstruction(M, N3) == ("IMPOSSIBLE",
+                                                            "determinant")
+
+
 def test_obstruction_conjugation_invariance():
     import random
     rng = random.Random(17)
