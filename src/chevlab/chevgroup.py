@@ -525,7 +525,7 @@ class AdjointMatrix:
         raise TypeError("AdjointMatrix is not hashable; use a key function")
 
     def is_identity(self) -> bool:
-        return all((a - (1 if i == j else 0)).is_zero()
+        return all(a.is_one() if i == j else a.is_zero()
                    for i, row in enumerate(self.rows)
                    for j, a in enumerate(row))
 

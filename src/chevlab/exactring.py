@@ -431,7 +431,17 @@ class RingElement:
         return not self.terms
 
     def is_one(self) -> bool:
-        return (self - 1).is_zero()
+        """self == 1, read off the stored form without any arithmetic."""
+        kind = self.spec.kind
+        if kind == "modular":
+            return self.residue == 1
+        if kind == "fraction":
+            return self.num == self.den
+        if self.terms == {self.spec._unit_mono(): 1}:
+            return True
+        # a quotient by a rule 1 -> 0 is the zero ring, where 1 = 0
+        return (kind == "quotient" and not self.terms
+                and any(not any(r.lhs) for r in self.spec.rules))
 
     def is_constant(self) -> bool:
         if self.spec.kind == "modular":

@@ -16,6 +16,8 @@ import fnmatch
 import functools
 import itertools
 import math
+import os
+import pickle
 import time
 from fractions import Fraction
 
@@ -659,7 +661,7 @@ _CHAIN_RADICAL = sum(((1 << SLOT_BITS - 1) - 1) << SLOT_BITS * (7 - k)
 _CHAIN_MULTS = [_CHAIN_PACKING.pack(m)
                 for m in itertools.product(range(3), repeat=8) if sum(m) <= 2]
 _CHAIN_STAGES = [
-    # (name, claim, rules adjoined after the stage passes)
+    # (name, claim, rules the later stages assume once this stage passes)
     ("b2c4", "b^2*c4", ["b^2*c4 -> 0"]),
     ("ac5", "a*c5", ["c5 -> 0"]),
     ("c3cube", "c3^3", ["c3^3 -> 0"]),
@@ -848,21 +850,135 @@ def _unit_entry(claim_red, entries):
     return None
 
 
-def entry_chain_probe(claim_text: str) -> Report:
-    """Entry-level probe: PASS only when some residual entry is a unit
-    multiple of the claim (no linear-combination certificates), so a
-    fabricated polynomial fails with an absence witness."""
+def _chain_stage(name, claim_text, rules) -> Report:
+    """One stage of the chain: certify ``claim_text`` as a consequence of
+    the residual entries modulo the packed ``rules``."""
+    P = _CHAIN_PACKING
     t0 = time.perf_counter()
-    claim = _CHAIN_PACKING.pack_terms(parse_expr(claim_text,
-                                                 _chain_spec()).terms)
-    hit = _unit_entry(claim, _chain_residual_entries()) if claim else None
-    if hit:
-        (i, j), _ = hit
-        return Report(f"G2-chain-probe-{claim_text}", "PASS", "",
-                      (time.perf_counter() - t0) * 1000, f"entry ({i},{j})")
-    return Report(f"G2-chain-probe-{claim_text}", "FAIL",
-                  "claimed polynomial absent from the residual entries",
-                  (time.perf_counter() - t0) * 1000)
+    claim = P.pack_terms(parse_expr(claim_text, _chain_spec()).terms)
+    claim_red = P.reduce(claim, rules)
+    detail = ""
+    ok = False
+    if not claim_red:
+        detail = "claim already rewrites to zero"
+        ok = True
+    else:
+        entries = _reduced_entries(rules)
+        hit = _unit_entry(claim_red, entries)
+        if hit:
+            ok = True
+            (i, j), unit = hit
+            detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
+        else:
+            ech = _chain_echelon(entries, rules)
+            claim_row = _integer_row(claim_red)
+            for ii in range(3):
+                if ok:
+                    break
+                for jj in range(3):
+                    mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
+                    rem = ech.reduce(P.reduce(P.shift(claim_row, mono),
+                                              rules))
+                    if not rem:
+                        ok = True
+                        detail = (f"claim * a^{ii} d^{jj} lies in the"
+                                  " span of the residual entries")
+                        break
+                    qq = _poly_divide(rem, claim_red)
+                    if qq is not None and all(
+                            m & _CHAIN_RADICAL for m in qq):
+                        ok = True
+                        detail = ("claim * unit lies in the span of the"
+                                  " residual entries")
+                        break
+    if name == "final-2b" and ok:
+        # 2b = 0 and 2 invertible give b = 0
+        detail += "; with 2 invertible, b rewrites to 0"
+    return Report(f"G2-chain-{name}", "PASS" if ok else "FAIL",
+                  "" if ok else "claim not certified",
+                  (time.perf_counter() - t0) * 1000, detail)
+
+
+def _chain_shares() -> int:
+    """How many processes share the chain's stages: one per CPU the
+    process may run on, and one where fork is missing.  Four of the nine
+    stages take nearly all the time, so more than four shares gain
+    nothing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), 4)
+
+
+def _share_payload(fn, jobs) -> bytes:
+    """The pickled (True, results) of ``fn`` over ``jobs``, or (False,
+    exception) when one raises."""
+    try:
+        return pickle.dumps((True, [fn(*job) for job in jobs]))
+    except BaseException as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)          # the caller must be able to rebuild it
+            return data
+        except Exception:
+            return pickle.dumps(
+                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _run_child_share(fn, jobs, write, inherited):
+    """The body of a forked share: write its payload to ``write``, then
+    end the process without running the parent's cleanup."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        data = _share_payload(fn, jobs)
+        with open(write, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(fn, jobs, n) -> list:
+    """[fn(*job) for job in jobs], the jobs dealt round-robin over ``n``
+    shares.  Share 0 runs in this process; every other share runs in a
+    forked child that sends back its results, or its exception, which is
+    raised here.  Every child is reaped before this returns or raises."""
+    shares = [jobs[k::n] for k in range(n)]
+    children = []                               # (pid, read end)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child_share(fn, share, write,
+                                 [read] + [fd for _, fd in children])
+            os.close(write)
+            children.append((pid, read))
+        results = [[fn(*job) for job in shares[0]]]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"chain process {pid} ended without"
+                                   " a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    out = [None] * len(jobs)
+    for k, share in enumerate(results):
+        out[k::n] = share
+    return out
 
 
 def entry_chain_g2() -> list:
@@ -874,56 +990,24 @@ def entry_chain_g2() -> list:
     multiples of a^i d^j times 1 + radical), or claim * a^i d^j lies in the
     Q-span of monomial multiples of the entries.  The final stage's detail
     states the consequence b = 0 of 2b = 0 once 2 is invertible.
+
+    Every stage's rules are known before any stage runs, so the stages are
+    independent and run spread over the available CPUs.  A stage after the
+    first FAIL rests on that stage's rules, so it is INCONCLUSIVE.
     """
-    spec0 = _chain_spec()
-    P = _CHAIN_PACKING
-    reports = []
+    jobs = []
     rules = ()
     for name, claim_text, rule_texts in _CHAIN_STAGES:
-        t0 = time.perf_counter()
-        claim = P.pack_terms(parse_expr(claim_text, spec0).terms)
-        claim_red = P.reduce(claim, rules)
-        detail = ""
-        ok = False
-        if not claim_red:
-            detail = "claim already rewrites to zero"
-            ok = True
-        else:
-            entries = _reduced_entries(rules)
-            hit = _unit_entry(claim_red, entries)
-            if hit:
-                ok = True
-                (i, j), unit = hit
-                detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
-            else:
-                ech = _chain_echelon(entries, rules)
-                claim_row = _integer_row(claim_red)
-                for ii in range(3):
-                    if ok:
-                        break
-                    for jj in range(3):
-                        mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
-                        rem = ech.reduce(P.reduce(P.shift(claim_row, mono),
-                                                  rules))
-                        if not rem:
-                            ok = True
-                            detail = (f"claim * a^{ii} d^{jj} lies in the"
-                                      " span of the residual entries")
-                            break
-                        qq = _poly_divide(rem, claim_red)
-                        if qq is not None and all(
-                                m & _CHAIN_RADICAL for m in qq):
-                            ok = True
-                            detail = ("claim * unit lies in the span of the"
-                                      " residual entries")
-                            break
-        if name == "final-2b" and ok:
-            # 2b = 0 and 2 invertible give b = 0
-            detail += "; with 2 invertible, b rewrites to 0"
-        reports.append(Report(f"G2-chain-{name}", "PASS" if ok else "FAIL",
-                              "" if ok else "claim not certified",
-                              (time.perf_counter() - t0) * 1000, detail))
+        jobs.append((name, claim_text, rules))
         rules += tuple(_parse_rule(text) for text in rule_texts)
+    _chain_residual_entries()           # built once, before any fork
+    reports = _fan_out(_chain_stage, jobs, _chain_shares())
+    for k, failed in enumerate(reports):
+        if failed.verdict == "FAIL":
+            return reports[:k + 1] + [
+                Report(r.name, "INCONCLUSIVE",
+                       f"rests on the failed stage {failed.name}", r.millis)
+                for r in reports[k + 1:]]
     return reports
 
 

@@ -16,8 +16,8 @@ from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
                                trace_poly, unipotent_coordinates,
                                weyl_element, RealizationError)
 from chevlab.decomp import _a1std_matrix
-from chevlab.exactring import (NotAUnit, RingElement, RingError, RingSpec,
-                               invert, parse_expr)
+from chevlab.exactring import (NotAUnit, RewriteRule, RingElement, RingError,
+                               RingSpec, invert, parse_expr)
 from chevlab.rootsys import all_roots, positive_roots, reflect
 
 SYSTEMS = ("A1", "A2", "B2", "G2")
@@ -165,6 +165,63 @@ def test_torus_of_one_is_identity():
         basis = build_basis(tag)
         for g in all_roots(tag):
             assert torus_element(basis, g, spec.one()).is_identity()
+
+
+_IDENTITY_CASES = {
+    # ring: (entries that equal 1, entries that do not)
+    "poly": (RingSpec("poly", ("x",)), ["1", "x + 1 - x"],
+             ["0", "2", "-1", "x", "1 + x"]),
+    "quotient": (RingSpec("quotient", ("u",), [RewriteRule((2,), {})]),
+                 ["1", "1 + u^2"], ["0", "2", "u", "1 + u"]),
+    "fraction": (RingSpec("fraction", ("x",)), ["1", "x/x", "(2*x + 2)/(x + 1)/2"],
+                 ["0", "2", "x", "(x + 1)/x", "2*x/x"]),
+    "mod6": (RingSpec("modular", modulus=6), ["1", "7", "-5"],
+             ["0", "2", "5", "-1", "3"]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_IDENTITY_CASES))
+def test_is_identity_sees_one_changed_entry(ring, monkeypatch):
+    spec, ones, others = _IDENTITY_CASES[ring]
+    dim = 3
+    made = []
+    init = RingElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingElement, "__init__", counting_init)
+    M = identity_matrix(spec, 14, "adjoint")
+    made.clear()
+    assert M.is_identity() and not made     # no ring arithmetic
+    for text in ones:
+        assert parse_expr(text, spec).is_one(), text
+    for text in others:
+        assert not parse_expr(text, spec).is_one(), text
+    assert identity_matrix(spec, dim, "adjoint").is_identity()
+    for i in range(dim):
+        for j in range(dim):
+            # off the diagonal, any nonzero entry; on it, anything but 1
+            if i == j:
+                values = ones + others
+            else:
+                values = ["0"] + ones + [t for t in others if t != "0"]
+            for text in values:
+                M = identity_matrix(spec, dim, "adjoint")
+                M.rows[i][j] = parse_expr(text, spec)
+                expected = text in ones if i == j else text == "0"
+                assert M.is_identity() == expected, (i, j, text)
+                # the same answer through ring equality
+                assert expected == all(
+                    a == (1 if r == c else 0)
+                    for r, row in enumerate(M.rows) for c, a in enumerate(row))
+
+
+def test_zero_ring_element_is_one():
+    spec = RingSpec("quotient", ("u",), [RewriteRule((0,), {})])
+    assert parse_expr("u + 3", spec).is_one()
+    assert identity_matrix(spec, 2, "adjoint").is_identity()
 
 
 def test_a1_adjoint_h_minus_one():

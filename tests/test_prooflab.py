@@ -180,12 +180,110 @@ def test_entry_chain_single_stage():
     assert "unit" in reports[0].detail or "span" in reports[0].detail
 
 
-def test_entry_chain_fabricated_claim_fails():
-    # absence witness: b^3 c5 never occurs as a unit multiple of an entry
-    report = prooflab.entry_chain_probe("b^3*c5")
-    assert report.verdict == "FAIL" and "absent" in report.residual
-    # while a genuine first-stage claim does
-    assert prooflab.entry_chain_probe("b^2*c4").verdict == "PASS"
+def _set_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _report_fields(reports):
+    return [(r.name, r.verdict, r.residual, r.detail) for r in reports]
+
+
+def test_entry_chain_fabricated_claim_fails(monkeypatch):
+    # stage 4 claims a, which no residual entry certifies: it fails through
+    # the real chain, and no later stage may pass on its rule a c2^2 -> b
+    stages = list(prooflab._CHAIN_STAGES)
+    name, _, rule_texts = stages[3]
+    stages[3] = (name, "a", rule_texts)
+    monkeypatch.setattr(prooflab, "_CHAIN_STAGES", stages)
+    runs = []
+    for cpus in (1, 2):
+        _set_cpus(monkeypatch, cpus)
+        reports = prooflab.entry_chain_g2()
+        assert [r.verdict for r in reports] == ["PASS"] * 3 + ["FAIL"] + \
+            ["INCONCLUSIVE"] * 5
+        assert reports[3].residual == "claim not certified"
+        assert all(r.residual == "rests on the failed stage G2-chain-b-ac2sq"
+                   and not r.detail for r in reports[4:])
+        runs.append(_report_fields(reports))
+        _no_child_left()
+    assert runs[0] == runs[1]
+
+
+def test_chain_reports_match_on_one_two_and_four_shares(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    runs = []
+    for cpus, children in [(1, 0), (2, 1), (8, 3)]:
+        _set_cpus(monkeypatch, cpus)
+        forks.clear()
+        runs.append(_report_fields(prooflab.entry_chain_g2()))
+        assert len(forks) == children
+        _no_child_left()
+    assert runs[0] == runs[1] == runs[2]
+    assert all(verdict == "PASS" for _, verdict, _, _ in runs[0])
+    monkeypatch.delattr(os, "fork")
+    assert prooflab._chain_shares() == 1
+
+
+class _StageError(Exception):
+    pass
+
+
+def test_chain_stage_error_in_child_reaches_caller(monkeypatch):
+    parent = os.getpid()
+    echelon = prooflab._chain_echelon
+
+    def failing(entries, rules):
+        if os.getpid() != parent:
+            raise _StageError("echelon failed in the child")
+        return echelon(entries, rules)
+
+    monkeypatch.setattr(prooflab, "_chain_echelon", failing)
+    _set_cpus(monkeypatch, 2)
+    with pytest.raises(_StageError, match="in the child"):
+        prooflab.entry_chain_g2()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fan_out_keeps_job_order(n):
+    out = prooflab._fan_out(lambda x, y: (x * y, os.getpid()),
+                            [(k, k + 1) for k in range(9)], n)
+    assert [v for v, _ in out] == [k * (k + 1) for k in range(9)]
+    pids = [pid for _, pid in out]
+    assert pids[0::n] == [os.getpid()] * len(pids[0::n])
+    # each share ran in one process of its own
+    assert len(set(pids)) == n
+    assert all(len(set(pids[k::n])) == 1 for k in range(n))
+    _no_child_left()
+
+
+def test_fan_out_unpicklable_child_error_becomes_runtime_error():
+    class LocalError(Exception):        # a local class does not pickle
+        pass
+
+    def job(k):
+        if k == 1:
+            raise LocalError("in share one")
+        return k
+
+    with pytest.raises(RuntimeError, match="LocalError: in share one"):
+        prooflab._fan_out(job, [(0,), (1,)], 2)
+    _no_child_left()
+    with pytest.raises(LocalError):     # the parent's own share raises as is
+        prooflab._fan_out(job, [(1,), (0,)], 2)
+    _no_child_left()
 
 
 class _FractionEchelon:
@@ -338,6 +436,8 @@ def test_chain_runs_without_tuple_reduction(monkeypatch):
     monkeypatch.setattr(exactring, "reduce_terms", refuse)
     monkeypatch.setattr(prooflab, "reduce_terms", refuse)
     monkeypatch.setattr(prooflab, "mul_terms", refuse)
+    # the forked share inherits the patches and sends its error back
+    _set_cpus(monkeypatch, 2)
     reports = prooflab.entry_chain_g2()
     assert len(reports) == 9
     assert all(r.verdict == "PASS" for r in reports), reports
