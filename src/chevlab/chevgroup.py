@@ -4,10 +4,11 @@ The Chevalley basis is built abstractly: structure constants N_{g,d} are
 seeded on extraspecial pairs with sign +1 and propagated through the
 standard antisymmetry / opposite / triple / four-root identities, then the
 whole bracket table is verified (Jacobi on all pairs of basis elements,
-|N| = p+1, coroot brackets).  Finally the signs of the non-simple basis
-vectors are calibrated so that the commutator relations come out exactly
-in the normalization used by every identity this package checks; the flip
-vector is recorded on the basis.
+|N| = p+1, coroot brackets).  The Jacobi check and the powers of ad e_g
+apply the sparse bracket table to sparse vectors.  Finally the signs of the
+non-simple basis vectors are calibrated so that the commutator relations
+come out exactly in the normalization used by every identity this package
+checks; the flip vector is recorded on the basis.
 
 Realizations are data: each is a ``Realization`` record on the basis
 (dimension, the sparse entries of every x_g(t), the diagonal exponents of
@@ -20,6 +21,9 @@ h_g(u) and t_i(u)), and one code path per letter reads it.
 
 The centralizer families of x_a(1) x_b(1) (``standard_family``) live here
 too: the sign calibration of B2 and G2 evaluates them.
+
+Products over a poly ring multiply integer numerators on monomials packed by
+``exactring.MonomialPacking``, its slots sized to the two factors.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactring import (RingElement, RingError, RingSpec,
+from .exactring import (MonomialPacking, RingElement, RingError, RingSpec,
                         divides_power_of_six, invert, parse_expr)
 from .rootsys import (Root, SystemType, all_roots, cartan_integer,
                       coroot_coefficients, is_root, positive_roots,
@@ -55,6 +59,15 @@ class Realization(NamedTuple):
 # ---------------------------------------------------------------------------
 # structure constants
 # ---------------------------------------------------------------------------
+
+def _sparse_sum(terms) -> dict:
+    """Sum of c * vec over (c, vec) pairs of sparse vectors, zeros dropped."""
+    out = {}
+    for c, vec in terms:
+        for k, x in vec.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
 
 def _pair_magnitude(g: Root, d: Root) -> int:
     p, _ = root_string(g, d)
@@ -229,33 +242,50 @@ class ChevalleyBasis:
 
     def _rebuild(self):
         dim = self.dim
-        self.ad = {}
-        for r in self.pos + [-r for r in self.pos]:
-            gi = self.index[("e", r.coords)]
-            mat = [[0] * dim for _ in range(dim)]
-            for j in range(dim):
-                for i, c in self._bracket_basis(gi, j).items():
-                    mat[i][j] = c
-            self.ad[r.coords] = mat
+        # bracket[i][j] is [v_i, v_j] as a sparse dict, the coroots included
+        bracket = [[self._bracket_basis(i, j) for j in range(dim)]
+                   for i in range(dim)]
+
+        def ad(i, vec):
+            """[v_i, vec] for a sparse vector vec."""
+            return _sparse_sum((c, bracket[i][j]) for j, c in vec.items())
+
+        # ad is a Lie-algebra homomorphism on every pair of basis vectors:
+        # ad([v_i, v_j]) v_k == [ad v_i, ad v_j] v_k for every v_k; this is
+        # the Jacobi identity.  Both sides are antisymmetric in i, j.
+        for (i, j), k in itertools.product(
+                itertools.combinations(range(dim), 2), range(dim)):
+            lhs = _sparse_sum((c, bracket[m][k])
+                              for m, c in bracket[i][j].items())
+            rhs = _sparse_sum(((1, ad(i, bracket[j][k])),
+                               (-1, ad(j, bracket[i][k]))))
+            if lhs != rhs:
+                raise RuntimeError("ad is not a Lie-algebra homomorphism on"
+                                   f" {self.labels[i]}, {self.labels[j]}")
+        self.ad = {lab[1].coords: [[bracket[i][j].get(k, 0)
+                                    for j in range(dim)] for k in range(dim)]
+                   for i, lab in enumerate(self.labels) if lab[0] == "e"}
         # exp(t ad e_g) = sum_k t^k ad^k / k!, kept as its nonzero entries
         # (i, j, k, ad^k[i][j] / k!); ad e_g^k moves the root grading by
-        # k g, so each entry (i, j) comes from one k alone
+        # k g, so each entry (i, j) comes from one k alone.  Column j of
+        # ad^k is ad e_g applied k times to v_j.
         exp_entries = {}
-        for coords, mat in self.ad.items():
-            entries = [(i, i, 0, 1) for i in range(dim)]
-            power = mat
+        for coords in self.ad:
+            g = self.index[("e", coords)]
+            entries = [(r, r, 0, 1) for r in range(dim)]
+            columns = {j: {j: 1} for j in range(dim)}
             k = 1
             fact = 1
-            while any(any(row) for row in power):
+            while columns := {j: col for j, vec in columns.items()
+                              if (col := ad(g, vec))}:
                 fact *= k
-                entries += [(i, j, k, Fraction(x, fact))
-                            for i, row in enumerate(power)
-                            for j, x in enumerate(row) if x]
-                power = _int_mat_mul(power, mat)
+                entries += sorted((r, j, k, Fraction(x, fact))
+                                  for j, col in columns.items()
+                                  for r, x in col.items())
                 k += 1
                 if k > dim + 1:
                     raise RuntimeError(f"ad e_{coords} is not nilpotent")
-            if len({(i, j) for i, j, _, _ in entries}) != len(entries):
+            if len({(r, c) for r, c, _, _ in entries}) != len(entries):
                 raise RuntimeError(f"powers of ad e_{coords} share an entry")
             if not all(divides_power_of_six(c.denominator)
                        for *_, c in entries):
@@ -277,35 +307,6 @@ class ChevalleyBasis:
             self.realizations["a1std"] = _permuted(adjoint, _A1STD_FRAME)
         elif self.system.tag == "A2":
             self.realizations["pgl3"] = _PGL3
-        self._verify()
-
-    def _verify(self):
-        # ad is a Lie-algebra homomorphism on every pair of basis vectors:
-        # ad([v_i, v_j]) == [ad v_i, ad v_j]; this is the Jacobi identity.
-        dim = self.dim
-        mats = []
-        for lab in self.labels:
-            if lab[0] == "h":
-                mat = [[0] * dim for _ in range(dim)]
-                for j in range(dim):
-                    for i, c in self._bracket_basis(self.index[("h", lab[1])], j).items():
-                        mat[i][j] = c
-                mats.append(mat)
-            else:
-                mats.append(self.ad[lab[1].coords])
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                comm = _int_mat_sub(_int_mat_mul(mats[i], mats[j]),
-                                    _int_mat_mul(mats[j], mats[i]))
-                expect = [[0] * dim for _ in range(dim)]
-                for k, c in self._bracket_basis(i, j).items():
-                    for col in range(dim):
-                        for row, x in enumerate(_col(mats[k], col)):
-                            expect[row][col] += c * x
-                if comm != expect:
-                    raise RuntimeError(
-                        "ad is not a Lie-algebra homomorphism on"
-                        f" {self.labels[i]}, {self.labels[j]}")
 
     # -- calibration ----------------------------------------------------
 
@@ -327,22 +328,16 @@ class ChevalleyBasis:
                 return sigma[coords if coords in sigma
                              else tuple(-v for v in coords)]
 
-            ok = True
-            for (gname, dname), want in targets.items():
-                g, d = self.root(gname), self.root(dname)
-                got = base[(gname, dname)]
-                if set(got) != set(want):
-                    ok = False
-                    break
-                for (i, j), c in got.items():
-                    s = tuple(i * x + j * y for x, y in zip(g.coords, d.coords))
-                    flip = sig(g.coords) ** i * sig(d.coords) ** j * sig(s)
-                    if flip * c != want[(i, j)]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            def flipped(g, d, got):
+                # the coefficients of [x_g, x_d] with the basis vectors of
+                # g, d and i g + j d multiplied by their signs
+                return {(i, j): c * sig(g.coords) ** i * sig(d.coords) ** j
+                        * sig(tuple(i * x + j * y
+                                    for x, y in zip(g.coords, d.coords)))
+                        for (i, j), c in got.items()}
+
+            if all(flipped(self.root(g), self.root(d), base[(g, d)]) == want
+                   for (g, d), want in targets.items()):
                 solutions.append(signs)
         if not solutions:
             raise RuntimeError("no sign calibration reproduces the"
@@ -404,30 +399,6 @@ class ChevalleyBasis:
                     raise RealizationError(f"{name} is an {tag} realization")
             raise RealizationError(f"unknown realization {name!r}")
         return rec
-
-
-def _col(mat, j):
-    return [row[j] for row in mat]
-
-
-def _int_mat_mul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            x = arow[k]
-            if x:
-                brow = b[k]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] += x * brow[j]
-    return out
-
-
-def _int_mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # the displayed commutator relations that pin the normalization
@@ -556,18 +527,19 @@ def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
 
     Each factor is put over one common denominator, the lcm of its
     coefficient denominators, and the integer numerators are multiplied and
-    accumulated in one term dict per output entry, on monomials packed into
-    ints: exponent i sits in bits [i w, (i + 1) w), w wide enough for any
-    exponent of the product, so a sum of keys is a monomial product with no
-    carry.  Each output term becomes one Fraction.
+    accumulated in one term dict per output entry, on monomials packed by a
+    ``MonomialPacking`` whose slots hold the sum of the two factors' maximum
+    degrees, so a sum of keys is a monomial product that never overflows.
+    Each output term becomes one Fraction.
     """
-    monos = set()
-    for rows in (a_rows, b_rows):
-        for row in rows:
-            for x in row:
-                monos.update(x.terms)
-    width = (2 * max((max(m) for m in monos if m), default=0)).bit_length()
-    keys = {m: sum(e << width * i for i, e in enumerate(m)) for m in monos}
+    def monomials(rows):
+        return {m for row in rows for x in row for m in x.terms}
+
+    a_monos, b_monos = monomials(a_rows), monomials(b_rows)
+    degree = (max(map(sum, a_monos), default=0)
+              + max(map(sum, b_monos), default=0))
+    packing = MonomialPacking(len(spec.variables), degree.bit_length() + 1)
+    keys = {m: packing.pack(m) for m in a_monos | b_monos}
 
     def numerators(rows):
         den = math.lcm(*{c.denominator for row in rows for x in row
@@ -580,8 +552,6 @@ def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
     da, a = numerators(a_rows)
     db, b = numerators(b_rows)
     den = da * db
-    nvars = len(spec.variables)
-    mask = (1 << width) - 1
     unpacked = {}
     zero = spec.zero()
     ncols = len(b_rows[0])
@@ -607,8 +577,7 @@ def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
                 if c:
                     m = unpacked.get(key)
                     if m is None:
-                        m = unpacked[key] = tuple(
-                            key >> width * i & mask for i in range(nvars))
+                        m = unpacked[key] = packing.unpack(key)
                     terms[m] = Fraction(c, den)
             row.append(RingElement(spec, terms=terms, _normalized=True))
         out.append(row)

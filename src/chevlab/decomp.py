@@ -1,6 +1,5 @@
 """Factorization calculus: rank-one identities, Gauss decomposition over
-Z/p^k for A1, brute-force Bruhat decomposition over small fields, and
-generic factorization verification.
+Z/p^k for A1 and brute-force Bruhat decomposition over small fields.
 
 The rank-one factorization is implemented in the form that actually holds
 in the Chevalley normalization used throughout this package:
@@ -330,19 +329,3 @@ def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
                     return BruhatFactorization(tw, uw, wgw, ctx.u_words[pos],
                                                wword)
     raise ElementNotInGroup("no Bruhat factorization found")
-
-
-def verify_factorization(target, claim, basis: ChevalleyBasis = None,
-                         realization: str = "adjoint", spec=None):
-    """Evaluate two words (or take matrices) and compare.
-
-    Returns (ok, residual matrix); residual is None when ok.
-    """
-    def ev(x):
-        if isinstance(x, AdjointMatrix):
-            return x
-        return evaluate_word(x, basis, realization, spec=spec)
-
-    residual = ev(target) - ev(claim)
-    ok = residual.is_zero()
-    return ok, None if ok else residual

@@ -9,7 +9,10 @@ Four kinds of ring are supported, selected by a RingSpec:
 
 Polynomials are dicts mapping dense exponent tuples to nonzero Fractions.
 ``MonomialPacking`` packs exponent tuples into ints, for hot loops that need
-only deglex order, monomial products and divisibility.
+only deglex order, monomial products and divisibility; it is the one place
+that knows the packed layout.  The slot width is chosen per instance: the
+G2 chain keeps the default 8 bits, and the poly-ring matrix product sizes
+its slots to the degrees of its factors.
 The only monomial order is degree-lexicographic (deglex): rewrite rules must
 strictly decrease it, so reduction always terminates; reduction to zero
 certifies membership in the ideal, failure to reduce certifies nothing.
@@ -262,47 +265,57 @@ def reduce_terms(terms: Terms, rules: Iterable[RewriteRule]) -> Terms:
 # packed monomials
 # ---------------------------------------------------------------------------
 
-SLOT_BITS = 8     # per slot: 7 value bits under 1 guard bit
+SLOT_BITS = 8     # the default slot: 7 value bits under 1 guard bit
 
 
 class MonomialPacking:
     """Exponent tuples of ``nvars`` variables packed into one int.
 
     The key holds the slots (deg, e0, ..., e_{n-1}), most significant first,
-    each SLOT_BITS wide with its top bit a guard that a packed monomial
+    each ``slot_bits`` wide with its top bit a guard that a packed monomial
     keeps clear.  So int order is deglex order, a monomial product is the
     sum of two keys, and l divides m exactly when ((m | G) - l) & G == G,
     G being the mask of guard bits: a slot where m is smaller than l
     borrows its own guard bit and nothing beyond it.
     """
 
-    __slots__ = ("nvars", "guard")
+    __slots__ = ("nvars", "slot_bits", "guard")
 
-    def __init__(self, nvars: int):
+    def __init__(self, nvars: int, slot_bits: int = SLOT_BITS):
         self.nvars = nvars
-        top = 1 << (SLOT_BITS - 1)
-        self.guard = sum(top << (SLOT_BITS * i) for i in range(nvars + 1))
+        self.slot_bits = slot_bits
+        top = 1 << (slot_bits - 1)
+        self.guard = sum(top << (slot_bits * i) for i in range(nvars + 1))
 
     def pack(self, exps: Exponents) -> int:
         if len(exps) != self.nvars:
             raise RingError(f"expected {self.nvars} exponents, got {len(exps)}")
         if any(e < 0 for e in exps):
             raise RingError(f"negative exponent in {tuple(exps)}")
+        bits = self.slot_bits
         key = sum(exps)
-        if key >> (SLOT_BITS - 1):
+        if key >> (bits - 1):
             raise RingError(f"degree of {tuple(exps)} does not fit"
-                            f" {SLOT_BITS - 1}-bit slots")
+                            f" {bits - 1}-bit slots")
         for e in exps:
-            key = (key << SLOT_BITS) | e
+            key = (key << bits) | e
         return key
 
     def unpack(self, key: int) -> Exponents:
-        mask = (1 << SLOT_BITS) - 1
+        bits = self.slot_bits
+        mask = (1 << bits) - 1
         exps = []
         for _ in range(self.nvars):
             exps.append(key & mask)
-            key >>= SLOT_BITS
+            key >>= bits
         return tuple(reversed(exps))
+
+    def value_mask(self, variables) -> int:
+        """The value bits of the slots of the given variable positions: a
+        packed monomial m has none of those variables iff m & mask == 0."""
+        value = (1 << (self.slot_bits - 1)) - 1
+        return sum(value << self.slot_bits * (self.nvars - 1 - k)
+                   for k in variables)
 
     def divides(self, lhs: int, mono: int) -> bool:
         g = self.guard

@@ -29,11 +29,11 @@ from .chevgroup import (AdjointMatrix, CentralizerFamily, GroupWord,
                         matrix_from_entries, parse_word, pgl3_equal,
                         root_element, standard_family, unipotent_coordinates)
 # reduce_terms is unused here; perfbench's tracer test calls prooflab's name
-from .exactring import (SLOT_BITS, DenominatorNotInvertible, MonomialPacking,
-                        NotAUnit, RingElement, RingError, RingSpec,
-                        RewriteRule, assert_denominators_divide_power_of_six,
-                        deglex_key, invert, map_to_modular, mul_terms,
-                        parse_expr, reduce_terms, sub_terms, substitute)
+from .exactring import (DenominatorNotInvertible, MonomialPacking, NotAUnit,
+                        RingElement, RingError, RingSpec, RewriteRule,
+                        assert_denominators_divide_power_of_six, deglex_key,
+                        invert, map_to_modular, mul_terms, parse_expr,
+                        reduce_terms, sub_terms, substitute)
 from .rootsys import SystemType, cartan_integer, positive_roots
 
 
@@ -600,52 +600,6 @@ def centralizer_bruteforce(system, p: int, cap: int = shacheck.DEFAULT_CAP):
     return len(cent), cent
 
 
-def matrix_centralizer_a1(x: AdjointMatrix):
-    """Basis (over Q, rref rows) of {X in M_3 : X x = x X} for a matrix x
-    with rational entries in the standard A1 realization."""
-    entries = [[e.constant_value() for e in row] for row in x.rows]
-    rows = []
-    # unknowns X_kl flattened row-major; equations sum over (i,j)
-    for i in range(3):
-        for j in range(3):
-            row = [Fraction(0)] * 9
-            for k in range(3):
-                row[i * 3 + k] += entries[k][j]      # (X x)_{ij}
-                row[k * 3 + j] -= entries[i][k]      # (x X)_{ij}
-            rows.append(row)
-    return _nullspace(rows)
-
-
-def _nullspace(rows):
-    """Reduced basis of the rational nullspace of the given matrix."""
-    cols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # the G2 entry-constraint chain
 # ---------------------------------------------------------------------------
@@ -655,9 +609,8 @@ def _nullspace(rows):
 
 _CHAIN_VARS = ("a", "b", "c1", "c2", "c3", "c4", "c5", "d")
 _CHAIN_PACKING = MonomialPacking(len(_CHAIN_VARS))
-# the value bits of the slots of b, c1..c5 (d's slot is the lowest)
-_CHAIN_RADICAL = sum(((1 << SLOT_BITS - 1) - 1) << SLOT_BITS * (7 - k)
-                     for k in range(1, 7))
+# the value bits of the slots of b, c1..c5
+_CHAIN_RADICAL = _CHAIN_PACKING.value_mask(range(1, 7))
 _CHAIN_MULTS = [_CHAIN_PACKING.pack(m)
                 for m in itertools.product(range(3), repeat=8) if sum(m) <= 2]
 _CHAIN_STAGES = [

@@ -9,8 +9,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import chevlab
-from chevlab.chevgroup import (GroupWord, build_basis, commutator_relation,
-                               diag_torus, evaluate_word, identity_matrix,
+from chevlab.chevgroup import (ChevalleyBasis, GroupWord, build_basis,
+                               commutator_relation, diag_torus,
+                               evaluate_word, identity_matrix,
                                matrix_from_entries, parse_root, parse_word,
                                pgl3_equal, root_element, torus_element,
                                trace_poly, unipotent_coordinates,
@@ -617,6 +618,32 @@ def test_poly_product_matches_sympy_and_general_loop(pair):
     assert zeros >= n                     # the cancelled row
 
 
+def test_poly_product_above_the_chain_slot_width():
+    # the chain's 8-bit slots hold degrees up to 127; these factors reach
+    # degree 150 and their product degree 300, so the kernel must size its
+    # slots from the factors
+    a = [["x^150", "x^70*y^60", "1"], ["0", "y^100 - 1/2*x", "x^3*y"],
+         ["2", "0", "x^127"]]
+    b = [["x^150", "y", "0"], ["x^100*y^2", "0", "3/4"],
+         ["1", "x^129", "y^130"]]
+    got, general = (matrix_from_entries(spec, a, "adjoint")
+                    * matrix_from_entries(spec, b, "adjoint")
+                    for spec in (QXY, QXY_GENERAL))
+    want = (sympy.Matrix(3, 3, [sympy.sympify(e.replace("^", "**"))
+                                for row in a for e in row])
+            * sympy.Matrix(3, 3, [sympy.sympify(e.replace("^", "**"))
+                                  for row in b for e in row]))
+    assert max(sum(m) for row in got.rows for e in row
+               for m in e.terms) == 300
+    for i in range(3):
+        for j in range(3):
+            entry = got.rows[i][j]
+            assert entry.terms == general.rows[i][j].terms
+            poly = sympy.Poly(want[i, j], SX, SY, domain="QQ").as_dict()
+            assert {m: sympy.Rational(c.numerator, c.denominator)
+                    for m, c in entry.terms.items()} == poly
+
+
 @pytest.mark.parametrize("tag", SYSTEMS)
 def test_poly_root_elements_and_words_match_general_loop(tag):
     poly, general = RingSpec("poly", ("b", "c")), RingSpec("quotient",
@@ -693,3 +720,40 @@ def test_missing_realization_messages(tag, realization, message):
         with pytest.raises(RealizationError) as err:
             make()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tag", ["A2", "G2"])
+def test_basis_check_names_a_wrong_bracket(tag, monkeypatch):
+    # double the coefficients of [v_0, v_1]: building the basis must fail
+    # on that pair, not go on with a bracket that breaks the Jacobi identity
+    labels = build_basis(tag).labels
+    exact = ChevalleyBasis._bracket_basis
+
+    def doubled(self, gi, gj):
+        out = exact(self, gi, gj)
+        if (gi, gj) == (0, 1):
+            out = {k: 2 * c for k, c in out.items()}
+        return out
+
+    monkeypatch.setattr(ChevalleyBasis, "_bracket_basis", doubled)
+    assert doubled(build_basis(tag), 0, 1)
+    with pytest.raises(RuntimeError) as err:
+        ChevalleyBasis(tag)
+    assert str(err.value) == ("ad is not a Lie-algebra homomorphism on"
+                              f" {labels[0]}, {labels[1]}")
+
+
+@pytest.mark.parametrize("tag", SYSTEMS)
+def test_basis_data_are_python_numbers(tag):
+    # what leaves the basis must be Python ints and Fractions of them, so
+    # no fixed-width integer reaches exact arithmetic
+    basis = build_basis(tag)
+    assert all(type(x) is int for mat in basis.ad.values()
+               for row in mat for x in row)
+    for rec in basis.realizations.values():
+        for entries in rec.exp_entries.values():
+            for i, j, k, c in entries:
+                assert type(i) is type(j) is type(k) is int
+                assert type(c) is int or (
+                    type(c) is Fraction
+                    and type(c.numerator) is type(c.denominator) is int)

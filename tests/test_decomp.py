@@ -235,31 +235,3 @@ def test_bruhat_cells_partition(system, p):
     cells, table = decomp.bruhat_cells(system, p)
     assert len(cells) == len(table)
     assert all(len(ws) == 1 for ws in cells.values())
-
-
-def test_verify_factorization():
-    basis = build_basis("A1")
-    spec = RingSpec("poly", ("h",))
-    from chevlab.chevgroup import matrix_from_entries
-    p_inv = matrix_from_entries(spec, [["1", "-h", "0"], ["0", "1", "0"],
-                                       ["0", "0", "1"]], "a1std")
-    p = matrix_from_entries(spec, [["1", "h", "0"], ["0", "1", "0"],
-                                   ["0", "0", "1"]], "a1std")
-    x = root_element(basis, basis.root("-a"), spec.one(), "a1std")
-    target = p_inv * x * p
-    claim = matrix_from_entries(spec, [["1-h", "-h^2", "-2*h"],
-                                       ["1", "1+h", "2"],
-                                       ["1", "h", "1"]], "a1std")
-    ok, residual = decomp.verify_factorization(target, claim, basis, "a1std")
-    assert ok and residual is None
-
-    word = parse_word("x(a,1) x(-a,1)", "A1", RingSpec("poly", ()))
-    ok, _ = decomp.verify_factorization(word, word, basis, "a1std",
-                                        spec=RingSpec("poly", ()))
-    assert ok
-
-    bad = matrix_from_entries(spec, [["1-h", "h^2", "-2*h"],
-                                     ["1", "1+h", "2"],
-                                     ["1", "h", "1"]], "a1std")
-    ok, residual = decomp.verify_factorization(target, bad, basis, "a1std")
-    assert not ok and not residual.is_zero()

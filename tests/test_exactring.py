@@ -322,6 +322,19 @@ def test_packing_rejects_bad_exponents():
     assert pk.unpack(pk.pack((LIMIT - 1, 0))) == (LIMIT - 1, 0)
 
 
+@pytest.mark.parametrize("bits", [2, 5, 8, 12])
+def test_packing_slot_width_per_instance(bits):
+    limit = 1 << (bits - 1)
+    pk = MonomialPacking(3, bits)
+    top = (0, limit - 1, 0)
+    assert pk.unpack(pk.pack(top)) == top
+    with pytest.raises(RingError):
+        pk.pack((1, limit - 1, 0))
+    mask = pk.value_mask([0, 2])
+    assert pk.unpack(mask) == (limit - 1, 0, limit - 1)
+    assert mask & pk.guard == 0 and pk.pack(top) & mask == 0
+
+
 @st.composite
 def rule_sets(draw):
     """Random terms and deglex-decreasing rules in 2 or 3 variables, with

@@ -469,3 +469,17 @@ def test_only_shacheck_keys_group_elements():
     found = [f"{name}:{node.lineno}" for name, node in _src_nodes()
              if name != "shacheck.py" and _keys_an_element(node)]
     assert found == []
+
+
+def test_only_exactring_knows_the_packed_layout():
+    # packed monomials go through exactring.MonomialPacking alone: no other
+    # module names the slot width or shifts bits itself
+    slot_width = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+                  if name != "exactring.py"
+                  and "SLOT_BITS" in (getattr(node, field, None)
+                                      for field in ("id", "attr", "name"))]
+    shifts = [f"{name}:{node.lineno}" for name, node in _src_nodes()
+              if name == "chevgroup.py"
+              and isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.LShift, ast.RShift))]
+    assert slot_width == [] and shifts == []

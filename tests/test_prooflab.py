@@ -9,8 +9,7 @@ import pytest
 
 import chevlab
 from chevlab import exactring, prooflab
-from chevlab.chevgroup import (build_basis, identity_matrix,
-                               matrix_from_entries, root_element)
+from chevlab.chevgroup import matrix_from_entries
 from chevlab.exactring import (RewriteRule, RingError, RingSpec, deglex_key,
                                mul_terms, reduce_terms, sub_terms)
 
@@ -114,51 +113,6 @@ def test_centralizer_family_perturbation():
 def test_centralizer_bruteforce(system, p, count):
     got, _ = prooflab.centralizer_bruteforce(system, p, cap=50000)
     assert got == count
-
-
-def test_matrix_centralizer_a1():
-    basis = build_basis("A1")
-    spec = RingSpec("poly", ())
-    x = root_element(basis, basis.root("a"), spec.one(), "a1std")
-    sol = prooflab.matrix_centralizer_a1(x)
-    assert len(sol) == 3
-    # the solution space is spanned by I, E_12 and 2E_13 + E_32
-    expected = [
-        [1, 0, 0, 0, 1, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 2, 0, 0, 0, 0, 1, 0],
-    ]
-    assert _same_span(sol, expected)
-
-    xn = root_element(basis, basis.root("-a"), spec.const(-1), "a1std")
-    soln = prooflab.matrix_centralizer_a1(xn)
-    expected_n = [
-        [1, 0, 0, 0, 1, 0, 0, 0, 1],
-        [0, 0, 0, 1, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 2, 1, 0, 0],
-    ]
-    assert _same_span(soln, expected_n)
-
-    ident = identity_matrix(spec, 3, "a1std")
-    assert len(prooflab.matrix_centralizer_a1(ident)) == 9
-
-
-def _same_span(a, b):
-    def rref(rows):
-        mat = [[Fraction(x) for x in row] for row in rows]
-        out = []
-        for row in mat:
-            for prow in out:
-                lead = next(i for i, v in enumerate(prow) if v)
-                if row[lead]:
-                    f = row[lead]
-                    row = [x - f * y for x, y in zip(row, prow)]
-            if any(row):
-                lead = next(i for i, v in enumerate(row) if v)
-                inv = Fraction(1) / row[lead]
-                out.append([x * inv for x in row])
-        return sorted(out)
-    return rref(a) == rref(b)
 
 
 def test_entry_chain_all_stages():
