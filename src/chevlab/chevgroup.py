@@ -22,8 +22,10 @@ h_g(u) and t_i(u)), and one code path per letter reads it.
 The centralizer families of x_a(1) x_b(1) (``standard_family``) live here
 too: the sign calibration of B2 and G2 evaluates them.
 
-Products over a poly ring multiply integer numerators on monomials packed by
-``exactring.MonomialPacking``, its slots sized to the two factors.
+Products over a poly ring -- of two matrices, of one root element's entries,
+of a whole word -- are one kernel, ``_poly_product``: integer numerators on
+monomials packed by one ``exactring.MonomialPacking``, its slots sized to
+the total degree, unpacked once at the end.
 """
 
 from __future__ import annotations
@@ -458,8 +460,8 @@ class AdjointMatrix:
             raise RingError("matrices live in different rings")
         if self.spec.kind == "poly":
             return AdjointMatrix(self.spec,
-                                 _poly_product(self.spec, self.rows,
-                                               other.rows),
+                                 _poly_product(self.spec, self.dim,
+                                               [self, other]),
                                  self.realization)
         # residues, content and rewrite rules are normalized after every
         # ring operation, so these rings multiply entry by entry
@@ -522,45 +524,100 @@ class AdjointMatrix:
         return f"<{self.realization} {self.dim}x{self.dim}\n{body}\n>"
 
 
-def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
-    """The rows of the product of two matrices over a poly ring.
+def _poly_product(spec: RingSpec, dim: int, factors) -> list:
+    """The rows of the product of ``factors`` (at least one), dim x dim
+    matrices over a poly ring.
 
-    Each factor is put over one common denominator, the lcm of its
-    coefficient denominators, and the integer numerators are multiplied and
-    accumulated in one term dict per output entry, on monomials packed by a
-    ``MonomialPacking`` whose slots hold the sum of the two factors' maximum
-    degrees, so a sum of keys is a monomial product that never overflows.
-    Each output term becomes one Fraction.
+    A factor is an ``AdjointMatrix`` or a root element (entries, t): the sum
+    of c t^k E_ij over its realization entries (i, j, k, c), k ascending.
+    Each factor is put over one common denominator as integer numerators on
+    monomials packed by one ``MonomialPacking``, whose slots hold the sum of
+    the factors' degrees, so a sum of keys is a monomial product that never
+    overflows.  The running product stays packed; each output term becomes
+    one Fraction at the end.
     """
-    def monomials(rows):
-        return {m for row in rows for x in row for m in x.terms}
-
-    a_monos, b_monos = monomials(a_rows), monomials(b_rows)
-    degree = (max(map(sum, a_monos), default=0)
-              + max(map(sum, b_monos), default=0))
+    degree = 0
+    for f in factors:
+        if isinstance(f, AdjointMatrix):
+            degree += max((sum(m) for row in f.rows for x in row
+                           for m in x.terms), default=0)
+        else:
+            entries, t = f
+            degree += entries[-1][2] * max(map(sum, t.terms), default=0)
     packing = MonomialPacking(len(spec.variables), degree.bit_length() + 1)
-    keys = {m: packing.pack(m) for m in a_monos | b_monos}
+    keys = {}
 
-    def numerators(rows):
-        den = math.lcm(*{c.denominator for row in rows for x in row
-                         for c in x.terms.values()})
-        return den, [[(j, [(keys[m], c.numerator * (den // c.denominator))
-                           for m, c in x.terms.items()])
-                      for j, x in enumerate(row) if x.terms]
-                     for row in rows]
+    def numerators(terms, den):
+        out = []
+        for m, c in terms.items():
+            k = keys.get(m)
+            if k is None:
+                k = keys[m] = packing.pack(m)
+            out.append((k, c.numerator * (den // c.denominator)))
+        return out
 
-    da, a = numerators(a_rows)
-    db, b = numerators(b_rows)
-    den = da * db
+    def lcm_den(terms):
+        return math.lcm(*(c.denominator for c in terms))
+
+    def packed(f):
+        """(den, rows) of one factor, rows as ``_packed_times`` reads them."""
+        if isinstance(f, AdjointMatrix):
+            den = lcm_den(c for row in f.rows for x in row
+                          for c in x.terms.values())
+            return den, [[(j, numerators(x.terms, den))
+                          for j, x in enumerate(row) if x.terms]
+                         for row in f.rows]
+        entries, t = f
+        top = entries[-1][2]
+        tden = lcm_den(t.terms.values())
+        tnum = numerators(t.terms, tden)
+        # the numerators of t^k as 1 x 1 products (1 packs to the key 0);
+        # t = 0 has no nonzero power but t^0
+        powers = [[(0, 1)]]
+        while len(powers) <= top and tnum:
+            (_, power), = _packed_times([[(0, powers[-1])]],
+                                        [[(0, tnum)]])[0]
+            powers.append(power)
+        cden = lcm_den(c for *_, c in entries)
+        rows = [[] for _ in range(dim)]
+        for i, j, k, c in entries:
+            if k < len(powers):
+                scale = int(c * cden) * tden ** (top - k)
+                rows[i].append((j, [(m, scale * x) for m, x in powers[k]]))
+        return cden * tden ** top, rows
+
+    den, acc = packed(factors[0])
+    for f in factors[1:]:
+        fden, rows = packed(f)
+        den *= fden
+        acc = _packed_times(acc, rows)
     unpacked = {}
     zero = spec.zero()
-    ncols = len(b_rows[0])
+    out = []
+    for arow in acc:
+        row = [zero] * dim
+        for j, terms in arow:
+            d = {}
+            for k, c in terms:
+                m = unpacked.get(k)
+                if m is None:
+                    m = unpacked[k] = packing.unpack(k)
+                d[m] = Fraction(c, den)
+            row[j] = RingElement(spec, terms=d, _normalized=True)
+        out.append(row)
+    return out
+
+
+def _packed_times(a, b) -> list:
+    """The product of two sparse matrices of packed integer polynomials,
+    row i a list of (j, [(key, numerator), ...]) over its nonzero entries,
+    j ascending."""
     out = []
     for arow in a:
-        acc = [None] * ncols
+        acc = {}
         for k, aterms in arow:
             for j, bterms in b[k]:
-                d = acc[j]
+                d = acc.get(j)
                 if d is None:
                     d = acc[j] = {}
                 for ma, ca in aterms:
@@ -568,18 +625,10 @@ def _poly_product(spec: RingSpec, a_rows, b_rows) -> list:
                         m = ma + mb
                         d[m] = d.get(m, 0) + ca * cb
         row = []
-        for d in acc:
-            if d is None:
-                row.append(zero)
-                continue
-            terms = {}
-            for key, c in d.items():
-                if c:
-                    m = unpacked.get(key)
-                    if m is None:
-                        m = unpacked[key] = packing.unpack(key)
-                    terms[m] = Fraction(c, den)
-            row.append(RingElement(spec, terms=terms, _normalized=True))
+        for j in sorted(acc):
+            terms = [(m, c) for m, c in acc[j].items() if c]
+            if terms:
+                row.append((j, terms))
         out.append(row)
     return out
 
@@ -660,20 +709,17 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
     rec = basis.realization(realization)
     entries = rec.exp_entries[gamma.coords]
     spec = t.spec
+    if spec.kind == "poly":
+        return AdjointMatrix(spec, _poly_product(spec, rec.dim,
+                                                 [(entries, t)]),
+                             realization)
     powers = [spec.one()]
     for _ in range(entries[-1][2]):
         powers.append(powers[-1] * t)
     zero = spec.zero()
-    poly = spec.kind == "poly"
     rows = [[zero] * rec.dim for _ in range(rec.dim)]
     for i, j, k, c in entries:
-        if poly:
-            # the term dict of c t^k, scaled without a ring operation
-            rows[i][j] = RingElement(
-                spec, terms={m: c * x for m, x in powers[k].terms.items()},
-                _normalized=True)
-        else:
-            rows[i][j] = powers[k] * c
+        rows[i][j] = powers[k] * c
     return AdjointMatrix(spec, rows, realization)
 
 
@@ -805,12 +851,16 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
         spec = word.spec()
     if spec is None:
         raise RingError("cannot evaluate an empty word without a ring spec")
-    dim = basis.realization(realization).dim
+    rec = basis.realization(realization)
+    poly = spec.kind == "poly"
+    factors = []
     out = None
     for kind, what, p in word.letters:
         if p.spec != spec:
             raise RingError("word letters live in different rings")
-        if kind == "x":
+        if kind == "x" and poly:
+            m = (rec.exp_entries[basis.root(what).coords], p)
+        elif kind == "x":
             m = root_element(basis, what, p, realization)
         elif kind == "h":
             m = torus_element(basis, what, p, realization)
@@ -818,9 +868,15 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
             m = weyl_element(basis, what, p, realization)
         else:
             m = diag_torus(basis, what, p, realization)
-        out = m if out is None else out * m
+        if poly:
+            factors.append(m)       # multiplied out once, below
+        else:
+            out = m if out is None else out * m
+    if factors:
+        return AdjointMatrix(spec, _poly_product(spec, rec.dim, factors),
+                             realization)
     if out is None:
-        return identity_matrix(spec, dim, realization)
+        return identity_matrix(spec, rec.dim, realization)
     return out
 
 
@@ -957,8 +1013,8 @@ def commutator_relation(basis: ChevalleyBasis, g, d) -> CommutatorRelation:
         raise ValueError("commutator relation undefined for g = +/- d")
     spec = RingSpec("poly", ("t", "u"))
     t, u = spec.var("t"), spec.var("u")
-    comm = (root_element(basis, g, t) * root_element(basis, d, u)
-            * root_element(basis, g, -t) * root_element(basis, d, -u))
+    comm = evaluate_word(GroupWord(basis.system, [
+        ("x", g, t), ("x", d, u), ("x", g, -t), ("x", d, -u)]), basis)
     span = []
     for i in range(1, 5):
         for j in range(1, 5):
@@ -991,8 +1047,8 @@ def trace_poly(basis: ChevalleyBasis, gamma) -> RingElement:
     gamma = basis.root(gamma)
     spec = RingSpec("poly", ("t", "s"))
     t, s = spec.var("t"), spec.var("s")
-    m = root_element(basis, gamma, t) * root_element(basis, -gamma, s)
-    return m.trace()
+    return evaluate_word(GroupWord(basis.system, [
+        ("x", gamma, t), ("x", -gamma, s)]), basis).trace()
 
 
 def pgl3_equal(M: AdjointMatrix, N: AdjointMatrix) -> bool:

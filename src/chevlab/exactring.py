@@ -11,8 +11,8 @@ Polynomials are dicts mapping dense exponent tuples to nonzero Fractions.
 ``MonomialPacking`` packs exponent tuples into ints, for hot loops that need
 only deglex order, monomial products and divisibility; it is the one place
 that knows the packed layout.  The slot width is chosen per instance: the
-G2 chain keeps the default 8 bits, and the poly-ring matrix product sizes
-its slots to the degrees of its factors.
+G2 chain keeps the default 8 bits, and the poly-ring product of a matrix
+word sizes its slots to the word's total degree.
 The only monomial order is degree-lexicographic (deglex): rewrite rules must
 strictly decrease it, so reduction always terminates; reduction to zero
 certifies membership in the ideal, failure to reduce certifies nothing.
@@ -335,23 +335,51 @@ class MonomialPacking:
     def pack_terms(self, terms: Terms) -> dict:
         return {self.pack(m): c for m, c in terms.items()}
 
-    def reduce(self, terms: dict, rules) -> dict:
-        """``reduce_terms`` on packed terms and packed rules.
+    def rules(self, rules) -> "PackedRules":
+        """(lhs key, packed rhs terms) pairs prepared for ``reduce``; build
+        them once per rule set and pass them to every call."""
+        if isinstance(rules, PackedRules):
+            return rules
+        return PackedRules(
+            (lhs, self.value_mask(k for k, e in enumerate(self.unpack(lhs))
+                                  if e),
+             tuple(rhs.items()))
+            for lhs, rhs in rules)
+
+    def reduce(self, terms: dict, rules, shift: int = None) -> dict:
+        """``reduce_terms`` on packed terms and packed rules; with ``shift``,
+        the normal form of ``terms`` times the monomial ``shift``, ``terms``
+        being a normal form modulo ``rules``.
 
         The same rewrites in the same order (rule by rule, monomials in
         descending order, passes until nothing changes), so the normal form
         is the one ``reduce_terms`` gives.  Coefficients may be ints or
         Fractions.  The rules are (lhs key, packed rhs terms) pairs, every
-        rhs monomial below its lhs; so a rewrite makes only monomials of at
-        most the degree of the one it removes, and no slot can overflow.
+        rhs monomial below its lhs, or ``rules(pairs)``; so a rewrite makes
+        only monomials of at most the degree of the one it removes, and no
+        slot can overflow.
+
+        A scan that cannot find a monomial to rewrite is skipped: after a
+        rule's scan only a monomial made since can be divisible by its lhs,
+        and a shifted normal form has one only where ``shift`` shares a
+        variable with that lhs.
         """
-        terms = dict(terms)
         g = self.guard
-        rules = [(lhs, tuple(rhs.items())) for lhs, rhs in rules]
+        rules = self.rules(rules)
+        if shift is None:
+            terms = dict(terms)
+            scanned = [-1] * len(rules)
+        else:
+            terms = self.shift(terms, shift)
+            scanned = [-1 if shift & mask else 0 for _, mask, _ in rules]
+        made = 0                      # keys inserted by rewrites so far
         changed = True
         while changed:
             changed = False
-            for lhs, rhs in rules:
+            for r, (lhs, _, rhs) in enumerate(rules):
+                if scanned[r] == made:
+                    continue
+                scanned[r] = made
                 hits = [m for m in terms if ((m | g) - lhs) & g == g]
                 if not hits:
                     continue
@@ -361,11 +389,12 @@ class MonomialPacking:
                         continue
                     c = terms.pop(mono)
                     quot = mono - lhs
-                    for r, rc in rhs:
-                        m = quot + r
+                    for k, rc in rhs:
+                        m = quot + k
                         s = terms.get(m)
                         if s is None:
                             terms[m] = c * rc
+                            made += 1
                         else:
                             s += c * rc
                             if s:
@@ -374,6 +403,14 @@ class MonomialPacking:
                                 del terms[m]
                     changed = True
         return terms
+
+
+class PackedRules(tuple):
+    """Rewrite rules as ``MonomialPacking.reduce`` reads them: one (lhs key,
+    value mask of the lhs variables, rhs items) triple per rule, made by
+    ``MonomialPacking.rules`` for that packing."""
+
+    __slots__ = ()
 
 
 def content(terms: Terms) -> Fraction:

@@ -778,12 +778,13 @@ def _integer_row(terms):
 def _chain_echelon(entries, rules):
     """The echelon form of the reduced monomial multiples of the reduced
     entries, inserted shortest first."""
-    reduce, shift = _CHAIN_PACKING.reduce, _CHAIN_PACKING.shift
+    reduce = _CHAIN_PACKING.reduce
+    rules = _CHAIN_PACKING.rules(rules)
     rows = []
     for _, terms in entries:
         row = _integer_row(terms)
         for m in _CHAIN_MULTS:
-            r = reduce(shift(row, m), rules)
+            r = reduce(row, rules, shift=m)
             if r:
                 rows.append(r)
     rows.sort(key=lambda r: (len(r), max(r)))
@@ -808,6 +809,7 @@ def _chain_stage(name, claim_text, rules) -> Report:
     the residual entries modulo the packed ``rules``."""
     P = _CHAIN_PACKING
     t0 = time.perf_counter()
+    rules = P.rules(rules)
     claim = P.pack_terms(parse_expr(claim_text, _chain_spec()).terms)
     claim_red = P.reduce(claim, rules)
     detail = ""
@@ -830,8 +832,8 @@ def _chain_stage(name, claim_text, rules) -> Report:
                     break
                 for jj in range(3):
                     mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
-                    rem = ech.reduce(P.reduce(P.shift(claim_row, mono),
-                                              rules))
+                    rem = ech.reduce(P.reduce(claim_row, rules,
+                                              shift=mono))
                     if not rem:
                         ok = True
                         detail = (f"claim * a^{ii} d^{jj} lies in the"

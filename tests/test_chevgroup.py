@@ -675,6 +675,102 @@ def test_poly_root_elements_and_words_match_general_loop(tag):
                 == [[e.terms for e in row] for row in ref.rows])
 
 
+QST = RingSpec("poly", ("s", "t"))
+QST_GENERAL = RingSpec("quotient", ("s", "t"))
+
+
+@st.composite
+def poly_words(draw):
+    """A word over A1 or A2 in x, h, w and t_i letters with Fraction
+    parameters, in a poly ring and in a rule-free quotient ring, and the
+    position of one x letter whose matrix has degree at least 128: more
+    than the chain's 8-bit slots hold."""
+    tag, realization = draw(st.sampled_from(
+        [("A1", "adjoint"), ("A1", "a1std"), ("A2", "adjoint"),
+         ("A2", "pgl3")]))
+    roots = all_roots(tag)
+    coef = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    unit = coef.filter(bool)
+    letters = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from("xxxhwt"))
+        if kind == "x":
+            param = {(draw(st.integers(0, 64)), draw(st.integers(0, 64))):
+                     draw(coef) for _ in range(draw(st.integers(0, 3)))}
+            letters.append(("x", draw(st.sampled_from(roots)), param))
+        elif kind == "t":
+            letters.append(("t", draw(st.integers(0, int(tag[1]) - 1)),
+                            {(0, 0): draw(unit)}))
+        else:
+            letters.append((kind, draw(st.sampled_from(roots)),
+                            {(0, 0): draw(unit)}))
+    high = draw(st.integers(0, len(letters)))
+    letters.insert(high, ("x", draw(st.sampled_from(roots)),
+                          {(64, 64): Fraction(1, 3), (2, 0): Fraction(-5, 2)}))
+    words = {spec: GroupWord(tag, [(kind, what, RingElement(
+                 spec, terms={m: c for m, c in param.items() if c}))
+                 for kind, what, param in letters])
+             for spec in (QST, QST_GENERAL)}
+    return tag, realization, words, high
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_words())
+def test_packed_word_product_matches_two_factor_fold(case):
+    # one packed product for the whole word against the left fold of its
+    # one-letter matrices through the two-factor product, and against the
+    # general per-entry loop of a rule-free quotient ring
+    tag, realization, words, high = case
+    basis = build_basis(tag)
+    got = evaluate_word(words[QST], basis, realization)
+    factors = [evaluate_word(GroupWord(tag, [letter]), basis, realization)
+               for letter in words[QST].letters]
+    assert max(sum(m) for row in factors[high].rows for e in row
+               for m in e.terms) >= 128
+    fold = factors[0]
+    for m in factors[1:]:
+        fold = fold * m
+    assert got == fold
+    general = evaluate_word(words[QST_GENERAL], basis, realization)
+    assert ([[e.terms for e in row] for row in got.rows]
+            == [[e.terms for e in row] for row in general.rows])
+
+
+def test_packed_word_slots_hold_the_whole_word():
+    # six letters of degree 200 each, alternating so no two merge: slots
+    # sized to one letter would wrap, so the word must size them to the
+    # sum of its letters' degrees
+    basis = build_basis("A1")
+    s, t = QST.var("s"), QST.var("t")
+    letters = [("x", basis.root(r), p) for r, p in
+               [("a", s ** 100), ("-a", t ** 100)] * 3]
+    got = evaluate_word(GroupWord("A1", letters), basis)
+    assert max(sum(m) for row in got.rows for e in row
+               for m in e.terms) > 1024
+    fold = root_element(basis, letters[0][1], letters[0][2])
+    for _, root, p in letters[1:]:
+        fold = fold * root_element(basis, root, p)
+    assert got == fold
+    general = evaluate_word(GroupWord("A1", [
+        (kind, root, parse_expr(repr(p), QST_GENERAL))
+        for kind, root, p in letters]), basis)
+    assert ([[e.terms for e in row] for row in got.rows]
+            == [[e.terms for e in row] for row in general.rows])
+
+
+def test_word_letters_in_different_rings_raise():
+    basis = build_basis("A2")
+    other = RingSpec("poly", ("s", "t", "u"))
+    word = GroupWord("A2", [("x", basis.root("a1"), QST.var("s")),
+                            ("x", basis.root("a2"), other.var("u"))])
+    for realization in ("adjoint", "pgl3"):
+        with pytest.raises(RingError) as err:
+            evaluate_word(word, basis, realization)
+        assert str(err.value) == "word letters live in different rings"
+        with pytest.raises(RingError):
+            evaluate_word(word, basis, realization, spec=other)
+
+
 @pytest.mark.parametrize("spec", [
     RingSpec("poly", ("t",)), RingSpec("fraction", ("t", "u")),
     RingSpec("modular", modulus=7)], ids=["poly", "fraction", "mod7"])

@@ -371,6 +371,53 @@ def test_packed_reduce_matches_reduce_terms(case):
         terms, rules)
 
 
+@st.composite
+def shifted_rows(draw):
+    """Deglex-decreasing rules in 2 or 3 variables, a row in normal form
+    modulo them and a monomial to shift it by.  Some rhs monomials are the
+    lhs with one unit moved to a later variable, so a rewrite often makes a
+    monomial that its own lhs, or another rule's, divides again."""
+    n = draw(st.integers(2, 3))
+    coef = st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-3, max_value=3,
+                                  max_denominator=6))
+    pk = MonomialPacking(n)
+    rules = []
+    for _ in range(draw(st.integers(1, 4))):
+        lhs = draw(exponents(n, 3).filter(any))
+        near = [lhs[:i] + (lhs[i] - 1,) + lhs[i + 1:j] + (lhs[j] + 1,)
+                + lhs[j + 1:] for i in range(n) for j in range(i + 1, n)
+                if lhs[i]]
+        monos = draw(st.lists(st.one_of(exponents(n, 3),
+                                        st.sampled_from(near or [lhs])),
+                              max_size=3))
+        rhs = {pk.pack(m): draw(coef) for m in monos
+               if deglex_key(m) < deglex_key(lhs)}
+        rules.append((pk.pack(lhs), {m: c for m, c in rhs.items() if c}))
+    terms = draw(st.dictionaries(exponents(n, 4), coef, max_size=6))
+    row = pk.reduce({pk.pack(m): c for m, c in terms.items() if c}, rules)
+    return pk, rules, row, pk.pack(draw(exponents(n, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_rows())
+def test_shifted_reduce_matches_reduce_of_shifted_row(case):
+    # the fused shift skips scans; it must make the same rewrites in the
+    # same order, so even the order of the result's keys is the same
+    pk, rules, row, m = case
+    want = pk.reduce(pk.shift(row, m), rules)
+    got = pk.reduce(row, rules, shift=m)
+    assert list(got.items()) == list(want.items())
+    assert pk.reduce(row, pk.rules(rules), shift=m) == want
+    tuple_rules = [RewriteRule(pk.unpack(lhs),
+                               {pk.unpack(k): Fraction(c)
+                                for k, c in rhs.items()})
+                   for lhs, rhs in rules]
+    assert {pk.unpack(k): c for k, c in got.items()} == reduce_terms(
+        {pk.unpack(k): Fraction(c) for k, c in pk.shift(row, m).items()},
+        tuple_rules)
+
+
 # -- sympy as an independent oracle -------------------------------------------
 
 SX, SY = sympy.symbols("x y")
@@ -460,3 +507,47 @@ def test_map_to_modular_matches_sympy(terms, p, bx, by):
     # is prime to p, and the map must send the polynomial to that value
     got = map_to_modular(a, p, {"x": bx, "y": by})
     assert got.residue == int(value.p) * sympy.mod_inverse(int(value.q), p) % p
+
+
+@st.composite
+def groebner_cases(draw):
+    """The reduced grlex Groebner basis of one to three random polynomials
+    in x, y, a polynomial to reduce and a monomial to shift by."""
+    gens = [_to_sympy(t) for t in draw(st.lists(
+        st.dictionaries(exponents(2, 3), st.integers(-3, 3),
+                        min_size=1, max_size=3), min_size=1, max_size=3))]
+    gens = [g for g in gens if g != 0] or [SX ** 2 * SY - SY ** 2]
+    basis = sympy.groebner(gens, SX, SY, order="grlex")
+    return (list(basis.exprs), draw(POLY_TERMS),
+            draw(exponents(2, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(groebner_cases())
+def test_normal_forms_match_sympy_reduced(case):
+    # modulo a Groebner basis the normal form is unique, so sympy's
+    # division (grlex, which is this package's deglex on (x, y)) is an
+    # independent oracle for reduce_terms, the quotient ring and the packed
+    # reducer with and without a shift
+    basis, terms, mono = case
+    terms = {m: c for m, c in terms.items() if c}
+    rules = []
+    for g in basis:
+        d = _poly_dict(g)
+        lhs = max(d, key=deglex_key)
+        rules.append(RewriteRule(lhs, {m: -c / d[lhs] for m, c in d.items()
+                                       if m != lhs}))
+    want = _poly_dict(sympy.reduced(_to_sympy(terms), basis, SX, SY,
+                                    order="grlex")[1])
+    assert reduce_terms(terms, rules) == want
+    quotient = RingSpec("quotient", ("x", "y"), rules=rules)
+    assert RingElement(quotient, terms=terms).terms == want
+    pk = MonomialPacking(2)
+    prules = [(pk.pack(r.lhs), pk.pack_terms(r.rhs)) for r in rules]
+    got = pk.reduce(pk.pack_terms(terms), prules)
+    assert got == pk.pack_terms(want)
+    shifted = _poly_dict(sympy.reduced(
+        _to_sympy(want) * SX ** mono[0] * SY ** mono[1], basis, SX, SY,
+        order="grlex")[1])
+    assert pk.reduce(got, prules, shift=pk.pack(mono)) == pk.pack_terms(
+        shifted)

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import chevlab
 from chevlab import exactring, prooflab
@@ -367,6 +368,45 @@ def test_chain_echelon_pivot_counts(stage, pivots):
     rules = _rules_before(stage)
     ech = prooflab._chain_echelon(prooflab._reduced_entries(rules), rules)
     assert len(ech.pivots) == pivots
+
+
+def _chain_sympy(terms):
+    """Packed chain terms as a sympy expression."""
+    gens = sympy.symbols(prooflab._CHAIN_VARS)
+    pk = prooflab._CHAIN_PACKING
+    return sympy.Add(*(
+        sympy.Rational(c) * sympy.Mul(*(g ** e for g, e in
+                                        zip(gens, pk.unpack(k))))
+        for k, c in terms.items()))
+
+
+@pytest.mark.parametrize("stage", ["b-ac2sq", "c4-c2sq"])
+def test_chain_normal_forms_match_sympy_reduced(stage):
+    # the rules before these two stages form a reduced grlex Groebner basis
+    # (the later stages' rules do not), so normal forms are unique there and
+    # sympy's division checks both reducers, with and without a shift
+    gens = sympy.symbols(prooflab._CHAIN_VARS)
+    pk = prooflab._CHAIN_PACKING
+    prules = _rules_before(stage)
+    basis = [_chain_sympy({lhs: 1}) - _chain_sympy(rhs) for lhs, rhs in prules]
+    assert set(sympy.groebner(basis, *gens, order="grlex").exprs) == set(basis)
+    rules = _tuple_rules(prules)
+
+    def oracle(expr):
+        return sympy.expand(
+            sympy.reduced(expr, basis, *gens, order="grlex")[1])
+
+    rewritten = 0
+    entries = prooflab._chain_residual_entries()
+    for n, (_, terms) in enumerate(entries[::12]):
+        got = pk.reduce(terms, prules)
+        assert sympy.expand(_chain_sympy(got)) == oracle(_chain_sympy(terms))
+        assert reduce_terms(_unpacked(terms), rules) == _unpacked(got)
+        rewritten += got != terms
+        m = prooflab._CHAIN_MULTS[7 * n % len(prooflab._CHAIN_MULTS)]
+        assert sympy.expand(_chain_sympy(pk.reduce(got, prules, shift=m))) \
+            == oracle(_chain_sympy(got) * _chain_sympy({m: 1}))
+    assert rewritten > 0
 
 
 def test_chain_rules_need_integer_rhs():
