@@ -1,11 +1,12 @@
 """Chevalley bases, adjoint matrices and symbolic group words.
 
-The Chevalley basis is built abstractly: structure constants N_{g,d} are
-seeded on extraspecial pairs with sign +1 and propagated through the
-standard antisymmetry / opposite / triple / four-root identities, then the
-whole bracket table is verified (Jacobi on all pairs of basis elements,
-|N| = p+1, coroot brackets).  The Jacobi check and the powers of ad e_g
-apply the sparse bracket table to sparse vectors.  Finally the signs of the
+The Chevalley basis is built abstractly: the structure constants N_{g,d}
+are +(p+1) on the extraspecial pairs, and every other one follows by one
+memoized recursion on root height through the opposite-pair, antisymmetry,
+triple and four-root identities (Carter, Simple Groups of Lie Type, 1972,
+section 4.2).  Then the whole bracket table is verified (Jacobi on all
+pairs of basis elements, |N| = p+1, coroot brackets).  The Jacobi check
+and the powers of ad e_g apply the sparse bracket table to sparse vectors.  Finally the signs of the
 non-simple basis vectors are calibrated so that the commutator relations
 come out exactly in the normalization used by every identity this package
 checks; the flip vector is recorded on the basis.
@@ -38,9 +39,9 @@ from typing import NamedTuple
 
 from .exactring import (MonomialPacking, RingElement, RingError, RingSpec,
                         divides_power_of_six, invert, parse_expr)
-from .rootsys import (Root, SystemType, all_roots, cartan_integer,
-                      coroot_coefficients, is_root, positive_roots,
-                      root_string, simple_roots, _norm2)
+from .rootsys import (Root, SystemType, cartan_integer, coroot_coefficients,
+                      is_root, positive_roots, root_string, simple_roots,
+                      _norm2)
 
 
 class RealizationError(Exception):
@@ -71,123 +72,73 @@ def _sparse_sum(terms) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
-def _pair_magnitude(g: Root, d: Root) -> int:
-    p, _ = root_string(g, d)
-    return p + 1
-
-
 def _structure_constants(system: SystemType) -> dict:
-    """N_{g,d} for all ordered root pairs with g+d a root."""
-    roots = all_roots(system)
-    pos = positive_roots(system)
-    order = {r.coords: i for i, r in enumerate(pos)}
-    coords_set = {r.coords for r in roots}
+    """N_{g,d} for all ordered root pairs with g+d a root: +(p+1) on the
+    extraspecial pairs, every other value by one recursion on the height of
+    g + d (Carter, Simple Groups of Lie Type, 1972, section 4.2)."""
+    pos = [r.coords for r in positive_roots(system)]
+    order = {c: i for i, c in enumerate(pos)}
+    roots = pos + [tuple(-x for x in c) for c in pos]
+    rootset = set(roots)
 
     def plus(x, y):
-        return tuple(a + b for a, b in zip(x.coords, y.coords))
+        return tuple(a + b for a, b in zip(x, y))
 
-    pairs = [(g, d) for g in roots for d in roots
-             if g != d and g != -d and plus(g, d) in coords_set]
-    N = {}
+    def neg(x):
+        return tuple(-v for v in x)
 
-    # seed the extraspecial pairs with positive sign
-    for eps in pos[len(simple_roots(system)):]:
-        best = None
-        for g in pos:
-            for d in pos:
-                if order[g.coords] < order[d.coords] and plus(g, d) == eps.coords:
-                    if best is None or order[g.coords] < order[best[0].coords]:
-                        best = (g, d)
-        if best is None:
-            raise RuntimeError(f"no extraspecial pair for {eps} in {system}")
-        N[(best[0].coords, best[1].coords)] = _pair_magnitude(*best)
+    def norm2(x):
+        return _norm2(x, system)
 
-    def norm2(coords):
-        return _norm2(coords, system)
+    def magnitude(g, d):
+        p, _ = root_string(Root(system, g), Root(system, d))
+        return p + 1
 
-    def propagate_once() -> bool:
-        changed = False
-        for (gc, dc), val in list(N.items()):
-            g, d = Root(system, gc), Root(system, dc)
-            for key, value in (
-                    ((dc, gc), -val),
-                    ((tuple(-x for x in gc), tuple(-x for x in dc)), -val)):
-                if key not in N:
-                    N[key] = value
-                    changed = True
-            # triple identity: g + d + e = 0 gives
+    # the extraspecial pair (x, y) of a positive root s: x is the earliest
+    # positive root with x + y = s for a later positive root y
+    extraspecial = {}
+    for x, y in itertools.combinations(pos, 2):
+        extraspecial.setdefault(plus(x, y), (x, y))
+
+    def term(a, b, c, d):
+        # N_ab N_cd / (a+b, a+b), and 0 when a + b is not a root
+        s = plus(a, b)
+        return Fraction(n(a, b) * n(c, d), norm2(s)) if s in rootset else 0
+
+    # the four-root step reaches only roots of lower height than g + d; the
+    # other steps stay inside the triple g, d, -(g+d), so the recursion ends
+    @functools.cache
+    def n(g, d):
+        e = neg(plus(g, d))
+        if g not in order and d not in order:
+            return -n(neg(g), neg(d))
+        if (g in order) != (d in order):
+            # g + d + e = 0 and two of g, d, e share a sign:
             # N_{g,d}/(e,e) = N_{d,e}/(g,g) = N_{e,g}/(d,d)
-            e = -(g + d)
-            for (x, y), scale in (((d, e), norm2(gc)), ((e, g), norm2(dc))):
-                key = (x.coords, y.coords)
-                target = Fraction(val * scale, norm2(e.coords))
-                if target.denominator != 1:
-                    raise RuntimeError(f"non-integral N for {key} in {system}")
-                if key not in N:
-                    N[key] = int(target)
-                    changed = True
-        return changed
+            if (d in order) == (e in order):
+                value = Fraction(n(d, e) * norm2(e), norm2(g))
+            else:
+                value = Fraction(n(e, g) * norm2(e), norm2(d))
+        elif order[g] > order[d]:
+            return -n(d, g)
+        elif (g, d) == extraspecial[neg(e)]:
+            return magnitude(g, d)
+        else:
+            # the four-root identity on g + d - x - y = 0, where (x, y) is
+            # the extraspecial pair of g + d
+            x, y = extraspecial[neg(e)]
+            value = Fraction(norm2(e), n(x, y)) * (
+                term(d, neg(x), g, neg(y)) + term(neg(x), g, d, neg(y)))
+        if value.denominator != 1:
+            raise RuntimeError(f"non-integral N for {(g, d)} in {system}")
+        return int(value)
 
-    def jacobi_once() -> bool:
-        # four roots summing to zero, no two opposite:
-        #   N_ab N_cd/(a+b,a+b) + N_bc N_ad/(b+c,b+c) + N_ca N_bd/(c+a,c+a) = 0
-        def nval(x, y):
-            s = plus(x, y)
-            if s not in coords_set:
-                return 0
-            return N.get((x.coords, y.coords))
-
-        for a, b, c in itertools.product(roots, repeat=3):
-            dc = tuple(-(x + y + z) for x, y, z in
-                       zip(a.coords, b.coords, c.coords))
-            if dc not in coords_set:
-                continue
-            d = Root(system, dc)
-            quad = (a, b, c, d)
-            if any(x == -y for x, y in itertools.combinations(quad, 2)):
-                continue
-            terms = []
-            for (x, y, z, w) in ((a, b, c, d), (b, c, a, d), (c, a, b, d)):
-                s = plus(x, y)
-                if s not in coords_set:
-                    terms.append((Fraction(0), None))
-                    continue
-                n1, n2 = nval(x, y), nval(z, w)
-                if n1 is None or n2 is None:
-                    unknown = (x.coords, y.coords) if n1 is None else (z.coords, w.coords)
-                    partner = n2 if n1 is None else n1
-                    terms.append((None, (unknown, partner, Fraction(1, norm2(s)))))
-                else:
-                    terms.append((Fraction(n1 * n2, norm2(s)), None))
-            unknowns = [t for t in terms if t[0] is None]
-            if len(unknowns) != 1 or any(t[1] is not None and t[1][1] is None
-                                         for t in unknowns):
-                continue
-            (key, partner, weight) = unknowns[0][1]
-            if partner is None or partner == 0:
-                continue
-            known = sum(t[0] for t in terms if t[0] is not None)
-            value = -known / (weight * partner)
-            if value.denominator != 1:
-                raise RuntimeError(f"non-integral N for {key} in {system}")
-            N[key] = int(value)
-            return True
-        return False
-
-    while True:
-        while propagate_once():
-            pass
-        if all((g.coords, d.coords) in N for g, d in pairs):
-            break
-        if not jacobi_once():
-            raise RuntimeError(f"structure constants underdetermined for {system}")
-
-    # magnitude check
-    for g, d in pairs:
-        val = N[(g.coords, d.coords)]
-        if abs(val) != _pair_magnitude(g, d):
+    N = {(g, d): n(g, d) for g in roots for d in roots
+         if plus(g, d) in rootset}
+    for (g, d), val in N.items():
+        if abs(val) != magnitude(g, d):
             raise RuntimeError(f"|N_{{{g},{d}}}| = {abs(val)} in {system},"
-                               f" not {_pair_magnitude(g, d)}")
+                               f" not {magnitude(g, d)}")
     return N
 
 
@@ -929,11 +880,12 @@ def unipotent_coordinates(M: AdjointMatrix, basis: ChevalleyBasis, roots):
         params = _solve_columns(A, b, spec)
         if params is None:
             raise ValueError("matrix entries are inconsistent with the root set")
-        inv = identity_matrix(spec, basis.dim, M.realization)
-        for r, p in zip(group, params):
-            out.append((r, p))
-            inv = root_element(basis, r, -p, M.realization) * inv
-        M = inv * M
+        found = list(zip(group, params))
+        out += found
+        # peel the level: M becomes x_{r_k}(-p_k) ... x_{r_1}(-p_1) M
+        inv = GroupWord(basis.system,
+                        [("x", r, -p) for r, p in reversed(found)])
+        M = evaluate_word(inv, basis, M.realization, spec) * M
     if not M.is_identity():
         raise ValueError("matrix is not a product of the given root elements")
     return out

@@ -27,14 +27,14 @@ from . import shacheck
 from .chevgroup import (AdjointMatrix, CentralizerFamily, GroupWord,
                         build_basis, evaluate_word, identity_matrix,
                         matrix_from_entries, parse_word, pgl3_equal,
-                        root_element, standard_family, unipotent_coordinates)
+                        root_element, standard_family)
 # reduce_terms is unused here; perfbench's tracer test calls prooflab's name
 from .exactring import (DenominatorNotInvertible, MonomialPacking, NotAUnit,
                         RingElement, RingError, RingSpec, RewriteRule,
                         assert_denominators_divide_power_of_six, deglex_key,
                         invert, map_to_modular, mul_terms, parse_expr,
                         reduce_terms, sub_terms, substitute)
-from .rootsys import SystemType, cartan_integer, positive_roots
+from .rootsys import SystemType, cartan_integer
 
 
 class Report:
@@ -1096,31 +1096,3 @@ def symmetric_difference(F: RingElement) -> RingElement:
     t = spec.var(names[0])
     sub = lambda val: substitute(F, {names[0]: val})
     return (sub(t + 1) + sub(-t - 1)) - (sub(t) + sub(-t))
-
-
-def short_root_squares(system) -> Report:
-    """The designated coordinates of [x_a(1), x_b(s)] that the short-root
-    squaring argument extracts: -s^2 at a+2b (B2 and G2) and -s^3 at a+3b
-    (G2)."""
-    t0 = time.perf_counter()
-    system = SystemType(system)
-    if system.tag not in ("B2", "G2"):
-        raise ValueError(f"short_root_squares needs B2 or G2, not {system}")
-    basis = build_basis(system)
-    spec = RingSpec("poly", ("s",))
-    s = spec.var("s")
-    one = spec.one()
-    comm = (root_element(basis, basis.root("a"), one)
-            * root_element(basis, basis.root("b"), s)
-            * root_element(basis, basis.root("a"), -one)
-            * root_element(basis, basis.root("b"), -s))
-    coords = dict((root.coords, val) for root, val in
-                  unipotent_coordinates(comm, basis, positive_roots(system)))
-    want = {(1, 2): -s * s}
-    if system.tag == "G2":
-        want[(1, 3)] = -s * s * s
-    ok = all((coords[k] - v).is_zero() for k, v in want.items())
-    shown = ", ".join(f"{k}: {coords[k]!r}" for k in sorted(want))
-    return Report(f"{system.tag}-short-root-squares",
-                  "PASS" if ok else "FAIL", "" if ok else shown,
-                  (time.perf_counter() - t0) * 1000, shown)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -15,11 +16,13 @@ from chevlab.chevgroup import (ChevalleyBasis, GroupWord, build_basis,
                                matrix_from_entries, parse_root, parse_word,
                                pgl3_equal, root_element, torus_element,
                                trace_poly, unipotent_coordinates,
-                               weyl_element, RealizationError)
+                               weyl_element, RealizationError,
+                               _structure_constants)
 from chevlab.decomp import _a1std_matrix
 from chevlab.exactring import (NotAUnit, RewriteRule, RingElement, RingError,
                                RingSpec, invert, parse_expr)
-from chevlab.rootsys import all_roots, positive_roots, reflect
+from chevlab.rootsys import (Root, SystemType, all_roots, positive_roots,
+                             reflect, root_string, _norm2)
 
 SYSTEMS = ("A1", "A2", "B2", "G2")
 
@@ -29,18 +32,65 @@ def test_basis_dimensions():
         assert build_basis(tag).dim == dim
 
 
+def _check_structure_constants(tag, N):
+    """N satisfies the identities that pin a Chevalley basis's structure
+    constants up to the signs on the extraspecial pairs (Carter, Simple
+    Groups of Lie Type, section 4.1): antisymmetry, the opposite rule,
+    |N_{g,d}| = p+1, the triple identity on every root triple summing to 0
+    and the four-root identity on every quadruple summing to 0 with no two
+    opposite roots."""
+    system = SystemType(tag)
+    roots = [r.coords for r in all_roots(tag)]
+
+    def plus(*xs):
+        return tuple(map(sum, zip(*xs)))
+
+    def neg(x):
+        return tuple(-v for v in x)
+
+    def norm2(x):
+        return _norm2(x, system)
+
+    assert set(N) == {(g, d) for g in roots for d in roots
+                      if plus(g, d) in roots}
+    for (g, d), val in N.items():
+        assert N[(d, g)] == -val
+        assert N[(neg(g), neg(d))] == -val
+        p, _ = root_string(Root(system, g), Root(system, d))
+        assert abs(val) == p + 1
+    for (g, d), val in N.items():
+        e = neg(plus(g, d))
+        assert (Fraction(val, norm2(e)) == Fraction(N[(d, e)], norm2(g))
+                == Fraction(N[(e, g)], norm2(d))), (tag, g, d)
+    for a, b, c in itertools.product(roots, repeat=3):
+        d = neg(plus(a, b, c))
+        quad = (a, b, c, d)
+        if d not in roots or any(x == neg(y) for x, y
+                                 in itertools.combinations(quad, 2)):
+            continue
+        assert sum(Fraction(N[(x, y)] * N[(z, w)], norm2(plus(x, y)))
+                   for x, y, z, w in ((a, b, c, d), (b, c, a, d),
+                                      (c, a, b, d))
+                   if plus(x, y) in roots) == 0, (tag, quad)
+
+
 def test_structure_constants():
-    from chevlab.rootsys import root_string
+    # before calibration N is +(p+1) on every extraspecial pair (x, y): x is
+    # the earliest positive root of a pair of positive roots summing to
+    # x + y.  These signs and the identities pin N; calibration flips signs
+    # of basis vectors, which keeps the identities.
     for tag in SYSTEMS:
-        basis = build_basis(tag)
-        for (gc, dc), val in basis.N.items():
-            assert basis.N[(dc, gc)] == -val
-            neg = (tuple(-x for x in gc), tuple(-x for x in dc))
-            assert basis.N[neg] == -val
-            g = basis.root("[" + ",".join(map(str, gc)) + "]")
-            d = basis.root("[" + ",".join(map(str, dc)) + "]")
-            p, _ = root_string(g, d)
-            assert abs(val) == p + 1
+        raw = _structure_constants(SystemType(tag))
+        _check_structure_constants(tag, raw)
+        extraspecial = {}
+        for x, y in itertools.combinations(
+                [r.coords for r in positive_roots(tag)], 2):
+            if (x, y) in raw:
+                extraspecial.setdefault(tuple(map(sum, zip(x, y))), (x, y))
+        for x, y in extraspecial.values():
+            p, _ = root_string(Root(tag, x), Root(tag, y))
+            assert raw[(x, y)] == p + 1, (tag, x, y)
+        _check_structure_constants(tag, build_basis(tag).N)
 
 
 def test_b2_structure_constant_pattern():

@@ -483,3 +483,20 @@ def test_only_exactring_knows_the_packed_layout():
               and isinstance(node, (ast.BinOp, ast.AugAssign))
               and isinstance(node.op, (ast.LShift, ast.RShift))]
     assert slot_width == [] and shifts == []
+
+
+def test_every_import_is_used():
+    # a module reads every name it imports; prooflab keeps reduce_terms,
+    # which perfbench's tracer test reads there
+    imported, read = {}, set()
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Name):
+            read.add((name, node.id))
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                imported[(name, bound)] = f"{name}:{node.lineno} {bound}"
+    unused = [where for key, where in imported.items()
+              if key not in read and key != ("prooflab.py", "reduce_terms")]
+    assert unused == []

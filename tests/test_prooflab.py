@@ -641,12 +641,6 @@ def test_symmetric_difference_linearity_and_quartics():
         assert dF == direct
 
 
-def test_short_root_squares():
-    assert prooflab.short_root_squares("B2").verdict == "PASS"
-    rep = prooflab.short_root_squares("G2")
-    assert rep.verdict == "PASS" and "-s^3" in rep.detail
-
-
 WRONG_A2_FAMILY = """
 import sys
 from chevlab import cli, prooflab
