@@ -26,7 +26,9 @@ too: the sign calibration of B2 and G2 evaluates them.
 Products over a poly ring -- of two matrices, of one root element's entries,
 of a whole word -- are one kernel, ``_poly_product``: integer numerators on
 monomials packed by one ``exactring.MonomialPacking``, its slots sized to
-the total degree, unpacked once at the end.
+the total degree, unpacked once at the end.  Over Z/n the same products are
+``_residue_product``: integer residues through the same ``_packed_times``,
+reduced mod n after each product.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class ChevalleyBasis:
             self.index[lab if lab[0] == "h" else ("e", lab[1].coords)] = i
         self.N = _structure_constants(self.system)
         self.flips = {r.coords: 1 for r in self.pos}
-        self._rebuild()
+        self._rebuild(check=True)
         self._calibrate()
 
     # -- bracket table ------------------------------------------------
@@ -193,7 +195,11 @@ class ChevalleyBasis:
             return {self.index[("e", s)]: self.N[(g.coords, d.coords)]}
         return {}
 
-    def _rebuild(self):
+    def _rebuild(self, check: bool = False):
+        """The adjoint data of the current N; with ``check``, the Jacobi
+        identity on the whole bracket table first.  A sign calibration
+        rescales basis vectors, which keeps the identity, so only the
+        uncalibrated table is checked."""
         dim = self.dim
         # bracket[i][j] is [v_i, v_j] as a sparse dict, the coroots included
         bracket = [[self._bracket_basis(i, j) for j in range(dim)]
@@ -206,8 +212,8 @@ class ChevalleyBasis:
         # ad is a Lie-algebra homomorphism on every pair of basis vectors:
         # ad([v_i, v_j]) v_k == [ad v_i, ad v_j] v_k for every v_k; this is
         # the Jacobi identity.  Both sides are antisymmetric in i, j.
-        for (i, j), k in itertools.product(
-                itertools.combinations(range(dim), 2), range(dim)):
+        pairs = itertools.combinations(range(dim), 2) if check else ()
+        for (i, j), k in itertools.product(pairs, range(dim)):
             lhs = _sparse_sum((c, bracket[m][k])
                               for m, c in bracket[i][j].items())
             rhs = _sparse_sum(((1, ad(i, bracket[j][k])),
@@ -409,13 +415,13 @@ class AdjointMatrix:
                                    f" a {other.realization} matrix")
         if self.spec != other.spec:
             raise RingError("matrices live in different rings")
-        if self.spec.kind == "poly":
+        kernel = _KERNELS.get(self.spec.kind)
+        if kernel is not None:
             return AdjointMatrix(self.spec,
-                                 _poly_product(self.spec, self.dim,
-                                               [self, other]),
+                                 kernel(self.spec, self.dim, [self, other]),
                                  self.realization)
-        # residues, content and rewrite rules are normalized after every
-        # ring operation, so these rings multiply entry by entry
+        # content and rewrite rules are normalized after every ring
+        # operation, so these rings multiply entry by entry
         n = self.dim
         zero = self.spec.zero()
         out = [[zero] * n for _ in range(n)]
@@ -559,10 +565,10 @@ def _poly_product(spec: RingSpec, dim: int, factors) -> list:
     return out
 
 
-def _packed_times(a, b) -> list:
+def _packed_times(a, b, modulus: int = 0) -> list:
     """The product of two sparse matrices of packed integer polynomials,
     row i a list of (j, [(key, numerator), ...]) over its nonzero entries,
-    j ascending."""
+    j ascending; with a ``modulus``, every numerator is reduced by it."""
     out = []
     for arow in a:
         acc = {}
@@ -577,11 +583,64 @@ def _packed_times(a, b) -> list:
                         d[m] = d.get(m, 0) + ca * cb
         row = []
         for j in sorted(acc):
-            terms = [(m, c) for m, c in acc[j].items() if c]
+            d = acc[j]
+            if modulus:
+                d = {m: c % modulus for m, c in d.items()}
+            terms = [(m, c) for m, c in d.items() if c]
             if terms:
                 row.append((j, terms))
         out.append(row)
     return out
+
+
+def _residue_product(spec: RingSpec, dim: int, factors) -> list:
+    """The rows of the product of ``factors`` (at least one), dim x dim
+    matrices over Z/n, factors as ``_poly_product`` takes them.
+
+    Each factor becomes rows of residues, one single-term entry (key 0) per
+    nonzero residue.  Each distinct coefficient of the root elements is
+    converted once by ``spec.const``, so a denominator that is not a unit
+    mod n raises.  The factors are multiplied by ``_packed_times``, reduced
+    mod n after each product, and each output entry becomes one
+    ``RingElement`` at the end.
+    """
+    n = spec.modulus
+    coefficients = {}           # coefficient -> its residue
+
+    def residues(f):
+        if isinstance(f, AdjointMatrix):
+            return [[(j, [(0, x.residue)]) for j, x in enumerate(row)
+                     if x.residue] for row in f.rows]
+        entries, t = f
+        powers = [1]
+        for _ in range(entries[-1][2]):
+            powers.append(powers[-1] * t.residue % n)
+        rows = [[] for _ in range(dim)]
+        for i, j, k, c in entries:
+            r = coefficients.get(c)
+            if r is None:
+                r = coefficients[c] = spec.const(c).residue
+            x = powers[k] * r % n
+            if x:
+                rows[i].append((j, [(0, x)]))
+        return rows
+
+    acc = residues(factors[0])
+    for f in factors[1:]:
+        acc = _packed_times(acc, residues(f), n)
+    zero = spec.zero()
+    out = []
+    for arow in acc:
+        row = [zero] * dim
+        for j, ((_, x),) in arow:
+            row[j] = RingElement(spec, residue=x)
+        out.append(row)
+    return out
+
+
+# the rings whose products run on integers, one kernel each; quotient and
+# fraction rings multiply entry by entry
+_KERNELS = {"poly": _poly_product, "modular": _residue_product}
 
 
 def identity_matrix(spec: RingSpec, dim: int, realization: str) -> AdjointMatrix:
@@ -660,9 +719,9 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
     rec = basis.realization(realization)
     entries = rec.exp_entries[gamma.coords]
     spec = t.spec
-    if spec.kind == "poly":
-        return AdjointMatrix(spec, _poly_product(spec, rec.dim,
-                                                 [(entries, t)]),
+    kernel = _KERNELS.get(spec.kind)
+    if kernel is not None:
+        return AdjointMatrix(spec, kernel(spec, rec.dim, [(entries, t)]),
                              realization)
     powers = [spec.one()]
     for _ in range(entries[-1][2]):
@@ -675,12 +734,11 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
 
 
 def _diagonal(u: RingElement, exponents, realization: str) -> AdjointMatrix:
-    """diag(u^n for n in exponents); u is inverted at most once."""
+    """diag(u^n for n in exponents); u must be a unit, in every realization,
+    and is inverted once."""
+    u_inv = invert(u)
     m = identity_matrix(u.spec, len(exponents), realization)
-    u_inv = None
     for k, n in enumerate(exponents):
-        if n < 0 and u_inv is None:
-            u_inv = invert(u)
         m.rows[k][k] = u ** n if n >= 0 else u_inv ** -n
     return m
 
@@ -803,13 +861,13 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
     if spec is None:
         raise RingError("cannot evaluate an empty word without a ring spec")
     rec = basis.realization(realization)
-    poly = spec.kind == "poly"
+    kernel = _KERNELS.get(spec.kind)
     factors = []
     out = None
     for kind, what, p in word.letters:
         if p.spec != spec:
             raise RingError("word letters live in different rings")
-        if kind == "x" and poly:
+        if kind == "x" and kernel is not None:
             m = (rec.exp_entries[basis.root(what).coords], p)
         elif kind == "x":
             m = root_element(basis, what, p, realization)
@@ -819,12 +877,12 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
             m = weyl_element(basis, what, p, realization)
         else:
             m = diag_torus(basis, what, p, realization)
-        if poly:
+        if kernel is not None:
             factors.append(m)       # multiplied out once, below
         else:
             out = m if out is None else out * m
     if factors:
-        return AdjointMatrix(spec, _poly_product(spec, rec.dim, factors),
+        return AdjointMatrix(spec, kernel(spec, rec.dim, factors),
                              realization)
     if out is None:
         return identity_matrix(spec, rec.dim, realization)

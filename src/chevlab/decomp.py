@@ -199,7 +199,8 @@ def gauss_decompose_a1(M: AdjointMatrix,
 # Bruhat decomposition by search and lookup over a small field
 # ---------------------------------------------------------------------------
 
-# the largest group, or unipotent radical U, a Bruhat search enumerates
+# the largest group or unipotent radical U a Bruhat search enumerates, and
+# the most candidate matrices it stacks at once
 BRUHAT_CAP = 100000
 
 
@@ -316,16 +317,23 @@ def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
     canonical order wins.
 
     For each (w, t, u) in that order, u' = w^-1 u^-1 t^-1 M is the only
-    candidate, so it is looked up in U instead of searched for; all u of
-    one (w, t) are tried in one stacked product."""
+    candidate, so it is looked up in U instead of searched for.  All (t, u)
+    of one w are tried in stacked products, t-major, each stack at most
+    ``BRUHAT_CAP`` matrices."""
     ctx = _bruhat_context(system, p)
     torus_m = ctx.torus_inv @ matrix_array(M, ctx.realization, p) % p
+    size = len(ctx.u_words)
+    step = max(1, BRUHAT_CAP // size)
     for (wword, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):
-        for tw, t_m in zip(ctx.torus_words, torus_m):
-            keys = ctx.keys(w_inv @ (ctx.u_inv @ t_m % p))
-            for uw, k in zip(ctx.u_words, keys):
+        for start in range(0, len(torus_m), step):
+            stack = w_inv @ (ctx.u_inv @ torus_m[start:start + step, None]
+                             % p)
+            keys = ctx.keys(stack.reshape(-1, *stack.shape[-2:]))
+            for i, k in enumerate(keys):
                 pos = ctx.u_index.get(k)
                 if pos is not None:
-                    return BruhatFactorization(tw, uw, wgw, ctx.u_words[pos],
-                                               wword)
+                    t, u = divmod(i, size)
+                    return BruhatFactorization(
+                        ctx.torus_words[start + t], ctx.u_words[u], wgw,
+                        ctx.u_words[pos], wword)
     raise ElementNotInGroup("no Bruhat factorization found")

@@ -572,6 +572,9 @@ class RingElement:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise RingError("pow exponent must be a nonnegative integer")
+        if self.spec.kind == "modular":
+            return RingElement(self.spec, residue=pow(self.residue, n,
+                                                      self.spec.modulus))
         out = self.spec.one()
         base = self
         while n:

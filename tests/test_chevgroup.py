@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -7,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chevlab
 from chevlab.chevgroup import (ChevalleyBasis, GroupWord, build_basis,
@@ -20,7 +22,7 @@ from chevlab.chevgroup import (ChevalleyBasis, GroupWord, build_basis,
                                _structure_constants)
 from chevlab.decomp import _a1std_matrix
 from chevlab.exactring import (NotAUnit, RewriteRule, RingElement, RingError,
-                               RingSpec, invert, parse_expr)
+                               RingSpec, invert, map_to_modular, parse_expr)
 from chevlab.rootsys import (Root, SystemType, all_roots, positive_roots,
                              reflect, root_string, _norm2)
 
@@ -806,6 +808,114 @@ def test_packed_word_slots_hold_the_whole_word():
         for kind, root, p in letters]), basis)
     assert ([[e.terms for e in row] for row in got.rows]
             == [[e.terms for e in row] for row in general.rows])
+
+
+QQ = RingSpec("fraction", ())
+MODULI = (2, 3, 4, 5, 7, 9, 25)
+REALIZATIONS = [("A1", "adjoint"), ("A1", "a1std"), ("A2", "adjoint"),
+                ("A2", "pgl3"), ("B2", "adjoint"), ("G2", "adjoint")]
+LETTERS = {"x": root_element, "h": torus_element, "w": weyl_element,
+           "t": diag_torus}
+
+
+@functools.cache
+def _letter_mod(tag, realization, kind, what, r, n):
+    """One letter with integer parameter r, evaluated over Q by its own
+    constructor and mapped entrywise to Z/n, as rows of ints."""
+    what = what if kind == "t" else Root(tag, what)
+    m = LETTERS[kind](build_basis(tag), what, QQ.const(r), realization)
+    return [[map_to_modular(e, n, {}).residue for e in row] for row in m.rows]
+
+
+def _times_mod(a, b, n):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % n
+             for j in range(len(b[0]))] for row in a]
+
+
+@st.composite
+def residue_words(draw):
+    """A word in x, h, w and t letters over Z/n with integer parameters;
+    the h, w and t parameters are units mod n or not."""
+    tag, realization = draw(st.sampled_from(REALIZATIONS))
+    n = draw(st.sampled_from(MODULI))
+    roots = [r.coords for r in all_roots(tag)]
+    letters = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from("xxxhwt"))
+        what = (draw(st.integers(0, SystemType(tag).rank - 1)) if kind == "t"
+                else draw(st.sampled_from(roots)))
+        letters.append((kind, what, draw(st.integers(-2 * n, 2 * n))))
+    return tag, realization, n, letters
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_words())
+# pgl3's t1 has no negative exponent: only the unit check refuses 2 mod 4
+@example(("A2", "pgl3", 4, [("x", (1, 0), 3), ("t", 0, 2)]))
+def test_residue_words_match_rational_letters_mod_n(case):
+    # the residue kernel against each letter evaluated over Q, mapped to
+    # Z/n and multiplied by plain integer loops; a word with a non-unit h,
+    # w or t parameter raises for the first such letter
+    tag, realization, n, letters = case
+    spec = RingSpec("modular", modulus=n)
+    basis = build_basis(tag)
+    word = GroupWord(tag, [(kind, what if kind == "t" else Root(tag, what),
+                            spec.const(r)) for kind, what, r in letters])
+    bad = [r for kind, _, r in letters
+           if kind != "x" and math.gcd(r, n) != 1]
+    if bad:
+        with pytest.raises(NotAUnit) as err:
+            evaluate_word(word, basis, realization)
+        assert str(err.value) == f"{bad[0] % n} is not a unit mod {n}"
+        return
+    want = None
+    for letter in letters:
+        m = _letter_mod(tag, realization, *letter, n)
+        want = m if want is None else _times_mod(want, m, n)
+    got = evaluate_word(word, basis, realization)
+    assert [[e.residue for e in row] for row in got.rows] == want
+    # the two-factor product over Z/n and the one-letter root element
+    half = len(letters) // 2
+    left, right = (evaluate_word(GroupWord(tag, part), basis, realization,
+                                 spec=spec)
+                   for part in (word.letters[:half], word.letters[half:]))
+    assert left * right == got
+    kind, what, r = letters[0]
+    if kind == "x":
+        x = root_element(basis, Root(tag, what), spec.const(r), realization)
+        assert [[e.residue for e in row] for row in x.rows] == _letter_mod(
+            tag, realization, kind, what, r, n)
+
+
+def test_residue_products_make_no_ring_element_arithmetic(monkeypatch):
+    # over Z/n a word, a product and a root element run on ints: no
+    # RingElement product or sum is taken
+    spec = RingSpec("modular", modulus=9)
+    cases = []
+    for tag, realization in REALIZATIONS:
+        basis = build_basis(tag)
+        g, d = all_roots(tag)[0], all_roots(tag)[-1]
+        word = GroupWord(tag, [("x", g, spec.const(4)), ("h", d, spec.const(2)),
+                               ("w", g, spec.const(5)), ("t", 0, spec.const(7)),
+                               ("x", d, spec.const(3))])
+        cases.append((basis, realization, word,
+                      evaluate_word(word, basis, realization)))
+
+    def refuse(*args):
+        raise AssertionError("RingElement arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(RingElement, name, refuse)
+    for basis, realization, word, want in cases:
+        assert evaluate_word(word, basis, realization) == want
+        one = [evaluate_word(GroupWord(word.system, [letter]), basis,
+                             realization) for letter in word.letters]
+        product = one[0]
+        for m in one[1:]:
+            product = product * m
+        assert product == want
+        kind, g, t = word.letters[0]
+        assert root_element(basis, g, t, realization) == one[0]
 
 
 def test_word_letters_in_different_rings_raise():

@@ -152,6 +152,19 @@ def test_bad_input_exit_2_one_line(capsys, argv, names):
     assert names in err
 
 
+@pytest.mark.parametrize("system,realization,word", [
+    ("A2", "pgl3", "t1(0)"), ("A2", "adjoint", "t1(0)"),
+    ("A2", "pgl3", "t2(3)"), ("A2", "pgl3", "h(a1,0)"),
+    ("A1", "a1std", "t1(0)"), ("G2", "adjoint", "x(a,1) w(b,0)")])
+def test_torus_and_weyl_letters_need_a_unit(capsys, system, realization,
+                                            word):
+    # pgl3's t1 scales by u and never by 1/u, so only the unit check that
+    # every realization makes refuses u = 0 there
+    code, out, err = run(capsys, "eval", "--system", system, "--prime", "3",
+                         "--realization", realization, word)
+    assert (code, out, err) == (2, "", "error: 0 is not a unit mod 3\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sha", "--system", "A1", "--prime", "4"],
     ["sha", "--system", "A1", "--prime", "9"],

@@ -183,6 +183,42 @@ def test_bruhat_matches_exhaustive_search(system, p):
     assert len(cells) >= 2 and longest in cells
 
 
+def test_bruhat_stacks_stay_under_the_cap(monkeypatch):
+    # with the cap at two torus elements' worth of U, the search of each
+    # Weyl element runs in stacks of at most 2 |U| candidates and still
+    # finds the exhaustive search's factorization
+    system, p = "A2", 3
+    spec = RingSpec("modular", modulus=p)
+    basis = build_basis(system)
+    ctx = decomp._bruhat_context(system, p)
+    cap = 2 * len(ctx.u_words)
+    assert len(ctx.torus_words) > 2
+    sizes = []
+    keys = decomp.element_keys
+
+    def recording(mats, realization, q):
+        sizes.append(len(mats))
+        return keys(mats, realization, q)
+
+    monkeypatch.setattr(decomp, "BRUHAT_CAP", cap)
+    monkeypatch.setattr(decomp, "element_keys", recording)
+    rng = random.Random("bruhat stacks")
+    roots = all_roots(system)
+    cells = set()
+    for _ in range(12):
+        word = GroupWord(system, [
+            ("x", rng.choice(roots), spec.const(rng.randrange(1, p)))
+            for _ in range(rng.randint(1, 10))])
+        M = evaluate_word(word, basis, ctx.realization, spec=spec)
+        fact = decomp.bruhat_bruteforce(M, system, p)
+        expect = _bruhat_oracle(M, system, p)
+        assert fact.weyl_word == expect.weyl_word
+        assert fact.word().format_text() == expect.word().format_text()
+        cells.add(fact.weyl_word)
+    assert max(sizes) == cap
+    assert ctx.weyl_reps[-1][0] in cells
+
+
 BRUHAT_GOLDEN = [
     ("A2", 3, "x(a1,2) x(-a1,1) x(-a2,2) x(a1+a2,1) x(-a1,1)",
      "h(a1+a2, 2) x(a2, 2) x(a1+a2, 1) w(a1, 1) w(a2, 1) w(a1, 1) x(a1, 1)"
