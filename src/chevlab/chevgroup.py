@@ -23,12 +23,16 @@ h_g(u) and t_i(u)), and one code path per letter reads it.
 The centralizer families of x_a(1) x_b(1) (``standard_family``) live here
 too: the sign calibration of B2 and G2 evaluates them.
 
-Products over a poly ring -- of two matrices, of one root element's entries,
-of a whole word -- are one kernel, ``_poly_product``: integer numerators on
+Every product -- of two matrices, of one root element's entries, of a whole
+word -- is one call of the kernel of its ring's kind (``_KERNELS``).  Over a
+poly or quotient ring it is ``_poly_product``: integer numerators on
 monomials packed by one ``exactring.MonomialPacking``, its slots sized to
-the total degree, unpacked once at the end.  Over Z/n the same products are
-``_residue_product``: integer residues through the same ``_packed_times``,
-reduced mod n after each product.
+the total degree, unpacked once at the end, each quotient-ring entry then
+reduced once by the ring's rules.  Over a fraction ring,
+``_fraction_product`` puts each factor over one polynomial denominator and
+runs ``_poly_product`` on the numerators.  Over Z/n, ``_residue_product``
+multiplies integer residues through the same ``_packed_times``, reduced mod
+n after each product.
 """
 
 from __future__ import annotations
@@ -409,37 +413,22 @@ class AdjointMatrix:
     def dim(self):
         return len(self.rows)
 
+    def _check_shape(self, other: "AdjointMatrix", verb: str):
+        # a realization name alone does not fix the size: A1 and A2 both
+        # have an adjoint realization
+        if (self.realization, self.dim) != (other.realization, other.dim):
+            raise RealizationError(
+                f"cannot {verb} a {self.dim}x{self.dim} {self.realization} and"
+                f" a {other.dim}x{other.dim} {other.realization} matrix")
+
     def __mul__(self, other: "AdjointMatrix") -> "AdjointMatrix":
-        if self.realization != other.realization:
-            raise RealizationError(f"cannot multiply a {self.realization} by"
-                                   f" a {other.realization} matrix")
+        self._check_shape(other, "multiply")
         if self.spec != other.spec:
             raise RingError("matrices live in different rings")
-        kernel = _KERNELS.get(self.spec.kind)
-        if kernel is not None:
-            return AdjointMatrix(self.spec,
-                                 kernel(self.spec, self.dim, [self, other]),
-                                 self.realization)
-        # content and rewrite rules are normalized after every ring
-        # operation, so these rings multiply entry by entry
-        n = self.dim
-        zero = self.spec.zero()
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            arow = self.rows[i]
-            orow = out[i]
-            for k in range(n):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.rows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return AdjointMatrix(self.spec, out, self.realization)
+        return _product(self.spec, self.dim, [self, other], self.realization)
 
     def __sub__(self, other: "AdjointMatrix") -> "AdjointMatrix":
+        self._check_shape(other, "subtract")
         return AdjointMatrix(self.spec,
                              [[a - b for a, b in zip(ra, rb)]
                               for ra, rb in zip(self.rows, other.rows)],
@@ -447,7 +436,8 @@ class AdjointMatrix:
 
     def __eq__(self, other):
         return (isinstance(other, AdjointMatrix)
-                and self.realization == other.realization
+                and (self.realization, self.dim)
+                == (other.realization, other.dim)
                 and all(a == b for ra, rb in zip(self.rows, other.rows)
                         for a, b in zip(ra, rb)))
 
@@ -560,7 +550,7 @@ def _poly_product(spec: RingSpec, dim: int, factors) -> list:
                 if m is None:
                     m = unpacked[k] = packing.unpack(k)
                 d[m] = Fraction(c, den)
-            row[j] = RingElement(spec, terms=d, _normalized=True)
+            row[j] = RingElement(spec, terms=d)
         out.append(row)
     return out
 
@@ -638,9 +628,58 @@ def _residue_product(spec: RingSpec, dim: int, factors) -> list:
     return out
 
 
-# the rings whose products run on integers, one kernel each; quotient and
-# fraction rings multiply entry by entry
-_KERNELS = {"poly": _poly_product, "modular": _residue_product}
+def _fraction_product(spec: RingSpec, dim: int, factors) -> list:
+    """The rows of the product of ``factors`` over a fraction ring, taken as
+    ``_poly_product`` takes them: one ``_poly_product`` on the numerators of
+    each factor over one polynomial denominator, then one content reduction
+    per output entry."""
+    poly = RingSpec("poly", spec.variables)
+    den, mats = poly.one(), []
+    for f in factors:
+        rows = [[poly.zero()] * dim for _ in range(dim)]
+        if isinstance(f, AdjointMatrix):
+            # over the product of the entries' distinct denominators, each
+            # entry times the others, so nothing is divided
+            dens = {}
+            for i, row in enumerate(f.rows):
+                for j, x in enumerate(row):
+                    if x.num:
+                        rows[i][j] = RingElement(poly, terms=x.num)
+                        dens.setdefault(frozenset(x.den.items()), x.den)
+            for key, d in dens.items():
+                d = RingElement(poly, terms=d)
+                den *= d
+                for i, row in enumerate(f.rows):
+                    for j, x in enumerate(row):
+                        if x.num and frozenset(x.den.items()) != key:
+                            rows[i][j] *= d
+        else:
+            # t = n/d: c t^k is c n^k d^(top-k) over d^top
+            entries, t = f
+            top = entries[-1][2]
+            n = RingElement(poly, terms=t.num)
+            d = RingElement(poly, terms=t.den)
+            weights = [n ** k * d ** (top - k) for k in range(top + 1)]
+            for i, j, k, c in entries:
+                rows[i][j] = weights[k] * c
+            den *= d ** top
+        mats.append(AdjointMatrix(poly, rows, None))
+    out = _poly_product(poly, dim, mats)
+    for row in out:
+        for j, x in enumerate(row):
+            row[j] = RingElement(spec, num=x.terms, den=den.terms)
+    return out
+
+
+# one product kernel per ring kind
+_KERNELS = {"poly": _poly_product, "quotient": _poly_product,
+            "fraction": _fraction_product, "modular": _residue_product}
+
+
+def _product(spec: RingSpec, dim: int, factors, realization) -> AdjointMatrix:
+    """The product of ``factors`` by the kernel of the ring's kind."""
+    return AdjointMatrix(spec, _KERNELS[spec.kind](spec, dim, factors),
+                         realization)
 
 
 def identity_matrix(spec: RingSpec, dim: int, realization: str) -> AdjointMatrix:
@@ -718,19 +757,7 @@ def root_element(basis: ChevalleyBasis, gamma, t: RingElement,
     gamma = basis.root(gamma)
     rec = basis.realization(realization)
     entries = rec.exp_entries[gamma.coords]
-    spec = t.spec
-    kernel = _KERNELS.get(spec.kind)
-    if kernel is not None:
-        return AdjointMatrix(spec, kernel(spec, rec.dim, [(entries, t)]),
-                             realization)
-    powers = [spec.one()]
-    for _ in range(entries[-1][2]):
-        powers.append(powers[-1] * t)
-    zero = spec.zero()
-    rows = [[zero] * rec.dim for _ in range(rec.dim)]
-    for i, j, k, c in entries:
-        rows[i][j] = powers[k] * c
-    return AdjointMatrix(spec, rows, realization)
+    return _product(t.spec, rec.dim, [(entries, t)], realization)
 
 
 def _diagonal(u: RingElement, exponents, realization: str) -> AdjointMatrix:
@@ -763,11 +790,13 @@ def diag_torus(basis: ChevalleyBasis, i: int, u: RingElement,
 
 def weyl_element(basis: ChevalleyBasis, gamma, u: RingElement,
                  realization: str = "adjoint") -> AdjointMatrix:
+    """x_g(u) x_{-g}(-1/u) x_g(u), one product of three root elements."""
     gamma = basis.root(gamma)
-    u_inv = invert(u)
-    a = root_element(basis, gamma, u, realization)
-    b = root_element(basis, -gamma, -u_inv, realization)
-    return a * b * root_element(basis, gamma, u, realization)
+    rec = basis.realization(realization)
+    x = rec.exp_entries[gamma.coords]
+    y = rec.exp_entries[(-gamma).coords]
+    return _product(u.spec, rec.dim, [(x, u), (y, -invert(u)), (x, u)],
+                    realization)
 
 
 # ---------------------------------------------------------------------------
@@ -861,32 +890,17 @@ def evaluate_word(word: GroupWord, basis: ChevalleyBasis = None,
     if spec is None:
         raise RingError("cannot evaluate an empty word without a ring spec")
     rec = basis.realization(realization)
-    kernel = _KERNELS.get(spec.kind)
-    factors = []
-    out = None
+    matrices = {"h": torus_element, "w": weyl_element, "t": diag_torus}
+    factors = []                # multiplied out once, below
     for kind, what, p in word.letters:
         if p.spec != spec:
             raise RingError("word letters live in different rings")
-        if kind == "x" and kernel is not None:
-            m = (rec.exp_entries[basis.root(what).coords], p)
-        elif kind == "x":
-            m = root_element(basis, what, p, realization)
-        elif kind == "h":
-            m = torus_element(basis, what, p, realization)
-        elif kind == "w":
-            m = weyl_element(basis, what, p, realization)
-        else:
-            m = diag_torus(basis, what, p, realization)
-        if kernel is not None:
-            factors.append(m)       # multiplied out once, below
-        else:
-            out = m if out is None else out * m
-    if factors:
-        return AdjointMatrix(spec, kernel(spec, rec.dim, factors),
-                             realization)
-    if out is None:
+        factors.append((rec.exp_entries[basis.root(what).coords], p)
+                       if kind == "x" else
+                       matrices[kind](basis, what, p, realization))
+    if not factors:
         return identity_matrix(spec, rec.dim, realization)
-    return out
+    return _product(spec, rec.dim, factors, realization)
 
 
 # ---------------------------------------------------------------------------

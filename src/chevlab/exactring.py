@@ -73,6 +73,9 @@ class RewriteRule:
         return f"RewriteRule({self.lhs!r} -> {self.rhs!r})"
 
 
+RING_KINDS = ("poly", "quotient", "fraction", "modular")
+
+
 class RingSpec:
     """Description of a ring; shared by all its elements."""
 
@@ -80,7 +83,7 @@ class RingSpec:
 
     def __init__(self, kind: str, variables: Iterable[str] = (),
                  rules: Iterable[RewriteRule] = (), modulus: int = 0):
-        if kind not in ("poly", "quotient", "fraction", "modular"):
+        if kind not in RING_KINDS:
             raise RingError(f"unknown ring kind {kind!r}")
         variables = tuple(variables)
         if len(set(variables)) != len(variables) or any(not v for v in variables):

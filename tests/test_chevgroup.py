@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given, settings, strategies as st
 
 import chevlab
-from chevlab.chevgroup import (ChevalleyBasis, GroupWord, build_basis,
-                               commutator_relation, diag_torus,
+from chevlab.chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
+                               build_basis, commutator_relation, diag_torus,
                                evaluate_word, identity_matrix,
                                matrix_from_entries, parse_root, parse_word,
                                pgl3_equal, root_element, torus_element,
@@ -520,14 +521,17 @@ def test_not_a_unit_paths():
 
 MISMATCHED_PRODUCTS = """
 from chevlab.chevgroup import (GroupWord, RealizationError, build_basis,
-                               evaluate_word, root_element)
+                               evaluate_word, identity_matrix, root_element)
 from chevlab.exactring import RingError, RingSpec
 
-t = RingSpec("poly", ("t",)).var("t")
+qt = RingSpec("poly", ("t",))
+t = qt.var("t")
 s = RingSpec("poly", ("s",)).var("s")
 pgl3 = root_element(build_basis("A2"), "a1", t, "pgl3")
 a1std = root_element(build_basis("A1"), "a", t, "a1std")
 pgl3_s = root_element(build_basis("A2"), "a1", s, "pgl3")
+a1 = root_element(build_basis("A1"), "a", t)
+a2 = root_element(build_basis("A2"), "a1", t)
 word = GroupWord.x("A1", "a", t)
 cases = [
     (lambda: pgl3 * a1std, RealizationError),
@@ -535,6 +539,11 @@ cases = [
     (lambda: word * GroupWord.x("A2", "a1", t), RealizationError),
     (lambda: evaluate_word(word, build_basis("A2"), "a1std"),
      RealizationError),
+    # the same realization name at two sizes, and two models of one size
+    (lambda: a1 * a2, RealizationError),
+    (lambda: a1 - a2, RealizationError),
+    (lambda: a2 - a1, RealizationError),
+    (lambda: a1std - a1, RealizationError),
 ]
 for case, error in cases:
     try:
@@ -542,6 +551,8 @@ for case, error in cases:
         print("returned")
     except error:
         print("raised")
+print(identity_matrix(qt, 3, "adjoint") == identity_matrix(qt, 8, "adjoint"),
+      a1 == a2, a1std == a1, a1 == root_element(build_basis("A1"), "a", t))
 """
 
 
@@ -554,7 +565,7 @@ def test_mismatched_products_raise(flags):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 8 + ["False"] * 3 + ["True"]
 
 
 SKEWED_COMMUTATOR = """
@@ -590,12 +601,51 @@ def test_commutator_relation_check_raises(flags):
     assert proc.stdout.startswith("raised: non-monomial"), proc.stdout
 
 
-# -- poly-ring kernels ---------------------------------------------------
+# -- product kernels -----------------------------------------------------
 
 QXY = RingSpec("poly", ("x", "y"))
-# no rules, so the same entries, multiplied by the general per-entry loop
-QXY_GENERAL = RingSpec("quotient", ("x", "y"))
 SX, SY = sympy.symbols("x y")
+
+
+def _entrywise(a, b):
+    """The product of two matrices entry by entry in RingElement arithmetic,
+    which normalizes after every ring operation: the reference the product
+    kernels are checked against."""
+    n = a.dim
+    return AdjointMatrix(a.spec, [[sum((a.rows[i][k] * b.rows[k][j]
+                                        for k in range(n)), a.spec.zero())
+                                   for j in range(n)] for i in range(n)],
+                         a.realization)
+
+
+def _entrywise_letter(basis, realization, kind, what, p):
+    """One letter's matrix without the kernels: x_g(p) as the sum of c p^k
+    E_ij over the realization entries (i, j, k, c), w_g(p) as the entrywise
+    product x_g(p) x_{-g}(-1/p) x_g(p), h and t by their diagonals."""
+    if kind == "w":
+        x = _entrywise_letter(basis, realization, "x", what, p)
+        y = _entrywise_letter(basis, realization, "x", -basis.root(what),
+                              -invert(p))
+        return _entrywise(_entrywise(x, y), x)
+    if kind != "x":
+        return LETTERS[kind](basis, what, p, realization)
+    rec = basis.realization(realization)
+    rows = [[p.spec.zero()] * rec.dim for _ in range(rec.dim)]
+    for i, j, k, c in rec.exp_entries[basis.root(what).coords]:
+        rows[i][j] = p ** k * c
+    return AdjointMatrix(p.spec, rows, realization)
+
+
+def _entrywise_word(word, basis, realization, spec):
+    out = identity_matrix(spec, basis.realization(realization).dim,
+                          realization)
+    for letter in word.letters:
+        out = _entrywise(out, _entrywise_letter(basis, realization, *letter))
+    return out
+
+
+def _terms(m):
+    return [[e.terms for e in row] for row in m.rows]
 
 
 @st.composite
@@ -649,18 +699,16 @@ def _sympy(terms):
 
 @settings(max_examples=40, deadline=None)
 @given(poly_matrix_pairs())
-def test_poly_product_matches_sympy_and_general_loop(pair):
+def test_poly_product_matches_sympy(pair):
     a, b = pair
     n = len(a)
     got = _matrix(QXY, a) * _matrix(QXY, b)
-    general = _matrix(QXY_GENERAL, a) * _matrix(QXY_GENERAL, b)
     want = sympy.Matrix(n, n, [_sympy(e) for row in a for e in row]) \
         * sympy.Matrix(n, n, [_sympy(e) for row in b for e in row])
     zeros = 0
     for i in range(n):
         for j in range(n):
             entry = got.rows[i][j]
-            assert entry.terms == general.rows[i][j].terms
             poly = sympy.Poly(want[i, j], SX, SY, domain="QQ").as_dict()
             assert {m: sympy.Rational(c.numerator, c.denominator)
                     for m, c in entry.terms.items()} == poly
@@ -678,9 +726,8 @@ def test_poly_product_above_the_chain_slot_width():
          ["2", "0", "x^127"]]
     b = [["x^150", "y", "0"], ["x^100*y^2", "0", "3/4"],
          ["1", "x^129", "y^130"]]
-    got, general = (matrix_from_entries(spec, a, "adjoint")
-                    * matrix_from_entries(spec, b, "adjoint")
-                    for spec in (QXY, QXY_GENERAL))
+    got = (matrix_from_entries(QXY, a, "adjoint")
+           * matrix_from_entries(QXY, b, "adjoint"))
     want = (sympy.Matrix(3, 3, [sympy.sympify(e.replace("^", "**"))
                                 for row in a for e in row])
             * sympy.Matrix(3, 3, [sympy.sympify(e.replace("^", "**"))
@@ -689,27 +736,23 @@ def test_poly_product_above_the_chain_slot_width():
                for m in e.terms) == 300
     for i in range(3):
         for j in range(3):
-            entry = got.rows[i][j]
-            assert entry.terms == general.rows[i][j].terms
             poly = sympy.Poly(want[i, j], SX, SY, domain="QQ").as_dict()
             assert {m: sympy.Rational(c.numerator, c.denominator)
-                    for m, c in entry.terms.items()} == poly
+                    for m, c in got.rows[i][j].terms.items()} == poly
 
 
 @pytest.mark.parametrize("tag", SYSTEMS)
-def test_poly_root_elements_and_words_match_general_loop(tag):
-    poly, general = RingSpec("poly", ("b", "c")), RingSpec("quotient",
-                                                           ("b", "c"))
-    t = {spec: parse_expr("b - 1/2*c^2 + 3", spec) for spec in (poly, general)}
+def test_poly_root_elements_and_words_match_entrywise_reference(tag):
+    poly = RingSpec("poly", ("b", "c"))
+    t = parse_expr("b - 1/2*c^2 + 3", poly)
     basis = build_basis(tag)
     extra = {"A1": ["a1std"], "A2": ["pgl3"]}.get(tag, [])
     for realization in ["adjoint"] + extra:
         for g in all_roots(tag):
-            x = root_element(basis, g, t[poly], realization)
-            ref = root_element(basis, g, t[general], realization)
-            assert ([[e.terms for e in row] for row in x.rows]
-                    == [[e.terms for e in row] for row in ref.rows])
-            assert evaluate_word(GroupWord.x(tag, g, t[poly]), basis,
+            x = root_element(basis, g, t, realization)
+            assert _terms(x) == _terms(_entrywise_letter(basis, realization,
+                                                         "x", g, t))
+            assert evaluate_word(GroupWord.x(tag, g, t), basis,
                                  realization) == x
         g = all_roots(tag)[0]
         h = GroupWord.h(tag, g, poly.const(2))
@@ -717,26 +760,22 @@ def test_poly_root_elements_and_words_match_general_loop(tag):
             basis, g, poly.const(2), realization)
         empty = evaluate_word(GroupWord(tag), basis, realization, spec=poly)
         assert empty.is_identity() and empty.spec == poly
-        # a word over every root, evaluated in both rings
-        words = {spec: GroupWord(tag, [("x", g, t[spec] * (k + 1))
-                                       for k, g in enumerate(all_roots(tag))])
-                 for spec in (poly, general)}
-        got, ref = (evaluate_word(words[spec], basis, realization)
-                    for spec in (poly, general))
-        assert ([[e.terms for e in row] for row in got.rows]
-                == [[e.terms for e in row] for row in ref.rows])
+        # a word over every root
+        word = GroupWord(tag, [("x", g, t * (k + 1))
+                               for k, g in enumerate(all_roots(tag))])
+        assert _terms(evaluate_word(word, basis, realization)) == _terms(
+            _entrywise_word(word, basis, realization, poly))
 
 
 QST = RingSpec("poly", ("s", "t"))
-QST_GENERAL = RingSpec("quotient", ("s", "t"))
 
 
 @st.composite
 def poly_words(draw):
     """A word over A1 or A2 in x, h, w and t_i letters with Fraction
-    parameters, in a poly ring and in a rule-free quotient ring, and the
-    position of one x letter whose matrix has degree at least 128: more
-    than the chain's 8-bit slots hold."""
+    parameters in a poly ring, and the position of one x letter whose
+    matrix has degree at least 128: more than the chain's 8-bit slots
+    hold."""
     tag, realization = draw(st.sampled_from(
         [("A1", "adjoint"), ("A1", "a1std"), ("A2", "adjoint"),
          ("A2", "pgl3")]))
@@ -759,11 +798,10 @@ def poly_words(draw):
     high = draw(st.integers(0, len(letters)))
     letters.insert(high, ("x", draw(st.sampled_from(roots)),
                           {(64, 64): Fraction(1, 3), (2, 0): Fraction(-5, 2)}))
-    words = {spec: GroupWord(tag, [(kind, what, RingElement(
-                 spec, terms={m: c for m, c in param.items() if c}))
-                 for kind, what, param in letters])
-             for spec in (QST, QST_GENERAL)}
-    return tag, realization, words, high
+    word = GroupWord(tag, [(kind, what, RingElement(
+        QST, terms={m: c for m, c in param.items() if c}))
+        for kind, what, param in letters])
+    return tag, realization, word, high
 
 
 @settings(max_examples=40, deadline=None)
@@ -771,21 +809,20 @@ def poly_words(draw):
 def test_packed_word_product_matches_two_factor_fold(case):
     # one packed product for the whole word against the left fold of its
     # one-letter matrices through the two-factor product, and against the
-    # general per-entry loop of a rule-free quotient ring
-    tag, realization, words, high = case
+    # entrywise product of its letters
+    tag, realization, word, high = case
     basis = build_basis(tag)
-    got = evaluate_word(words[QST], basis, realization)
+    got = evaluate_word(word, basis, realization)
     factors = [evaluate_word(GroupWord(tag, [letter]), basis, realization)
-               for letter in words[QST].letters]
+               for letter in word.letters]
     assert max(sum(m) for row in factors[high].rows for e in row
                for m in e.terms) >= 128
     fold = factors[0]
     for m in factors[1:]:
         fold = fold * m
     assert got == fold
-    general = evaluate_word(words[QST_GENERAL], basis, realization)
-    assert ([[e.terms for e in row] for row in got.rows]
-            == [[e.terms for e in row] for row in general.rows])
+    assert _terms(got) == _terms(_entrywise_word(word, basis, realization,
+                                                 QST))
 
 
 def test_packed_word_slots_hold_the_whole_word():
@@ -794,20 +831,159 @@ def test_packed_word_slots_hold_the_whole_word():
     # sum of its letters' degrees
     basis = build_basis("A1")
     s, t = QST.var("s"), QST.var("t")
-    letters = [("x", basis.root(r), p) for r, p in
-               [("a", s ** 100), ("-a", t ** 100)] * 3]
-    got = evaluate_word(GroupWord("A1", letters), basis)
+    word = GroupWord("A1", [("x", basis.root(r), p) for r, p in
+                            [("a", s ** 100), ("-a", t ** 100)] * 3])
+    got = evaluate_word(word, basis)
     assert max(sum(m) for row in got.rows for e in row
                for m in e.terms) > 1024
-    fold = root_element(basis, letters[0][1], letters[0][2])
-    for _, root, p in letters[1:]:
+    fold = root_element(basis, *word.letters[0][1:])
+    for _, root, p in word.letters[1:]:
         fold = fold * root_element(basis, root, p)
     assert got == fold
-    general = evaluate_word(GroupWord("A1", [
-        (kind, root, parse_expr(repr(p), QST_GENERAL))
-        for kind, root, p in letters]), basis)
-    assert ([[e.terms for e in row] for row in got.rows]
-            == [[e.terms for e in row] for row in general.rows])
+    assert _terms(got) == _terms(_entrywise_word(word, basis, "adjoint",
+                                                 QST))
+
+
+# Q[u]/(u^2), Q[u]/(u^3) and Q[x,y]/(x^2, xy, y^3): monomial ideals, so
+# their rules are Groebner bases and a normal form is unique; with each
+# ring, entries to draw and units for the h, w and t letters
+QUOTIENTS = {
+    "u2": (RingSpec("quotient", ("u",), [RewriteRule((2,), {})]),
+           ["0", "1", "u", "2 - u", "u^2 + 3", "1/2*u - 5"],
+           ["1 + u", "-2 + 3*u", "1/3 - u"]),
+    "u3": (RingSpec("quotient", ("u",), [RewriteRule((3,), {})]),
+           ["0", "1", "u", "u^2", "2 - u + u^2", "1/2*u^2 - 5*u"],
+           ["1 + u", "-2 + u^2", "1/3 - u + 4*u^2"]),
+    "x2-xy-y3": (RingSpec("quotient", ("x", "y"),
+                          [RewriteRule((2, 0), {}), RewriteRule((1, 1), {}),
+                           RewriteRule((0, 3), {})]),
+                 ["0", "1", "x", "y", "y^2 - 1/3*x", "3 - x*y + y",
+                  "x + y^2 + 2"],
+                 ["1 + x", "-2 + y", "1/2 - x + y^2"]),
+}
+
+
+@st.composite
+def quotient_cases(draw):
+    """A quotient ring, two 3 x 3 or 8 x 8 matrices over it, and a word
+    over A1 or A2 whose h, w and t parameters are units c + nilpotent."""
+    spec, entries, units = QUOTIENTS[draw(st.sampled_from(sorted(QUOTIENTS)))]
+    n = draw(st.sampled_from((3, 8)))
+    a, b = ([[parse_expr(draw(st.sampled_from(entries)), spec)
+              for _ in range(n)] for _ in range(n)] for _ in range(2))
+    tag, realization = draw(st.sampled_from(
+        [("A1", "adjoint"), ("A1", "a1std"), ("A2", "pgl3")]))
+    letters = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from("xxhwt"))
+        what = (draw(st.integers(0, int(tag[1]) - 1)) if kind == "t"
+                else draw(st.sampled_from(all_roots(tag))))
+        pool = entries if kind == "x" else units
+        letters.append((kind, what, parse_expr(draw(st.sampled_from(pool)),
+                                               spec)))
+    return spec, a, b, tag, realization, GroupWord(tag, letters)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_cases())
+def test_quotient_products_match_entrywise_reference(case):
+    # reduced once per output entry, the kernel's normal form is the one
+    # reducing after every ring operation gives
+    spec, a, b, tag, realization, word = case
+    a, b = (AdjointMatrix(spec, rows, "adjoint") for rows in (a, b))
+    assert _terms(a * b) == _terms(_entrywise(a, b))
+    basis = build_basis(tag)
+    assert _terms(evaluate_word(word, basis, realization)) == _terms(
+        _entrywise_word(word, basis, realization, spec))
+    for kind, what, p in word.letters:
+        if kind in "xw":
+            assert _terms(LETTERS[kind](basis, what, p, realization)) \
+                == _terms(_entrywise_letter(basis, realization, kind, what,
+                                            p))
+
+
+QFXY = RingSpec("fraction", ("x", "y"))
+FRACTION_NUMERATORS = ("1", "x", "y", "x - 1/2", "3*x*y + y^2", "-2/3")
+# several distinct non-constant denominators, some sharing a factor
+FRACTION_DENOMINATORS = ("1", "x", "1 + x*y", "y - 2", "x^2 + 3*y",
+                         "x*(y - 2)")
+FRACTION_UNITS = ("x/(1 + y)", "1 + x*y", "(x - 2)/(y^2 + 1)", "-3/x", "y")
+
+
+@st.composite
+def fraction_texts(draw):
+    """Zero a third of the time, else a numerator over a denominator."""
+    if draw(st.integers(0, 2)) == 0:
+        return "0"
+    return (f"({draw(st.sampled_from(FRACTION_NUMERATORS))})"
+            f"/({draw(st.sampled_from(FRACTION_DENOMINATORS))})")
+
+
+@st.composite
+def fraction_cases(draw):
+    """Two 3 x 3 matrices over Q(x, y) and a word over A1 or A2 with zero
+    or non-constant x parameters and non-constant unit h, w and t
+    parameters."""
+    a, b = ([[draw(fraction_texts()) for _ in range(3)] for _ in range(3)]
+            for _ in range(2))
+    tag, realization = draw(st.sampled_from(
+        [("A1", "adjoint"), ("A1", "a1std"), ("A2", "pgl3")]))
+    letters = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from("xxhwt"))
+        what = (draw(st.integers(0, int(tag[1]) - 1)) if kind == "t"
+                else draw(st.sampled_from(all_roots(tag))))
+        text = draw(fraction_texts() if kind == "x"
+                    else st.sampled_from(FRACTION_UNITS))
+        letters.append((kind, what, parse_expr(text, QFXY)))
+    return a, b, tag, realization, GroupWord(tag, letters)
+
+
+FXY = sympy.QQ.frac_field(SX, SY)
+
+
+def _field_matrix(rows):
+    """sympy expressions as a matrix over sympy's field Q(x, y), which keeps
+    every entry cancelled."""
+    return DomainMatrix([[FXY.from_sympy(e) for e in row] for row in rows],
+                        (len(rows), len(rows)), FXY)
+
+
+def _sympy_fraction(e):
+    return _sympy(e.num) / _sympy(e.den)
+
+
+def _assert_equal_in_sympy(got, want):
+    """Each entry n/d of ``got`` and the cancelled p/q of ``want`` agree:
+    n q = p d, multiplied out in sympy's polynomial ring."""
+    for i, row in enumerate(got.rows):
+        for j, e in enumerate(row):
+            w = want[i, j].element
+            n, d = (w.numer.ring.from_dict(
+                {m: sympy.QQ(c.numerator, c.denominator)
+                 for m, c in terms.items()}) for terms in (e.num, e.den))
+            assert n * w.denom == w.numer * d
+
+
+@settings(max_examples=50, deadline=None)
+@given(fraction_cases())
+def test_fraction_products_match_sympy(case):
+    # the common-denominator kernel against sympy's product of the same
+    # rational functions
+    a, b, tag, realization, word = case
+    got = (matrix_from_entries(QFXY, a, "adjoint")
+           * matrix_from_entries(QFXY, b, "adjoint"))
+    a, b = ([[sympy.sympify(e.replace("^", "**")) for e in row] for row in m]
+            for m in (a, b))
+    _assert_equal_in_sympy(got, _field_matrix(a) * _field_matrix(b))
+    basis = build_basis(tag)
+    dim = basis.realization(realization).dim
+    want = DomainMatrix.eye(dim, FXY)
+    for letter in word.letters:
+        m = _entrywise_letter(basis, realization, *letter)
+        want = want * _field_matrix([[_sympy_fraction(e) for e in row]
+                                     for row in m.rows])
+    _assert_equal_in_sympy(evaluate_word(word, basis, realization), want)
 
 
 QQ = RingSpec("fraction", ())

@@ -23,7 +23,9 @@ import sys
 import pytest
 
 import chevlab
+from chevlab import chevgroup
 from chevlab.cli import dispatch
+from chevlab.exactring import RING_KINDS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
 FLAGS = ["--output", "json-lines", "--no-timing"]
@@ -483,6 +485,20 @@ def test_only_exactring_knows_the_packed_layout():
               and isinstance(node, (ast.BinOp, ast.AugAssign))
               and isinstance(node.op, (ast.LShift, ast.RShift))]
     assert slot_width == [] and shifts == []
+
+
+def test_every_ring_kind_has_one_product_kernel():
+    # each kind RingSpec accepts has a product kernel, and chevgroup reads
+    # _KERNELS only by subscript: no .get, no fallback when a kind is missing
+    assert sorted(chevgroup._KERNELS) == sorted(RING_KINDS)
+    nodes = [node for name, node in _src_nodes() if name == "chevgroup.py"]
+    subscripted = {id(node.value) for node in nodes
+                   if isinstance(node, ast.Subscript)}
+    fallbacks = [node.lineno for node in nodes
+                 if isinstance(node, ast.Name) and node.id == "_KERNELS"
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in subscripted]
+    assert fallbacks == []
 
 
 def test_every_import_is_used():
