@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,17 @@ def _prime(text: str) -> int:
     return p
 
 
+def _positive(text: str) -> int:
+    """The argparse type of the --cap and --power options."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return n
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``dispatch``."""
     parser = argparse.ArgumentParser(
         prog="chevlab",
         description="exact computations in low-rank adjoint Chevalley groups")
@@ -44,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timing", action="store_true")
 
     def cap(p):
-        p.add_argument("--cap", type=int, default=shacheck.DEFAULT_CAP,
+        p.add_argument("--cap", type=_positive, default=shacheck.DEFAULT_CAP,
                        help="largest group order to enumerate")
 
     p = sub.add_parser("relations", help="print the commutator tables")
@@ -73,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="Gauss or Bruhat decomposition")
     common(p, system="required")
     p.add_argument("--prime", type=_prime, required=True)
-    p.add_argument("--power", type=int, default=1,
+    p.add_argument("--power", type=_positive, default=1,
                    help="decompose over Z/p^k (Gauss only)")
     p.add_argument("--bruhat", action="store_true")
     p.add_argument("word")
@@ -202,19 +213,19 @@ def cmd_sha(args):
 
 def cmd_decompose(args):
     spec = RingSpec("modular", modulus=args.prime ** args.power)
-    basis = build_basis(args.system)
-    realization = default_realization(args.system)
     word = parse_word(args.word, args.system, spec)
-    M = evaluate_word(word, basis, realization, spec=spec)
     if args.bruhat:
         if args.power != 1:
             raise RingError("Bruhat decomposition works over a field")
-        fact = decomp.bruhat_bruteforce(M, args.system, args.prime)
+        fact = decomp.bruhat_bruteforce(word, args.system, args.prime)
         _emit({"weyl_word": list(fact.weyl_word),
                "factorization": fact.word().format_text()}, args,
               f"PASS         {args.word} = {fact.word().format_text()}"
               f"  [weyl {fact.weyl_word}]")
     else:
+        basis = build_basis(args.system)
+        M = evaluate_word(word, basis, default_realization(args.system),
+                          spec=spec)
         if args.system != "A1":
             raise RingError("constructive Gauss decomposition is A1-only")
         fact = decomp.gauss_decompose_a1(M, basis)
@@ -242,9 +253,8 @@ def cmd_eval(args):
 
 
 def dispatch(argv) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handler = {

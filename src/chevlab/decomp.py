@@ -207,8 +207,9 @@ BRUHAT_CAP = 100000
 class _BruhatContext:
     """Enumerated torus T, unipotent radical U and Weyl representatives of
     E(system, F_p): their words, and stacks of their integer arrays mod p
-    and of the arrays of their inverses.  Only the letters of the words are
-    evaluated as AdjointMatrix, each once."""
+    and of the arrays of their inverses.  Only the letters of words are
+    evaluated as AdjointMatrix, each once; ``array`` multiplies a word from
+    their arrays."""
 
     def __init__(self, system, p: int):
         self.system = SystemType(system)
@@ -219,29 +220,16 @@ class _BruhatContext:
                 f"|U| = {p}^{len(pos)} = {p ** len(pos)} exceeds the Bruhat"
                 f" search bound {BRUHAT_CAP}")
         self.realization = default_realization(self.system)
-        basis = build_basis(self.system)
-        spec = RingSpec("modular", modulus=p)
-
-        def evaluate(letters):
-            return matrix_array(evaluate_word(GroupWord(self.system, letters),
-                                              basis, self.realization,
-                                              spec=spec), self.realization, p)
-
-        ident, letters = evaluate(()), {}
-
-        def array(word):
-            out = ident
-            for letter in word.letters:
-                if letter not in letters:
-                    letters[letter] = evaluate([letter])
-                out = out @ letters[letter] % p
-            return out
+        self._basis = build_basis(self.system)
+        spec = self._spec = RingSpec("modular", modulus=p)
+        self._letters = {}
+        ident = self._ident = self._evaluate(GroupWord(self.system))
 
         def closure(words, coset):
             """Breadth-first products of ``words`` from the identity, as
             (generator indices, word, array) in (length, word) order; a
             product is new when no element of product @ coset is known."""
-            gens = [array(w) for w in words]
+            gens = [self.array(w) for w in words]
             seen = set(self.keys(ident[None]))
             found = frontier = [((), GroupWord(self.system), ident)]
             while frontier:
@@ -265,7 +253,7 @@ class _BruhatContext:
             GroupWord(self.system, [("x", root, spec.const(t))
                                     for root, t in zip(pos, params) if t])
             for params in itertools.product(range(p), repeat=len(pos))]
-        self.u = np.stack([array(w) for w in self.u_words])
+        self.u = np.stack([self.array(w) for w in self.u_words])
         self.u_index = {}
         for i, k in enumerate(self.keys(self.u)):
             self.u_index.setdefault(k, i)
@@ -278,8 +266,25 @@ class _BruhatContext:
         self.weyl = np.stack(weyl)
 
         self.torus_inv, self.u_inv, self.weyl_inv = (
-            np.stack([array(w.inverse()) for w in words])
+            np.stack([self.array(w.inverse()) for w in words])
             for words in (self.torus_words, self.u_words, weyl_words))
+
+    def _evaluate(self, word: GroupWord) -> np.ndarray:
+        return matrix_array(evaluate_word(word, self._basis, self.realization,
+                                          spec=self._spec),
+                            self.realization, self.p)
+
+    def array(self, word: GroupWord) -> np.ndarray:
+        """The integer array mod p of ``word``: the product of the cached
+        arrays of its letters."""
+        out, letters = self._ident, self._letters
+        for letter in word.letters:
+            m = letters.get(letter)
+            if m is None:
+                m = letters[letter] = self._evaluate(
+                    GroupWord(word.system, [letter]))
+            out = out @ m % self.p
+        return out
 
     def keys(self, stack) -> list:
         """The ``shacheck`` keys of a stack of integer matrices."""
@@ -312,16 +317,19 @@ def bruhat_cells(system, p):
     return cells, table
 
 
-def bruhat_bruteforce(M: AdjointMatrix, system, p: int) -> BruhatFactorization:
+def bruhat_bruteforce(M, system, p: int) -> BruhatFactorization:
     """Search t * u * w * u' = M stratified by Weyl word; the first match in
-    canonical order wins.
+    canonical order wins.  M is an AdjointMatrix or a GroupWord, which is
+    multiplied from the context's letter arrays.
 
     For each (w, t, u) in that order, u' = w^-1 u^-1 t^-1 M is the only
     candidate, so it is looked up in U instead of searched for.  All (t, u)
     of one w are tried in stacked products, t-major, each stack at most
     ``BRUHAT_CAP`` matrices."""
     ctx = _bruhat_context(system, p)
-    torus_m = ctx.torus_inv @ matrix_array(M, ctx.realization, p) % p
+    target = (ctx.array(M) if isinstance(M, GroupWord)
+              else matrix_array(M, ctx.realization, p))
+    torus_m = ctx.torus_inv @ target % p
     size = len(ctx.u_words)
     step = max(1, BRUHAT_CAP // size)
     for (wword, wgw), w_inv in zip(ctx.weyl_reps, ctx.weyl_inv):

@@ -618,11 +618,15 @@ class RingElement:
 
 
 def _reduce_fraction(num: Terms, den: Terms):
-    # content reduction only; no polynomial gcd
-    num = dict(num)
-    den = dict(den)
+    # monomial gcd and content reduction only; no polynomial gcd
     if not num:
         return {}, {(0,) * _arity(den): Fraction(1)}
+    low = tuple(map(min, *num, *den))
+    if any(low):
+        num, den = ({tuple(e - k for e, k in zip(m, low)): c
+                     for m, c in terms.items()} for terms in (num, den))
+    else:
+        num, den = dict(num), dict(den)
     c = content(den)
     if c != 1:
         num = scale_terms(num, 1 / c)

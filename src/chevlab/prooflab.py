@@ -12,6 +12,7 @@ its source anchor instead of being guessed at).
 
 from __future__ import annotations
 
+import bisect
 import fnmatch
 import functools
 import itertools
@@ -731,14 +732,20 @@ class _Echelon:
         row = dict(row)
         out = {}
         pivots = self.pivots
-        while row:
-            lead = max(row)
+        # the leads come off the top of the row's monomials kept sorted; a
+        # monomial that has cancelled is stale and skipped.  A pivot's tail
+        # lies below its lead, so no lead comes back once taken.
+        order = sorted(row)
+        while order:
+            lead = order.pop()
+            c = row.pop(lead, None)
+            if c is None:
+                continue
             piv = pivots.get(lead)
             if piv is None:
-                out[lead] = row.pop(lead)
+                out[lead] = c
                 continue
             p, tail = piv
-            c = row.pop(lead)
             g = math.gcd(c, p)
             c //= g
             p //= g
@@ -749,9 +756,12 @@ class _Echelon:
                 for m in out:
                     out[m] *= p
             for m, x in tail:
-                s = row.get(m, 0) - c * x
-                if s:
-                    row[m] = s
+                s = row.get(m)
+                if s is None:
+                    row[m] = -c * x
+                    bisect.insort(order, m)
+                elif s != c * x:
+                    row[m] = s - c * x
                 else:
                     del row[m]
         return out
@@ -788,9 +798,10 @@ def _chain_echelon(entries, rules):
             if r:
                 rows.append(r)
     rows.sort(key=lambda r: (len(r), max(r)))
+    rows.reverse()
     ech = _Echelon()
-    for r in rows:
-        ech.insert(r)
+    while rows:                 # each row freed once inserted
+        ech.insert(rows.pop())
     return ech
 
 

@@ -986,6 +986,21 @@ def test_fraction_products_match_sympy(case):
     _assert_equal_in_sympy(evaluate_word(word, basis, realization), want)
 
 
+def test_fraction_entries_share_no_monomial():
+    # the product kernel puts every entry of x_b(1/u) over u^3; each entry
+    # keeps only the power of u it needs
+    fr = RingSpec("fraction", ("u",))
+    basis = build_basis("G2")
+    x = root_element(basis, basis.root("b"), invert(fr.var("u")))
+    entries = [e for row in x.rows for e in row]
+    texts = {repr(e) for e in entries}
+    assert {"(-2)/(u)", "(3)/(u^2)", "(1)/(u^3)"} <= texts
+    assert all(min(m[0] for m in (*e.num, *e.den)) == 0 for e in entries)
+    u, v = (RingSpec("fraction", ("u", "v")).var(n) for n in "uv")
+    assert repr((u * u * v + u * v) / (u ** 3 * v)) == "(u + 1)/(u^2)"
+    assert repr(u * v / u) == "v"
+
+
 QQ = RingSpec("fraction", ())
 MODULI = (2, 3, 4, 5, 7, 9, 25)
 REALIZATIONS = [("A1", "adjoint"), ("A1", "a1std"), ("A2", "adjoint"),

@@ -199,3 +199,65 @@ def test_option_counts(capsys):
     # options no command reads are refused, not ignored
     assert run(capsys, "chain", "--system", "A1")[0] == 2
     assert run(capsys, "relations", "--cap", "5")[0] == 2
+
+
+@pytest.mark.parametrize("option,argv", [
+    ("--cap", ["sha", "--system", "A1", "--prime", "3", "--cap", "0"]),
+    ("--cap", ["centralizer", "--system", "A1", "--prime", "3", "--cap",
+               "-5"]),
+    ("--power", ["decompose", "--system", "A1", "--prime", "3", "--power",
+                 "0", "x(a,1)"]),
+    ("--power", ["decompose", "--system", "A1", "--prime", "3", "--power",
+                 "-1", "x(a,1)"]),
+])
+def test_cap_and_power_must_be_positive(capsys, option, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: " in err and "not a positive integer" in err
+
+
+def test_one_parser_per_process():
+    assert _parser() is _parser()
+
+
+BRUHAT_ARGV = ["decompose", "--system", "B2", "--prime", "2", "--bruhat",
+               "x(-a,1) x(-b,1) x(a+b,1) x(-a,1) x(-b,1)"]
+
+
+def test_repeated_dispatch_gives_the_same_output(capsys):
+    # the parser is shared between calls, so no call leaves state in it
+    for argv in (BRUHAT_ARGV + ["--output", "json-lines"],
+                 ["sha", "--system", "A1", "--prime", "3", "--no-timing"],
+                 ["eval", "--system", "A2", "--prime", "3", "t1(2) x(a1,1)"]):
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first == run(capsys, *argv)
+        bad = run(capsys, argv[0], "--system", "A1", "--bogus")
+        assert bad[0] == 2 and bad[1] == ""
+        assert run(capsys, *argv) == first
+
+
+def test_decompose_bruhat_evaluates_no_whole_word(capsys, monkeypatch):
+    # the target is multiplied from the context's letter arrays; a letter
+    # the context has not seen yet is evaluated alone
+    from chevlab import cli, decomp
+    decomp._bruhat_context("B2", 2)
+    lengths = []
+    evaluate_word = decomp.evaluate_word
+
+    def counting(word, *args, **kwargs):
+        lengths.append(len(word.letters))
+        return evaluate_word(word, *args, **kwargs)
+
+    monkeypatch.setattr(decomp, "evaluate_word", counting)
+    monkeypatch.setattr(cli, "evaluate_word", counting)
+    first = run(capsys, *BRUHAT_ARGV)
+    assert first[0] == 0 and max(lengths, default=0) <= 1
+    lengths.clear()
+    assert run(capsys, *BRUHAT_ARGV) == first and lengths == []
+
+
+def test_bruhat_needs_a_field(capsys):
+    code, out, err = run(capsys, "decompose", "--system", "A2", "--prime",
+                         "3", "--power", "2", "--bruhat", "x(a1,1)")
+    assert (code, out) == (2, "")
+    assert err == "error: Bruhat decomposition works over a field\n"

@@ -2,12 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chevlab import decomp, shacheck
 from chevlab.chevgroup import (GroupWord, RealizationError, build_basis,
                                default_realization, evaluate_word, parse_word,
                                root_element)
-from chevlab.exactring import NotAUnit, RingSpec
+from chevlab.exactring import NotAUnit, RingError, RingSpec
 from chevlab.rootsys import Root, all_roots
 
 
@@ -263,6 +265,48 @@ def test_bruhat_rejects_a_matrix_of_another_realization_or_ring():
     mod5 = root_element(basis, basis.root("a"), f5.one(), "a1std")
     with pytest.raises(RealizationError):
         decomp.bruhat_bruteforce(mod5, "A1", 3)
+
+
+def test_bruhat_of_a_word_is_the_bruhat_of_its_matrix():
+    for system, p, text, expect in BRUHAT_GOLDEN:
+        word = parse_word(text, system, RingSpec("modular", modulus=p))
+        fact = decomp.bruhat_bruteforce(word, system, p)
+        assert fact.word().format_text() == expect
+    # a word over another ring or of another system is refused
+    f9 = RingSpec("modular", modulus=9)
+    with pytest.raises(RingError, match="different rings"):
+        decomp.bruhat_bruteforce(parse_word("x(a1,1)", "A2", f9), "A2", 3)
+    f3 = RingSpec("modular", modulus=3)
+    with pytest.raises(RealizationError, match="B2 basis"):
+        decomp.bruhat_bruteforce(parse_word("x(a,1)", "B2", f3), "A2", 3)
+
+
+@st.composite
+def field_words(draw):
+    """A small field and a word over it: x letters with any parameter, h
+    and w letters with unit parameters, and on A2 also t letters."""
+    system, p = draw(st.sampled_from([("A1", 5), ("A2", 3), ("B2", 2),
+                                      ("G2", 2)]))
+    spec = RingSpec("modular", modulus=p)
+    letters = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from("xxhwt" if system == "A2" else "xxhw"))
+        what = (draw(st.integers(0, 1)) if kind == "t"
+                else draw(st.sampled_from(all_roots(system))))
+        c = draw(st.integers(0 if kind == "x" else 1, p - 1))
+        letters.append((kind, what, spec.const(c)))
+    return system, p, GroupWord(system, letters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_words())
+def test_context_array_is_the_evaluated_word(case):
+    system, p, word = case
+    ctx = decomp._bruhat_context(system, p)
+    M = evaluate_word(word, build_basis(system), ctx.realization,
+                      spec=RingSpec("modular", modulus=p))
+    assert (ctx.array(word)
+            == shacheck.matrix_array(M, ctx.realization, p)).all()
 
 
 @pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A2", 2),

@@ -370,6 +370,48 @@ def test_chain_echelon_pivot_counts(stage, pivots):
     assert len(ech.pivots) == pivots
 
 
+class _MaxEchelon(prooflab._Echelon):
+    """The fraction-free echelon with each lead found by ``max`` over the
+    remaining row, as a reference for the sorted order of the leads."""
+
+    def reduce(self, row):
+        row = dict(row)
+        out = {}
+        while row:
+            lead = max(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                out[lead] = row.pop(lead)
+                continue
+            p, tail = piv
+            c = row.pop(lead)
+            g = math.gcd(c, p)
+            c, p = c // g, p // g
+            row = {m: x * p for m, x in row.items()}
+            out = {m: x * p for m, x in out.items()}
+            for m, x in tail:
+                row[m] = row.get(m, 0) - c * x
+                if not row[m]:
+                    del row[m]
+        return out
+
+
+def test_echelon_takes_the_leads_of_max(monkeypatch):
+    # the same pivots in the same order, and the same normal forms with
+    # their terms in the same order
+    rules = _rules_before("b-ac2sq")
+    entries = prooflab._reduced_entries(rules)
+    ech = prooflab._chain_echelon(entries, rules)
+    monkeypatch.setattr(prooflab, "_Echelon", _MaxEchelon)
+    ref = prooflab._chain_echelon(entries, rules)
+    assert list(ech.pivots.items()) == list(ref.pivots.items())
+    rows = [prooflab._integer_row(terms) for _, terms in entries]
+    assert any(ech.reduce(row) != row for row in rows)
+    for row in rows:
+        assert (list(ech.reduce(row).items())
+                == list(ref.reduce(row).items()))
+
+
 def _chain_sympy(terms):
     """Packed chain terms as a sympy expression."""
     gens = sympy.symbols(prooflab._CHAIN_VARS)
