@@ -43,8 +43,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactring import (MonomialPacking, RingElement, RingError, RingSpec,
-                        divides_power_of_six, invert, parse_expr)
+from .exactring import (MonomialPacking, ParseError, RingElement, RingError,
+                        RingSpec, _ExprParser, divides_power_of_six, invert,
+                        parse_expr)
 from .rootsys import (Root, SystemType, cartan_integer, coroot_coefficients,
                       is_root, positive_roots, root_string, simple_roots,
                       _norm2)
@@ -1172,43 +1173,10 @@ _ROOT_SYMBOLS = {
 
 
 def parse_root(text: str, system) -> Root:
-    system = SystemType(system)
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty root name")
-    if s.startswith("[") and s.endswith("]"):
-        coords = tuple(int(x) for x in s[1:-1].split(","))
-        return Root(system, coords)
-    symbols = _ROOT_SYMBOLS[system.tag]
-    coords = [0] * system.rank
-    i = 0
-    sign = 1
-    while i < len(s):
-        if s[i] == "+":
-            sign = 1
-            i += 1
-            continue
-        if s[i] == "-":
-            sign = -1
-            i += 1
-            continue
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        coef = int(s[i:j]) if j > i else 1
-        k = j
-        while k < len(s) and (s[k].isalnum()) and not (s[k] == "+" or s[k] == "-"):
-            k += 1
-        name = s[j:k]
-        # longest-match symbol names that may themselves end in digits (a1, a2)
-        if name not in symbols:
-            raise ValueError(f"unknown root symbol {name!r} in {text!r}")
-        base = symbols[name]
-        for t in range(system.rank):
-            coords[t] += sign * coef * base[t]
-        i = k
-        sign = 1
-    return Root(system, tuple(coords))
+    parser = _WordParser(text, SystemType(system), None)
+    root = parser.root()
+    parser.end("root")
+    return root
 
 
 def format_root(root: Root) -> str:
@@ -1229,26 +1197,17 @@ def format_root(root: Root) -> str:
     return "".join(parts)
 
 
-class _WordParser:
+class _WordParser(_ExprParser):
+    """The word grammar on the expression parser's cursor: a letter's root
+    and parameter are read in place, each once."""
+
     def __init__(self, text: str, system: SystemType, spec: RingSpec):
-        self.text = text
-        self.pos = 0
+        super().__init__(text, spec)
         self.system = system
-        self.spec = spec
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def parse(self) -> GroupWord:
         word = self.sequence()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input in word {self.text!r}")
+        self.end("word")
         return word
 
     def sequence(self) -> GroupWord:
@@ -1263,88 +1222,63 @@ class _WordParser:
             word = word * self.item()
 
     def item(self) -> GroupWord:
-        ch = self.peek()
-        if ch == "(":
+        if self.peek() == "(":
             self.pos += 1
             inner = self.sequence()
-            if self.peek() != ")":
-                raise ValueError(f"missing ')' in word {self.text!r}")
-            self.pos += 1
+            self.expect(")")
             return self.postfix(inner)
-        name = self.name()
-        if self.peek() != "(":
-            raise ValueError(f"expected '(' after {name!r} in {self.text!r}")
-        self.pos += 1
+        name = self.identifier()
+        self.expect("(")
         if name in ("x", "h", "w"):
-            root_text = self.scan_until_comma()
-            param = self.scan_balanced()
-            root = parse_root(root_text, self.system)
-            p = parse_expr(param, self.spec)
-            letter = {"x": GroupWord.x, "h": GroupWord.h, "w": GroupWord.w}[name]
-            return self.postfix(letter(self.system, root, p))
-        if name in ("t1", "t2"):
-            param = self.scan_balanced()
+            root = self.root()
+            self.expect(",")
+            letter = (name, root, self.expr())
+        elif name in ("t1", "t2"):
             i = int(name[1]) - 1
             if i >= self.system.rank:
-                raise ValueError(f"no torus coordinate {name} in {self.system}")
-            return self.postfix(GroupWord.t(self.system, i, parse_expr(param, self.spec)))
-        raise ValueError(f"unknown word letter {name!r}")
+                raise ParseError(f"no torus coordinate {name} in {self.system}")
+            letter = ("t", i, self.expr())
+        else:
+            raise ParseError(f"unknown word letter {name!r}")
+        self.expect(")")
+        return self.postfix(GroupWord(self.system, [letter]))
 
     def postfix(self, word: GroupWord) -> GroupWord:
         if self.peek() != "^":
             return word
-        self.pos += 1
-        sign = 1
-        if self.peek() == "-":
-            sign = -1
-            self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"expected an exponent after '^' in {self.text!r}")
-        return word ** (sign * int(self.text[start:self.pos]))
+        neg, n = self.exponent()
+        return word ** (-n if neg else n)
 
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+    def root(self) -> Root:
+        """``[c1,c2]``, or a sum of signed multiples of the simple-root
+        symbols.  Whitespace may separate tokens but not split a symbol."""
+        if self.peek() == "[":
             self.pos += 1
-        if start == self.pos:
-            raise ValueError(f"cannot parse word at {self.text[self.pos:]!r}")
-        return self.text[start:self.pos]
-
-    def scan_until_comma(self) -> str:
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                out = self.text[start:self.pos]
+            coords = [self.sign() * self.integer()]
+            while self.peek() == ",":
                 self.pos += 1
-                return out
-            self.pos += 1
-        raise ValueError(f"expected ',' in {self.text!r}")
+                coords.append(self.sign() * self.integer())
+            self.expect("]")
+            return Root(self.system, coords)
+        symbols = _ROOT_SYMBOLS[self.system.tag]
+        coords = [0] * self.system.rank
+        while True:
+            sign = self.sign()
+            coef = self.integer() if self.peek().isdigit() else 1
+            name = self.identifier()
+            if name not in symbols:
+                raise ParseError(f"unknown root symbol {name!r} in {self.text!r}")
+            for i, b in enumerate(symbols[name]):
+                coords[i] += sign * coef * b
+            if self.peek() not in ("+", "-"):
+                return Root(self.system, coords)
 
-    def scan_balanced(self) -> str:
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    out = self.text[start:self.pos]
-                    self.pos += 1
-                    return out
-                depth -= 1
+    def sign(self) -> int:
+        """An optional '+' or '-', read as 1 or -1."""
+        ch = self.peek()
+        if ch in ("+", "-"):
             self.pos += 1
-        raise ValueError(f"unbalanced parentheses in {self.text!r}")
+        return -1 if ch == "-" else 1
 
 
 def parse_word(text: str, system, spec: RingSpec) -> GroupWord:

@@ -223,11 +223,11 @@ def cmd_decompose(args):
               f"PASS         {args.word} = {fact.word().format_text()}"
               f"  [weyl {fact.weyl_word}]")
     else:
+        if args.system != "A1":
+            raise RingError("constructive Gauss decomposition is A1-only")
         basis = build_basis(args.system)
         M = evaluate_word(word, basis, default_realization(args.system),
                           spec=spec)
-        if args.system != "A1":
-            raise RingError("constructive Gauss decomposition is A1-only")
         fact = decomp.gauss_decompose_a1(M, basis)
         _emit({"factorization": fact.word().format_text()}, args,
               f"PASS         {args.word} = {fact.word().format_text()}")

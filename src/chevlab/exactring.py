@@ -44,6 +44,10 @@ class SpecMismatch(RingError):
     pass
 
 
+class ParseError(RingError, ValueError):
+    """Text outside the expression or word grammar."""
+
+
 def deglex_key(exps: Exponents):
     return (sum(exps), exps)
 
@@ -651,9 +655,9 @@ def invert(a: RingElement) -> RingElement:
         if g != 1:
             raise NotAUnit(f"{a.residue} is not a unit mod {spec.modulus}")
         return RingElement(spec, residue=pow(a.residue, -1, spec.modulus))
+    if a.is_zero():
+        raise NotAUnit("zero is not a unit")
     if spec.kind == "fraction":
-        if not a.num:
-            raise NotAUnit("zero is not a unit")
         return RingElement(spec, num=a.den, den=a.num)
     # poly or quotient: units are (constant unit) + (nilpotent part)
     unit = spec._unit_mono()
@@ -817,7 +821,8 @@ def format_terms(terms: Terms, variables) -> str:
 
 class _ExprParser:
     """Recursive-descent parser for +, -, *, /, ^, parentheses, rationals
-    and ring variables."""
+    and ring variables.  Its cursor (``text``, ``pos`` and the token
+    readers) is the one chevgroup's word parser reads words on."""
 
     def __init__(self, text: str, spec: RingSpec):
         self.text = text
@@ -826,10 +831,12 @@ class _ExprParser:
 
     def parse(self) -> RingElement:
         value = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise RingError(f"trailing input in expression {self.text!r}")
+        self.end("expression")
         return value
+
+    def end(self, what: str):
+        if self.peek():
+            raise ParseError(f"trailing input in {what} {self.text!r}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -874,34 +881,50 @@ class _ExprParser:
 
     def power(self) -> RingElement:
         base = self.atom()
-        if self.peek() == "^":
+        if self.peek() != "^":
+            return base
+        neg, n = self.exponent()
+        return invert(base) ** n if neg else base ** n
+
+    def exponent(self):
+        """Read '^', an optional '-' and an integer: (negative, n)."""
+        self.expect("^")
+        neg = self.peek() == "-"
+        if neg:
             self.pos += 1
-            neg = False
-            if self.peek() == "-":
-                neg = True
-                self.pos += 1
-            n = self.integer()
-            return invert(base) ** n if neg else base ** n
-        return base
+        if not self.peek().isdigit():
+            self.fail("an exponent")
+        return neg, self.integer()
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            self.fail(repr(ch))
+        self.pos += 1
+
+    def fail(self, wanted: str):
+        rest = self.text[self.pos:]
+        where = f"at {rest!r} in" if rest else "at the end of"
+        raise ParseError(f"expected {wanted} {where} {self.text!r}")
 
     def atom(self) -> RingElement:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
             value = self.expr()
-            if self.peek() != ")":
-                raise RingError(f"missing ')' in {self.text!r}")
-            self.pos += 1
+            self.expect(")")
             return value
         if ch.isdigit():
             return self.spec.const(self.integer())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while (self.pos < len(self.text)
-                   and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
-                self.pos += 1
-            return self.spec.var(self.text[start:self.pos])
-        raise RingError(f"cannot parse expression at {self.text[self.pos:]!r}")
+        return self.spec.var(self.identifier())
+
+    def identifier(self) -> str:
+        if not (self.peek().isalpha() or self.peek() == "_"):
+            self.fail("a name")
+        start = self.pos
+        while (self.pos < len(self.text)
+               and (self.text[self.pos].isalnum() or self.text[self.pos] == "_")):
+            self.pos += 1
+        return self.text[start:self.pos]
 
     def integer(self) -> int:
         self.skip_ws()
@@ -909,7 +932,7 @@ class _ExprParser:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
-            raise RingError(f"expected integer in {self.text!r}")
+            self.fail("an integer")
         return int(self.text[start:self.pos])
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import chevlab
 from chevlab.chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
                                build_basis, commutator_relation, diag_torus,
-                               evaluate_word, identity_matrix,
+                               evaluate_word, format_root, identity_matrix,
                                matrix_from_entries, parse_root, parse_word,
                                pgl3_equal, root_element, torus_element,
                                trace_poly, unipotent_coordinates,
@@ -410,6 +410,97 @@ def test_word_grammar():
         parse_word("y(a,1)", "A1", spec)
     with pytest.raises(ValueError):
         parse_word("t2(1)", "A1", spec)
+
+
+@pytest.mark.parametrize("text,system", [
+    ("a1 + a 2", "A2"),     # whitespace splits the symbol a2
+    ("a b", "B2"),
+    ("a+", "B2"),           # a trailing sign
+    ("a -", "G2"),
+    ("a-+b", "B2"),         # a doubled sign
+    ("--a", "G2"),
+    ("[0 1,0]", "B2"),      # whitespace splits the number 01
+    ("[0_1,0]", "B2"),
+    ("", "A1"),
+    ("[1,0", "B2"),
+])
+def test_malformed_roots_are_rejected(text, system):
+    with pytest.raises(ValueError):
+        parse_root(text, system)
+    with pytest.raises(ValueError):
+        parse_word(f"x({text}, 1)", system, RingSpec("poly", ("t",)))
+
+
+def test_whitespace_separates_root_tokens():
+    assert parse_root("2 a+3 b", "G2").coords == (2, 3)
+    assert parse_root(" - 2 a - 3 b ", "G2").coords == (-2, -3)
+    assert parse_root("a1 + a2", "A2").coords == (1, 1)
+    assert parse_root("[ -1 , -2 ]", "B2").coords == (-1, -2)
+    assert parse_root("[+1,2]", "B2").coords == (1, 2)
+    word = parse_word("x( -a - 2 b , t ) ^ - 2", "B2", RingSpec("poly", ("t",)))
+    assert word.format_text() == "x(-a-2b, -t) x(-a-2b, -t)"
+
+
+def test_every_root_round_trips():
+    for tag in SYSTEMS:
+        for root in all_roots(tag):
+            assert parse_root(format_root(root), tag) == root
+            coords = ",".join(map(str, root.coords))
+            assert parse_root(f"[{coords}]", tag) == root
+
+
+ROUND_TRIP_RINGS = (RingSpec("poly", ("t", "u")),
+                    RingSpec("fraction", ("t", "u")),
+                    RingSpec("modular", modulus=7))
+
+
+@st.composite
+def ring_elements(draw, spec):
+    """An element of Z/7, a polynomial in t and u with rational
+    coefficients, or a quotient of two such polynomials."""
+    if spec.kind == "modular":
+        return spec.const(draw(st.integers(0, 6)))
+
+    def polynomial():
+        out = spec.zero()
+        for _ in range(draw(st.integers(0, 3))):
+            c = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+            out = out + (spec.const(c) * spec.var("t") ** draw(st.integers(0, 3))
+                         * spec.var("u") ** draw(st.integers(0, 2)))
+        return out
+
+    num = polynomial()
+    if spec.kind == "fraction":
+        den = polynomial()
+        if not den.is_zero():
+            return num / den
+    return num
+
+
+@st.composite
+def round_trip_words(draw):
+    tag = draw(st.sampled_from(SYSTEMS))
+    spec = draw(st.sampled_from(ROUND_TRIP_RINGS))
+    letters = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from("xhwt"))
+        what = (draw(st.integers(0, SystemType(tag).rank - 1)) if kind == "t"
+                else draw(st.sampled_from(all_roots(tag))))
+        letters.append((kind, what, draw(ring_elements(spec))))
+    return spec, GroupWord(tag, letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(round_trip_words())
+def test_format_text_round_trips(case):
+    # the text a word prints parses back to the same letters: the same
+    # kind, the same root or torus coordinate and an equal parameter
+    spec, word = case
+    again = parse_word(word.format_text(), word.system, spec)
+    assert len(again.letters) == len(word.letters)
+    for (kind, what, p), (kind2, what2, p2) in zip(word.letters,
+                                                   again.letters):
+        assert (kind2, what2) == (kind, what) and p2 == p
 
 
 def test_word_inverse_and_power():

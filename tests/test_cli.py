@@ -142,9 +142,20 @@ def test_failure_exit_code(capsys):
      "Bruhat search bound"),
     (["decompose", "--bruhat", "--system", "B2", "--prime", "19",
       "x(a,1)"], "Bruhat search bound"),
+    # a root may not end in a sign or split a symbol
+    (["eval", "--system", "B2", "--vars", "t", "x(a+, t)"],
+     "expected a name at ', t)'"),
+    (["eval", "--system", "A2", "--vars", "t", "x(a1 + a 2, t)"],
+     "unknown root symbol 'a'"),
+    (["eval", "--system", "A1", "--vars", "t", "x(a,1/0)"],
+     "zero is not a unit"),
+    # an unterminated parameter fails inside the expression
+    (["eval", "--system", "A1", "--vars", "t", "t1("],
+     "expected a name at the end of 't1('"),
 ], ids=["realization", "caret", "caret-minus", "gauss-f2",
         "centralizer-b2-f2", "centralizer-g2-f3", "centralizer-cap",
-        "bruhat-g2-f7", "bruhat-b2-f19"])
+        "bruhat-g2-f7", "bruhat-b2-f19", "root-trailing-sign",
+        "root-split-symbol", "divide-by-zero", "unterminated-parameter"])
 def test_bad_input_exit_2_one_line(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -261,3 +272,17 @@ def test_bruhat_needs_a_field(capsys):
                          "3", "--power", "2", "--bruhat", "x(a1,1)")
     assert (code, out) == (2, "")
     assert err == "error: Bruhat decomposition works over a field\n"
+
+
+@pytest.mark.parametrize("system,word", [("B2", "h(a,0)"),
+                                         ("G2", "x(a,1) w(b,2)")])
+def test_gauss_checks_the_system_before_evaluating(capsys, monkeypatch,
+                                                    system, word):
+    from chevlab import cli
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_word",
+                        lambda *args, **kwargs: calls.append(args))
+    assert run(capsys, "decompose", "--system", system, "--prime", "3",
+               word) == (2, "", "error: constructive Gauss decomposition"
+                                " is A1-only\n")
+    assert calls == []

@@ -97,6 +97,17 @@ def test_invert():
         invert(m6.const(3))
 
 
+@pytest.mark.parametrize("spec", [
+    RingSpec("poly", ("t",)),
+    RingSpec("quotient", ("u",), rules=[RewriteRule((2,), {})]),
+], ids=["Q[t]", "Q[u]/(u^2)"])
+def test_zero_is_not_a_unit(spec):
+    with pytest.raises(NotAUnit, match="^zero is not a unit$"):
+        invert(spec.zero())
+    with pytest.raises(NotAUnit, match="^zero is not a unit$"):
+        parse_expr("1/0", spec)
+
+
 def test_substitute():
     spec = poly_ts()
     t, s = spec.var("t"), spec.var("s")
@@ -230,6 +241,11 @@ def test_expression_parser():
         parse_expr("q", spec)
     with pytest.raises(RingError):
         parse_expr("1 +", spec)
+    # a syntax error is also a ValueError, as the word grammar's are
+    with pytest.raises(ValueError, match="expected a name at the end"):
+        parse_expr("1 +", spec)
+    with pytest.raises(ValueError, match="trailing input"):
+        parse_expr("b s", spec)
 
 
 INVERT_CHECK = """

@@ -487,6 +487,23 @@ def test_only_exactring_knows_the_packed_layout():
     assert slot_width == [] and shifts == []
 
 
+def test_one_cursor_for_words_roots_and_expressions():
+    # the word parser reads each root and parameter in place on the
+    # expression parser's cursor: only exactring skips whitespace or peeks,
+    # and no _WordParser method hands a slice of its text to parse_expr
+    cursors = sorted((name, node.name) for name, node in _src_nodes()
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in ("skip_ws", "peek"))
+    assert cursors == [("exactring.py", "peek"), ("exactring.py", "skip_ws")]
+    word_parser, = [node for name, node in _src_nodes()
+                    if name == "chevgroup.py"
+                    and isinstance(node, ast.ClassDef)
+                    and node.name == "_WordParser"]
+    reparses = [node.lineno for node in ast.walk(word_parser)
+                if isinstance(node, ast.Name) and node.id == "parse_expr"]
+    assert reparses == []
+
+
 def test_every_ring_kind_has_one_product_kernel():
     # each kind RingSpec accepts has a product kernel, and chevgroup reads
     # _KERNELS only by subscript: no .get, no fallback when a kind is missing
