@@ -925,82 +925,40 @@ def _positive_functional(roots, system: SystemType):
 def unipotent_coordinates(M: AdjointMatrix, basis: ChevalleyBasis, roots):
     """Coordinates p_g with M = prod x_g(p_g), factors ordered by increasing
     level of a functional positive on ``roots`` (canonical order within a
-    level).  Raises ValueError when M has no such factorization."""
+    level).  Raises ValueError when M has no such factorization.
+
+    On the lowest level left, no sum of two or more of the roots is a root
+    g of that level, so the entry (e_g, h_i) of M is p_g [e_g, h_i] =
+    -<g, alpha_i-check> p_g alone.  Each p_g is read off that entry, the
+    level is peeled, and the final identity check certifies the whole
+    factorization."""
     roots = list(roots)
     if not roots:
         if not M.is_identity():
             raise ValueError("matrix is not the identity")
         return []
     phi = _positive_functional(roots, basis.system)
-
-    def level(coords):
-        return sum(m * c for m, c in zip(phi, coords))
-
     levels = {}
     for r in roots:
-        levels.setdefault(level(r.coords), []).append(r)
-    basis_level = [level(lab[1].coords) if lab[0] == "e" else 0
-                   for lab in basis.labels]
-    spec = M.spec
+        levels.setdefault(sum(m * c for m, c in zip(phi, r.coords)),
+                          []).append(r)
+    h_cols = [basis.index[("h", i)] for i in range(basis.rank)]
     out = []
     for lv in sorted(levels):
-        group = levels[lv]
-        positions = [(i, j) for i in range(basis.dim) for j in range(basis.dim)
-                     if basis_level[i] - basis_level[j] == lv]
-        A = [[Fraction(basis.ad[r.coords][i][j]) for r in group]
-             for i, j in positions]
-        b = [M.rows[i][j] - (1 if i == j else 0) for i, j in positions]
-        params = _solve_columns(A, b, spec)
-        if params is None:
-            raise ValueError("matrix entries are inconsistent with the root set")
-        found = list(zip(group, params))
+        found = []
+        for g in levels[lv]:
+            row = basis.index[("e", g.coords)]
+            pairing = basis.ad[g.coords][row]   # e_g-part of [e_g, v_j]
+            col = next(j for j in h_cols if pairing[j])
+            found.append((g, M.rows[row][col] * Fraction(1, pairing[col])))
         out += found
         # peel the level: M becomes x_{r_k}(-p_k) ... x_{r_1}(-p_1) M
         inv = GroupWord(basis.system,
                         [("x", r, -p) for r, p in reversed(found)])
-        M = evaluate_word(inv, basis, M.realization, spec) * M
+        M = evaluate_word(inv, basis, M.realization, M.spec) * M
     if not M.is_identity():
         raise ValueError("matrix is not a product of the given root elements")
     return out
-
-
-def _solve_columns(A, b, spec: RingSpec):
-    """Solve A x = b exactly for a numeric matrix A and ring-element vector b.
-    Returns None when the system is inconsistent."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    A = [list(row) for row in A]
-    b = list(b)
-    pivot_rows = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if A[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        A[r], A[pr] = A[pr], A[r]
-        b[r], b[pr] = b[pr], b[r]
-        pivot_rows.append(c)
-        inv = Fraction(1) / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        b[r] = b[r] * inv
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-                b[i] = b[i] - b[r] * f
-        r += 1
-        if r == cols:
-            break
-    if r < cols:
-        return None
-    for i in range(r, rows):
-        if not b[i].is_zero():
-            return None
-    return b[:cols]
 
 
 class CommutatorRelation:
@@ -1264,7 +1222,7 @@ class _WordParser(_ExprParser):
         coords = [0] * self.system.rank
         while True:
             sign = self.sign()
-            coef = self.integer() if self.peek().isdigit() else 1
+            coef = self.integer() if self.peek().isdecimal() else 1
             name = self.identifier()
             if name not in symbols:
                 raise ParseError(f"unknown root symbol {name!r} in {self.text!r}")

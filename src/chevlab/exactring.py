@@ -892,7 +892,7 @@ class _ExprParser:
         neg = self.peek() == "-"
         if neg:
             self.pos += 1
-        if not self.peek().isdigit():
+        if not self.peek().isdecimal():
             self.fail("an exponent")
         return neg, self.integer()
 
@@ -913,7 +913,7 @@ class _ExprParser:
             value = self.expr()
             self.expect(")")
             return value
-        if ch.isdigit():
+        if ch.isdecimal():
             return self.spec.const(self.integer())
         return self.spec.var(self.identifier())
 
@@ -929,7 +929,7 @@ class _ExprParser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.fail("an integer")

@@ -88,9 +88,8 @@ class FiniteGroupTable:
     spans the group; ``inverses[x]`` is the id of x^-1.
     """
 
-    def __init__(self, system, p, realization, elements, index, generators,
-                 rmul, parent, parent_gen, levels, inverses):
-        self.system = SystemType(system)
+    def __init__(self, p, realization, elements, index, generators, rmul,
+                 parent, parent_gen, levels, inverses):
         self.p = p
         self.realization = realization
         self.elements = elements          # (|G|, d, d) uint8 array
@@ -235,7 +234,7 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         inverses[lo:hi] = left_inv[parent_gen[lo:hi], inverses[parent[lo:hi]]]
 
     gen_ids = _lookup(index, gens, realization, p).tolist()
-    return FiniteGroupTable(system, p, realization, elements, index,
+    return FiniteGroupTable(p, realization, elements, index,
                             list(zip(gen_words, gen_ids)), rmul, parent,
                             parent_gen, levels, inverses)
 

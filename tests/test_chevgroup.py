@@ -22,8 +22,9 @@ from chevlab.chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
                                weyl_element, RealizationError,
                                _structure_constants)
 from chevlab.decomp import _a1std_matrix
-from chevlab.exactring import (NotAUnit, RewriteRule, RingElement, RingError,
-                               RingSpec, invert, map_to_modular, parse_expr)
+from chevlab.exactring import (NotAUnit, ParseError, RewriteRule,
+                               RingElement, RingError, RingSpec, invert,
+                               map_to_modular, parse_expr)
 from chevlab.rootsys import (Root, SystemType, all_roots, positive_roots,
                              reflect, root_string, _norm2)
 
@@ -431,6 +432,21 @@ def test_malformed_roots_are_rejected(text, system):
         parse_word(f"x({text}, 1)", system, RingSpec("poly", ("t",)))
 
 
+def test_non_decimal_digits_are_parse_errors():
+    # '²' is a digit to str.isdigit but not to int(); '٣' is a decimal
+    # digit that int() reads as 3
+    spec = RingSpec("poly", ("t",))
+    with pytest.raises(ParseError):
+        parse_word("x(a, ²)", "A1", spec)
+    with pytest.raises(ParseError):
+        parse_root("[0,²]", "B2")
+    with pytest.raises(ParseError):
+        parse_root("²a+b", "B2")
+    assert parse_root("[1,٣]", "G2").coords == (1, 3)
+    assert parse_root("a+٣b", "G2").coords == (1, 3)
+    assert parse_word("x(a, ٣)", "A1", spec).format_text() == "x(alpha, 3)"
+
+
 def test_whitespace_separates_root_tokens():
     assert parse_root("2 a+3 b", "G2").coords == (2, 3)
     assert parse_root(" - 2 a - 3 b ", "G2").coords == (-2, -3)
@@ -564,6 +580,88 @@ def test_unipotent_coordinates_round_trip():
     with pytest.raises(ValueError):
         unipotent_coordinates(
             root_element(basis, -pos[0], spec.var("t")), basis, pos)
+
+
+QTU = RingSpec("poly", ("t", "u"))
+
+
+@st.composite
+def level_ordered_coordinates(draw):
+    """A system and an integer or polynomial coordinate on each positive
+    root, in increasing height (canonical order within a height), the
+    level order of the functional unipotent_coordinates picks for the
+    positive roots."""
+    tag = draw(st.sampled_from(SYSTEMS))
+    roots = sorted(positive_roots(tag), key=lambda r: sum(r.coords))
+    coordinate = st.one_of(st.integers(-4, 4).map(QTU.const),
+                           ring_elements(QTU))
+    return tag, [(r, draw(coordinate)) for r in roots]
+
+
+@settings(max_examples=40, deadline=None)
+@given(level_ordered_coordinates())
+def test_unipotent_coordinates_read_back_the_word(case):
+    tag, coords = case
+    basis = build_basis(tag)
+    word = GroupWord(tag, [("x", r, p) for r, p in coords])
+    m = evaluate_word(word, basis)
+    got = unipotent_coordinates(m, basis, [r for r, _ in coords])
+    assert [r for r, _ in got] == [r for r, _ in coords]
+    assert all(p == q for (_, p), (_, q) in zip(got, coords))
+
+
+@pytest.mark.parametrize("tag", SYSTEMS)
+def test_unipotent_coordinates_rejections(tag):
+    basis = build_basis(tag)
+    pos = positive_roots(tag)
+    t = QTU.var("t")
+    word = GroupWord(tag, [("x", r, t) for r in pos])
+    for r in pos:
+        # one negative-root letter among the positive ones
+        mixed = word * GroupWord.x(tag, -r, QTU.one())
+        with pytest.raises(ValueError):
+            unipotent_coordinates(evaluate_word(mixed, basis), basis, pos)
+    with pytest.raises(ValueError, match="pointed cone"):
+        unipotent_coordinates(evaluate_word(word, basis), basis,
+                              [pos[0], -pos[0]])
+    assert unipotent_coordinates(
+        identity_matrix(QTU, basis.dim, "adjoint"), basis, []) == []
+    with pytest.raises(ValueError):
+        unipotent_coordinates(root_element(basis, pos[0], t), basis, [])
+
+
+# the calibrated sign flips of the positive basis vectors and N on pairs of
+# positive roots (g before d), as the displayed relations and the
+# centralizer families pin them
+CALIBRATED = {
+    "A1": ({(1,): 1}, {}),
+    "A2": ({(1, 0): 1, (0, 1): 1, (1, 1): 1}, {((0, 1), (1, 0)): -1}),
+    "B2": ({(1, 0): -1, (0, 1): 1, (1, 1): 1, (1, 2): 1},
+           {((0, 1), (1, 0)): 1, ((0, 1), (1, 1)): 2}),
+    "G2": ({(1, 0): -1, (0, 1): -1, (1, 1): 1, (1, 2): 1, (1, 3): -1,
+            (2, 3): 1},
+           {((1, 0), (1, 3)): 1, ((0, 1), (1, 0)): -1, ((0, 1), (1, 1)): -2,
+            ((0, 1), (1, 2)): 3, ((1, 1), (1, 2)): 3}),
+}
+
+
+@pytest.mark.parametrize("tag", SYSTEMS)
+def test_calibration_is_pinned(tag):
+    # every N is the uncalibrated N rescaled by the flips of g, d and g + d
+    basis = build_basis(tag)
+    flips, positive_n = CALIBRATED[tag]
+    assert basis.flips == flips
+    pos = {r.coords for r in basis.pos}
+    assert {(g, d): n for (g, d), n in basis.N.items()
+            if g in pos and d in pos and g < d} == positive_n
+
+    def sign(coords):
+        return flips.get(coords) or flips[tuple(-c for c in coords)]
+
+    raw = _structure_constants(SystemType(tag))
+    assert basis.N == {
+        (g, d): sign(g) * sign(d) * sign(tuple(map(sum, zip(g, d)))) * n
+        for (g, d), n in raw.items()}
 
 
 def test_torus_letters():

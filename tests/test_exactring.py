@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import chevlab
 from chevlab.exactring import (SLOT_BITS, DenominatorNotInvertible,
-                               MonomialPacking, NotAUnit, RewriteRule,
+                               MonomialPacking, NotAUnit, ParseError,
+                               RewriteRule,
                                RingElement, RingError, RingSpec, deglex_key,
                                invert, map_to_modular, mul_terms, parse_expr,
                                reduce_terms, substitute)
@@ -246,6 +247,21 @@ def test_expression_parser():
         parse_expr("1 +", spec)
     with pytest.raises(ValueError, match="trailing input"):
         parse_expr("b s", spec)
+
+
+
+def test_non_decimal_digits_are_parse_errors():
+    # '²' is a digit to str.isdigit but not to int(), so it is rejected
+    # like any other stray character; '٣' is a decimal digit, read as 3
+    spec = RingSpec("poly", ("t",))
+    t = spec.var("t")
+    for text in ("t^²", "²", "t^-²", "1+²"):
+        with pytest.raises(ParseError):
+            parse_expr(text, spec)
+    assert parse_expr("٣", spec) == spec.const(3)
+    assert parse_expr("t^٣", spec) == t ** 3
+    frac = RingSpec("fraction", ("t",))
+    assert parse_expr("t^-١", frac) == invert(frac.var("t"))
 
 
 INVERT_CHECK = """
