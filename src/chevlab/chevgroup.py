@@ -929,9 +929,12 @@ def unipotent_coordinates(M: AdjointMatrix, basis: ChevalleyBasis, roots):
 
     On the lowest level left, no sum of two or more of the roots is a root
     g of that level, so the entry (e_g, h_i) of M is p_g [e_g, h_i] =
-    -<g, alpha_i-check> p_g alone.  Each p_g is read off that entry, the
-    level is peeled, and the final identity check certifies the whole
-    factorization."""
+    -<g, alpha_i-check> p_g alone, and the entry (h_i, e_{-g}) is p_g times
+    the alpha_i-check coefficient of g-check alone.  Each p_g is read off
+    the first of these entries whose coefficient is +-1, so no division
+    happens and any commutative ring will do (every root of A1, A2, B2 and
+    G2 has one); the level is then peeled, and the final identity check
+    certifies the whole factorization."""
     roots = list(roots)
     if not roots:
         if not M.is_identity():
@@ -942,15 +945,20 @@ def unipotent_coordinates(M: AdjointMatrix, basis: ChevalleyBasis, roots):
     for r in roots:
         levels.setdefault(sum(m * c for m, c in zip(phi, r.coords)),
                           []).append(r)
-    h_cols = [basis.index[("h", i)] for i in range(basis.rank)]
+    h_index = [basis.index[("h", i)] for i in range(basis.rank)]
     out = []
     for lv in sorted(levels):
         found = []
         for g in levels[lv]:
-            row = basis.index[("e", g.coords)]
-            pairing = basis.ad[g.coords][row]   # e_g-part of [e_g, v_j]
-            col = next(j for j in h_cols if pairing[j])
-            found.append((g, M.rows[row][col] * Fraction(1, pairing[col])))
+            ad = basis.ad[g.coords]
+            e_g = basis.index[("e", g.coords)]
+            e_neg = basis.index[("e", (-g).coords)]
+            entries = ([(e_g, h) for h in h_index]
+                       + [(h, e_neg) for h in h_index])
+            row, col = next((r, c) for r, c in entries
+                            if ad[r][c] in (1, -1))
+            # the coefficient ad[row][col] is +-1, its own inverse
+            found.append((g, M.rows[row][col] * ad[row][col]))
         out += found
         # peel the level: M becomes x_{r_k}(-p_k) ... x_{r_1}(-p_1) M
         inv = GroupWord(basis.system,

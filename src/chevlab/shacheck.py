@@ -4,19 +4,24 @@ Builds the elementary group E(system, F_p) by closure of the root-element
 generators, enumerates the class-preserving endomorphisms that fix the first
 generator s_1 by searching generator images inside the generators' conjugacy
 classes, and checks that each one is inner.  Conjugation moves s_1 around its
-whole class, so these maps determine all the others (see ``sha_report``).
+whole class, so these maps determine all the others, and conjugation by
+C_G(s_1) moves the image of s_2 around its orbit, so one image of s_2 per
+orbit is extended (see ``sha_report`` and ``class_preserving_endos``).
 
 An endomorphism is fixed by its images of the generators, so everything is
 done with the generators: the closure records the right-multiplication
 table by the generators (``rmul``, |G| x k) and a breadth-first spanning
 tree, right multiplication by any element is a composition of ``rmul``
 columns along that element's tree word, and endomorphisms are identified by
-their image tuples.  Memory is O(|G| k); no |G| x |G| table is built.
+their image tuples.  The closure works one tree level and one generator at
+a time on whole arrays; no Python loop runs per element.  Memory is
+O(|G| k); no |G| x |G| table is built.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import count, filterfalse
 
 import numpy as np
 
@@ -41,7 +46,7 @@ def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
     arr = arr % p
     if realization != "pgl3":
         return arr
-    flat = arr.reshape(arr.shape[:-2] + (-1,))
+    flat = arr.reshape(arr.shape[:-2] + (arr.shape[-2] * arr.shape[-1],))
     idx = (flat != 0).argmax(axis=-1)
     lead = np.take_along_axis(flat, idx[..., None], axis=-1)
     inv = np.array([0] + [pow(int(u), -1, p) for u in range(1, p)],
@@ -57,17 +62,27 @@ def matrix_array(m, realization: str, p: int) -> np.ndarray:
                     dtype=np.int64)
 
 
+def _keyed(mats: np.ndarray, realization: str, p: int):
+    """The canonical uint8 stack of a stack of integer matrices, and its
+    keys: the bytes of each canonical matrix, read through one ``np.void``
+    view."""
+    canon = _canonicalize(mats, realization, p).astype(np.uint8)
+    n, rows, cols = canon.shape
+    void = np.dtype((np.void, rows * cols))
+    return canon, canon.reshape(n, rows * cols).view(void).ravel().tolist()
+
+
 def element_keys(mats: np.ndarray, realization: str, p: int) -> list:
     """The keys of a stack of integer matrices as elements of E(system,
     F_p): the bytes of their canonical uint8 arrays.  Every search over
     F_p keys its elements here and nowhere else."""
-    canon = _canonicalize(mats, realization, p).astype(np.uint8)
-    return [m.tobytes() for m in canon]
+    return _keyed(mats, realization, p)[1]
 
 
 def _lookup(index, mats: np.ndarray, realization: str, p: int) -> np.ndarray:
     """Ids of a stack of integer matrices that lie in the group."""
-    return np.fromiter((index[k] for k in element_keys(mats, realization, p)),
+    return np.fromiter(map(index.__getitem__,
+                           element_keys(mats, realization, p)),
                        dtype=np.int32, count=len(mats))
 
 
@@ -102,18 +117,23 @@ class FiniteGroupTable:
         self.inverses = inverses
         self.identity_id = 0
         self._right = {}                  # position -> (image, permutation)
+        self._words = {0: ()}             # id -> tree word, built once
 
     def __len__(self):
         return len(self.elements)
 
-    def word(self, f: int) -> list:
-        """Generator indices i_1..i_m with f = s_{i_1} ... s_{i_m}."""
-        out = []
-        while f != self.identity_id:
-            out.append(int(self.parent_gen[f]))
-            f = int(self.parent[f])
-        out.reverse()
-        return out
+    def word(self, f: int) -> tuple:
+        """Generator indices (i_1, ..., i_m) with f = s_{i_1} ... s_{i_m},
+        built from the spanning tree once per element."""
+        f = int(f)
+        w = self._words.get(f)
+        if w is None:
+            out, x = [], f
+            while x != self.identity_id:
+                out.append(int(self.parent_gen[x]))
+                x = int(self.parent[x])
+            w = self._words[f] = tuple(reversed(out))
+        return w
 
     def right_multiplication(self, f: int) -> np.ndarray:
         """The permutation x -> x * f of all ids."""
@@ -176,62 +196,61 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     gens = np.stack([matrix_array(root_element(basis, g, one, realization),
                                   realization, p) for g in gen_roots])
 
-    dim = gens.shape[1]
-
-    def rows(keys):
-        # a key is the bytes of a canonical uint8 array
-        return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
-            -1, dim, dim)
-
-    ident = element_keys(np.eye(dim, dtype=np.int64)[None], realization, p)
-    index = {ident[0]: 0}
-    blocks = [rows(ident)]
-    parent, parent_gen = [0], [0]
+    ident, ident_keys = _keyed(np.eye(len(gens[0]), dtype=np.int64)[None],
+                               realization, p)
+    index = {ident_keys[0]: 0}
+    blocks, parent, parent_gen = [ident], [[0]], [[0]]
     rmul_levels = []
     levels = [0]
 
-    # breadth-first closure, one level (one block of rows) at a time; every
-    # product x * s_i is looked up once
+    # breadth-first closure, one level (one block of rows) and one
+    # generator at a time: the products x * s_i of the level are keyed at
+    # once, the keys not yet in ``index`` get the next ids in order of first
+    # occurrence, and each new element's parent is the first row that
+    # reached it
     lo = 0
     while lo < len(index):
         stack = blocks[-1].astype(np.int64)
-        new, cols = [], []
+        new_rows, cols = [], []
         for i, g in enumerate(gens):
-            col = np.empty(len(stack), dtype=np.int32)
-            for r, key in enumerate(element_keys(stack @ g, realization, p)):
-                j = index.get(key)
-                if j is None:
-                    if len(index) >= cap:
-                        raise CapExceeded(
-                            f"group order exceeds cap {cap}; raise --cap")
-                    j = index[key] = len(index)
-                    new.append(key)
-                    parent.append(lo + r)
-                    parent_gen.append(i)
-                col[r] = j
+            canon, keys = _keyed(stack @ g, realization, p)
+            fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
+            start = len(index)
+            if start + len(fresh) > cap:
+                raise CapExceeded(
+                    f"group order exceeds cap {cap}; raise --cap")
+            index.update(zip(fresh, count(start)))
+            col = np.fromiter(map(index.__getitem__, keys), dtype=np.int32,
+                              count=len(keys))
+            # the new ids rise in order of first occurrence, so a new
+            # element first occurs where col passes every id before it
+            before = np.maximum.accumulate(
+                np.concatenate(([start - 1], col[:-1])))
+            rows = np.flatnonzero(col > before)
+            new_rows.append(canon[rows])
+            parent.append(lo + rows)
+            parent_gen.append(np.full(len(rows), i))
             cols.append(col)
         rmul_levels.append(np.stack(cols, axis=1))
-        blocks.append(rows(new))
+        blocks.append(np.concatenate(new_rows))
         lo += len(stack)
         levels.append(lo)
 
     elements = np.concatenate(blocks)
     rmul = np.concatenate(rmul_levels)
-    parent = np.array(parent, dtype=np.int32)
-    parent_gen = np.array(parent_gen, dtype=np.int32)
+    parent = np.concatenate(parent).astype(np.int32)
+    parent_gen = np.concatenate(parent_gen).astype(np.int32)
 
-    # y = x s_i gives y^-1 = s_i^-1 x^-1: fill the inverses down the tree
-    # with the inverse permutations of the left-multiplication columns
-    lmul = np.empty_like(rmul)
-    for lo, hi in zip(levels, levels[1:]):
-        stack = elements[lo:hi].astype(np.int64)
-        for i, g in enumerate(gens):
-            lmul[lo:hi, i] = _lookup(index, g @ stack, realization, p)
-    left_inv = np.stack([_inverse_permutation(lmul[:, i])
-                         for i in range(len(gens))])
+    # y = x s_i gives y^-1 = s_i^-1 x^-1 with s_i^-1 = x_{+-g}(-1): fill the
+    # inverses down the tree, one product and one lookup per element
+    gen_inv = [matrix_array(root_element(basis, g, -one, realization),
+                            realization, p) for g in gen_roots]
     inverses = np.zeros(len(elements), dtype=np.int32)
     for lo, hi in zip(levels[1:], levels[2:]):
-        inverses[lo:hi] = left_inv[parent_gen[lo:hi], inverses[parent[lo:hi]]]
+        for i, s_inv in enumerate(gen_inv):
+            ys = lo + np.flatnonzero(parent_gen[lo:hi] == i)
+            x_inv = elements[inverses[parent[ys]]].astype(np.int64)
+            inverses[ys] = _lookup(index, s_inv @ x_inv, realization, p)
 
     gen_ids = _lookup(index, gens, realization, p).tolist()
     return FiniteGroupTable(p, realization, elements, index,
@@ -240,31 +259,33 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
 
 
 def conjugacy_classes(G: FiniteGroupTable):
-    """Orbits of the conjugation action, as lists of element ids."""
+    """Orbits of the conjugation action, as sorted lists of element ids in
+    order of their least ids, and the index of every id's orbit.
+
+    Every id starts labelled by itself.  Each round lowers the labels of x
+    and of s_i x s_i^-1 to the smaller of the two, for every generator, and
+    then moves each label to the label of its label; it stops when no label
+    moves.  A label is always an id of the same orbit, and the least id of
+    an orbit keeps its own, so the labels end as the least ids."""
     inv = G.inverses
     conj = []
     for i in range(len(G.generators)):
         right_inv = _inverse_permutation(G.rmul[:, i])   # x -> x s_i^-1
         left = inv[right_inv[inv]]                       # x -> s_i x
-        conj.append(right_inv[left].tolist())            # x -> s_i x s_i^-1
-    class_of = [-1] * len(G)
-    classes = []
-    for start in range(len(G)):
-        if class_of[start] >= 0:
-            continue
-        orbit = [start]
-        class_of[start] = len(classes)
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for perm in conj:
-                y = perm[x]
-                if class_of[y] < 0:
-                    class_of[y] = len(classes)
-                    orbit.append(y)
-                    queue.append(y)
-        classes.append(sorted(orbit))
-    return classes, class_of
+        conj.append(right_inv[left])                     # x -> s_i x s_i^-1
+    label = np.arange(len(G), dtype=np.int32)
+    moved = True
+    while moved:
+        before = label.copy()
+        for perm in conj:
+            np.minimum(label, label[perm], out=label)
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        moved = not np.array_equal(label, before)
+    least = label == np.arange(len(G))
+    classes = [np.flatnonzero(label == x).tolist()
+               for x in np.flatnonzero(least)]
+    return classes, (np.cumsum(least) - 1)[label].tolist()
 
 
 class EndoMap:
@@ -298,18 +319,22 @@ def extend_homomorphism(G: FiniteGroupTable, images):
     return EndoMap(images, table)
 
 
+def _conjugates(G: FiniteGroupTable, conjugators: np.ndarray,
+                x: int) -> np.ndarray:
+    """Ids of g x g^-1 for each id g in ``conjugators``, from one stacked
+    matrix product."""
+    g = G.elements[conjugators].astype(np.int64)
+    g_inv = G.elements[G.inverses[conjugators]].astype(np.int64)
+    return _lookup(G.index, g @ G.elements[x].astype(np.int64) @ g_inv,
+                   G.realization, G.p)
+
+
 def inner_endomorphisms(G: FiniteGroupTable) -> dict:
     """The image tuples (g s_i g^-1)_i of the conjugations fixing the first
     generator s_1, i.e. by g in C_G(s_1), each mapped to its least
     conjugator g: a certificate that the tuple is inner."""
     cent = G.centralizer(G.generators[0][1])
-    stack = G.elements[cent].astype(np.int64)
-    inverse = G.elements[G.inverses[cent]].astype(np.int64)
-    cols = []
-    for _, gid in G.generators:
-        s = G.elements[gid].astype(np.int64)
-        cols.append(_lookup(G.index, stack @ s @ inverse, G.realization,
-                            G.p).tolist())
+    cols = [_conjugates(G, cent, gid).tolist() for _, gid in G.generators]
     conjugators = {}
     for g, images in zip(cent.tolist(), zip(*cols)):
         conjugators.setdefault(images, g)
@@ -328,10 +353,14 @@ def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int, target) -> bool:
 def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
     """The image tuples of the endomorphisms that fix the first generator
     s_1 and send every element into its conjugacy class, sorted; ``classes``
-    and ``class_of`` are the output of ``conjugacy_classes(G)``."""
-    gen_ids = [gid for _, gid in G.generators]
-    candidates = [[gen_ids[0]]] + [classes[class_of[g]] for g in gen_ids[1:]]
+    and ``class_of`` are the output of ``conjugacy_classes(G)``.
 
+    Conjugation by g in C_G(s_1) fixes s_1 and permutes these maps, taking
+    psi to a map with psi(s_2) = g c g^-1 when psi(s_2) = c.  So the maps
+    are searched and extended only under the least c of each C_G(s_1)-orbit
+    of the images of s_2, and each map found there is carried to every other
+    c' of the orbit by one witness g with g c g^-1 = c' (the least such g)."""
+    gen_ids = [gid for _, gid in G.generators]
     n = len(gen_ids)
     pair_target = {}
     for i in range(n):
@@ -342,21 +371,35 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
                                          G.inv(gen_ids[j])))
                 pair_target[(i, j)] = (class_of[prod], class_of[comm])
 
-    # image tuples, one generator at a time, kept while every pair with an
-    # earlier generator lands in the right classes
-    chosen = [()]
-    for k in range(n):
-        chosen = [prefix + (c,) for prefix in chosen for c in candidates[k]
-                  if all(_pair_ok(G, class_of, prefix[i], c,
-                                  pair_target[(i, k)]) for i in range(k))]
-
+    s1 = gen_ids[0]
+    second = [c for c in classes[class_of[gen_ids[1]]]
+              if _pair_ok(G, class_of, s1, c, pair_target[(0, 1)])]
+    cent = G.centralizer(s1)
     class_arr = np.array(class_of)
-    found = []
-    for images in chosen:
-        endo = extend_homomorphism(G, images)
-        if endo is not REJECT and np.array_equal(class_arr[endo.table],
-                                                 class_arr):
-            found.append(endo.images)
+    found, seen = [], set()
+    for c in second:
+        if c in seen:
+            continue
+        # each g c g^-1 with its least g: the last value a reversed
+        # dict keeps
+        orbit = dict(zip(_conjugates(G, cent, c).tolist()[::-1],
+                         cent.tolist()[::-1]))
+        seen.update(orbit)
+        witnesses = np.fromiter(orbit.values(), dtype=np.int64)
+        # image tuples under (s_1, c), one generator at a time, kept while
+        # every pair with an earlier generator lands in the right classes
+        chosen = [(s1, c)]
+        for k in range(2, n):
+            chosen = [prefix + (x,) for prefix in chosen
+                      for x in classes[class_of[gen_ids[k]]]
+                      if all(_pair_ok(G, class_of, prefix[i], x,
+                                      pair_target[(i, k)]) for i in range(k))]
+        for images in chosen:
+            endo = extend_homomorphism(G, images)
+            if endo is not REJECT and np.array_equal(class_arr[endo.table],
+                                                     class_arr):
+                found += zip(*(_conjugates(G, witnesses, x).tolist()
+                               for x in endo.images))
     return sorted(found)
 
 

@@ -630,6 +630,21 @@ def test_unipotent_coordinates_rejections(tag):
         unipotent_coordinates(root_element(basis, pos[0], t), basis, [])
 
 
+@pytest.mark.parametrize("tag", SYSTEMS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_unipotent_coordinates_over_small_residue_rings(tag, p):
+    # every coordinate is read off an entry whose coefficient is +-1, so
+    # no pairing is inverted: 2 and 3 need not be units
+    spec = RingSpec("modular", modulus=p)
+    basis = build_basis(tag)
+    roots = sorted(positive_roots(tag), key=lambda r: sum(r.coords))
+    m = evaluate_word(GroupWord(tag, [("x", r, spec.one()) for r in roots]),
+                      basis, spec=spec)
+    got = unipotent_coordinates(m, basis, roots)
+    assert [r for r, _ in got] == roots
+    assert all(c.is_one() for _, c in got)
+
+
 # the calibrated sign flips of the positive basis vectors and N on pairs of
 # positive roots (g before d), as the displayed relations and the
 # centralizer families pin them

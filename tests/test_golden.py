@@ -452,14 +452,20 @@ def test_no_assert_in_src():
 
 
 def _keys_an_element(node) -> bool:
-    """Does ``node`` name ``_canonicalize``, or call ``.tobytes()`` or
-    ``.astype(np.uint8)``?"""
+    """Does ``node`` name ``_canonicalize`` or ``np.void``, or call
+    ``.tobytes()``, ``.astype(np.uint8)`` or a ``.view`` as void bytes?"""
     if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
-        return "_canonicalize" in (getattr(node, field, None)
-                                   for field in ("id", "attr", "name"))
+        return not {"_canonicalize", "void"}.isdisjoint(
+            getattr(node, field, None) for field in ("id", "attr", "name"))
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         if node.func.attr == "tobytes":
             return True
+        if node.func.attr == "view":
+            # np.dtype("V9"), "V9", "|V9" or f"V{n}" spell a void dtype too
+            return any(isinstance(part, ast.Constant)
+                       and isinstance(part.value, str)
+                       and "V" in part.value
+                       for arg in node.args for part in ast.walk(arg))
         return node.func.attr == "astype" and any(
             "uint8" in ast.unparse(arg) for arg in node.args)
     return False
@@ -471,6 +477,15 @@ def test_only_shacheck_keys_group_elements():
     found = [f"{name}:{node.lineno}" for name, node in _src_nodes()
              if name != "shacheck.py" and _keys_an_element(node)]
     assert found == []
+    # the scan sees how shacheck itself keys (the canonical form and the
+    # void view) and the other spellings of a byte key
+    spelled = {ast.unparse(node) for name, node in _src_nodes()
+               if name == "shacheck.py" and _keys_an_element(node)}
+    assert {"_canonicalize", "np.void"} <= spelled
+    for text in ("m.view(np.void)", "m.view('V9')", "m.view(f'|V{n}')",
+                 "m.view(np.dtype((np.void, 9)))", "m.tobytes()",
+                 "m.astype(np.uint8)"):
+        assert any(map(_keys_an_element, ast.walk(ast.parse(text)))), text
 
 
 def test_only_exactring_knows_the_packed_layout():

@@ -11,11 +11,17 @@ import pytest
 
 import chevlab
 from chevlab import shacheck
-from chevlab.shacheck import (CapExceeded, REJECT, _canonicalize, _lookup,
-                              _pair_ok, class_preserving_endos,
-                              conjugacy_classes, extend_homomorphism,
+from chevlab.chevgroup import (GroupWord, build_basis, default_realization,
+                               root_element)
+from chevlab.exactring import RingSpec
+from chevlab.rootsys import SystemType, simple_roots
+from chevlab.shacheck import (CapExceeded, DEFAULT_CAP, REJECT,
+                              FiniteGroupTable, _canonicalize,
+                              _inverse_permutation, _lookup, _pair_ok,
+                              class_preserving_endos, conjugacy_classes,
+                              element_keys, extend_homomorphism,
                               generate_group, hypothesis_violated,
-                              inner_endomorphisms, sha_report)
+                              inner_endomorphisms, matrix_array, sha_report)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
 
@@ -34,21 +40,105 @@ def matrix_conj(G, g, x):
     return matrix_mul(G, matrix_mul(G, g, x), g_inv)
 
 
-def normalized_search(G):
-    """The normalized class-preserving tuples N, the inner set over
-    C_G(s_1) and the size of the class of s_1."""
-    classes, class_of = conjugacy_classes(G)
-    s1 = G.generators[0][1]
-    return (class_preserving_endos(G, classes, class_of),
-            inner_endomorphisms(G), len(classes[class_of[s1]]))
+def per_row_closure(system, p, cap=DEFAULT_CAP):
+    """Reference closure: every product x s_i looked up by its own Python
+    step, and the inverses filled down the tree from the inverse
+    permutations of the k |G| left-multiplication lookups."""
+    system = SystemType(system)
+    realization = default_realization(system)
+    basis = build_basis(system)
+    one = RingSpec("modular", modulus=p).one()
+    gen_roots = [r for g in simple_roots(system) for r in (g, -g)]
+    gen_words = [GroupWord.x(system, g, one) for g in gen_roots]
+    gens = np.stack([matrix_array(root_element(basis, g, one, realization),
+                                  realization, p) for g in gen_roots])
+    dim = gens.shape[1]
+
+    def rows(keys):
+        return np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(
+            -1, dim, dim)
+
+    ident = element_keys(np.eye(dim, dtype=np.int64)[None], realization, p)
+    index = {ident[0]: 0}
+    blocks = [rows(ident)]
+    parent, parent_gen = [0], [0]
+    rmul_levels = []
+    levels = [0]
+    lo = 0
+    while lo < len(index):
+        stack = blocks[-1].astype(np.int64)
+        new, cols = [], []
+        for i, g in enumerate(gens):
+            col = np.empty(len(stack), dtype=np.int32)
+            for r, key in enumerate(element_keys(stack @ g, realization, p)):
+                j = index.get(key)
+                if j is None:
+                    if len(index) >= cap:
+                        raise CapExceeded(f"group order exceeds cap {cap}")
+                    j = index[key] = len(index)
+                    new.append(key)
+                    parent.append(lo + r)
+                    parent_gen.append(i)
+                col[r] = j
+            cols.append(col)
+        rmul_levels.append(np.stack(cols, axis=1))
+        blocks.append(rows(new))
+        lo += len(stack)
+        levels.append(lo)
+
+    elements = np.concatenate(blocks)
+    rmul = np.concatenate(rmul_levels)
+    parent = np.array(parent, dtype=np.int32)
+    parent_gen = np.array(parent_gen, dtype=np.int32)
+    lmul = np.empty_like(rmul)
+    for lo, hi in zip(levels, levels[1:]):
+        stack = elements[lo:hi].astype(np.int64)
+        for i, g in enumerate(gens):
+            lmul[lo:hi, i] = _lookup(index, g @ stack, realization, p)
+    left_inv = np.stack([_inverse_permutation(lmul[:, i])
+                         for i in range(len(gens))])
+    inverses = np.zeros(len(elements), dtype=np.int32)
+    for lo, hi in zip(levels[1:], levels[2:]):
+        inverses[lo:hi] = left_inv[parent_gen[lo:hi], inverses[parent[lo:hi]]]
+    gen_ids = _lookup(index, gens, realization, p).tolist()
+    return FiniteGroupTable(p, realization, elements, index,
+                            list(zip(gen_words, gen_ids)), rmul, parent,
+                            parent_gen, levels, inverses)
 
 
-def full_class_preserving_endos(G):
-    """Reference: every class-preserving endomorphism, with each image
-    searched in the whole class of its generator."""
-    classes, class_of = conjugacy_classes(G)
+def per_element_conjugacy_classes(G):
+    """Reference: the conjugacy classes by a breadth-first walk from each
+    id not yet classed, one Python step per element and generator."""
+    inv = G.inverses
+    conj = []
+    for i in range(len(G.generators)):
+        right_inv = _inverse_permutation(G.rmul[:, i])
+        conj.append(right_inv[inv[right_inv[inv]]].tolist())
+    class_of = [-1] * len(G)
+    classes = []
+    for start in range(len(G)):
+        if class_of[start] >= 0:
+            continue
+        orbit, queue = [start], [start]
+        class_of[start] = len(classes)
+        while queue:
+            x = queue.pop()
+            for perm in conj:
+                y = perm[x]
+                if class_of[y] < 0:
+                    class_of[y] = len(classes)
+                    orbit.append(y)
+                    queue.append(y)
+        classes.append(sorted(orbit))
+    return classes, class_of
+
+
+def unreduced_search(G, classes, class_of, first):
+    """Reference: the class-preserving tuples whose image of s_1 lies in
+    ``first``, with every candidate tuple that passes the pair filters
+    extended (not one image of s_2 per C_G(s_1)-orbit)."""
     gen_ids = [gid for _, gid in G.generators]
-    candidates = [classes[class_of[g]] for g in gen_ids]
+    candidates = [first] + [classes[class_of[g]] for g in gen_ids[1:]]
     n = len(gen_ids)
     pair_target = {}
     for i in range(n):
@@ -71,6 +161,23 @@ def full_class_preserving_endos(G):
                                                  class_arr):
             found.append(endo.images)
     return sorted(found)
+
+
+def normalized_search(G):
+    """The normalized class-preserving tuples N, the inner set over
+    C_G(s_1) and the size of the class of s_1."""
+    classes, class_of = conjugacy_classes(G)
+    s1 = G.generators[0][1]
+    return (class_preserving_endos(G, classes, class_of),
+            inner_endomorphisms(G), len(classes[class_of[s1]]))
+
+
+def full_class_preserving_endos(G):
+    """Reference: every class-preserving endomorphism, with each image
+    searched in the whole class of its generator."""
+    classes, class_of = conjugacy_classes(G)
+    s1 = G.generators[0][1]
+    return unreduced_search(G, classes, class_of, classes[class_of[s1]])
 
 
 def full_inner_endomorphisms(G):
@@ -98,9 +205,10 @@ def test_class_preserving_endos_reuses_right_multiplications(monkeypatch):
     monkeypatch.setattr(shacheck.FiniteGroupTable, "right_multiplication",
                         counted)
     normalized = class_preserving_endos(G, classes, class_of)
-    # one per changed position of each tuple in prefix order; one per
-    # position of every tuple would be 432
-    assert len(built) == 243
+    # two for C_G(s_1) (x -> x s_1^-1 and x -> x s_1), then the four
+    # tuples extended under the one C_G(s_1)-orbit's representative: four
+    # for the first and one per changed position of each later one
+    assert len(built) == 2 + 4 + 3 * 2
     assert len(G._right) == len(G.generators)
     monkeypatch.undo()
     # A2/F_3 passes: the normalized tuples are exactly the inner ones
@@ -118,6 +226,44 @@ def test_group_orders():
 def test_cap():
     with pytest.raises(CapExceeded):
         generate_group("A2", 5, cap=1000)
+
+
+def test_cap_boundary():
+    # PGL3(3) has order 5616: a cap equal to the order closes the group
+    assert len(generate_group("A2", 3, cap=5616)) == 5616
+    with pytest.raises(CapExceeded):
+        generate_group("A2", 3, cap=5615)
+
+
+def test_element_keys_of_an_empty_stack():
+    assert element_keys(np.zeros((0, 3, 3), dtype=np.int64), "pgl3", 3) == []
+    assert element_keys(np.zeros((0, 8, 8), dtype=np.int64), "adjoint",
+                        5) == []
+
+
+def test_element_keys_are_the_canonical_bytes():
+    G = generate_group("A2", 3)
+    stack = G.elements[:50].astype(np.int64) * 2
+    assert element_keys(stack, G.realization, G.p) == [
+        _canonicalize(m, G.realization, G.p).astype(np.uint8).tobytes()
+        for m in stack]
+
+
+@pytest.mark.parametrize("system,p", [("A1", 13), ("A2", 3), ("B2", 2),
+                                      ("G2", 2)])
+def test_closure_matches_per_row_closure(system, p):
+    G = generate_group(system, p, cap=13000)
+    ref = per_row_closure(system, p, cap=13000)
+    assert (G.p, G.realization, G.levels) == (ref.p, ref.realization,
+                                               ref.levels)
+    for field in ("elements", "rmul", "parent", "parent_gen", "inverses"):
+        got, want = getattr(G, field), getattr(ref, field)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), field
+    assert list(G.index.items()) == list(ref.index.items())
+    assert ([(w.format_text(), g) for w, g in G.generators]
+            == [(w.format_text(), g) for w, g in ref.generators])
+    assert conjugacy_classes(G) == per_element_conjugacy_classes(ref)
 
 
 def test_generator_order_independence():
@@ -286,7 +432,8 @@ def test_sha_a2_p3_over_cap():
         sha_report("A2", 3, cap=5000)
 
 
-@pytest.mark.parametrize("system,p", [("A1", 5), ("A2", 2), ("B2", 2)])
+@pytest.mark.parametrize("system,p", [("A1", 5), ("A1", 13), ("A2", 2),
+                                      ("A2", 3), ("B2", 2)])
 def test_tables_match_matrix_products(system, p):
     G = generate_group(system, p)
     k = len(G.generators)
@@ -398,3 +545,28 @@ def test_sha_fail_branch_optimized():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["FAIL", 72, 60]
+
+
+@pytest.mark.parametrize("system,p,cap", [
+    ("A1", 5, DEFAULT_CAP), ("A1", 7, DEFAULT_CAP), ("A1", 11, DEFAULT_CAP),
+    ("A1", 13, DEFAULT_CAP), ("A2", 3, DEFAULT_CAP), ("B2", 2, DEFAULT_CAP),
+    ("B2", 3, 30000), ("G2", 2, 13000)])
+def test_orbit_search_matches_unreduced_search(system, p, cap, monkeypatch):
+    G = generate_group(system, p, cap=cap)
+    classes, class_of = conjugacy_classes(G)
+    calls = []
+
+    def counted(G, images):
+        calls.append(images)
+        return extend_homomorphism(G, images)
+
+    monkeypatch.setattr(shacheck, "extend_homomorphism", counted)
+    found = class_preserving_endos(G, classes, class_of)
+    monkeypatch.undo()
+    s1 = G.generators[0][1]
+    assert found == unreduced_search(G, classes, class_of, [s1])
+    # every extension is made under the least image of s_2 in its orbit
+    second = {images[1] for images in calls}
+    cent = G.centralizer(s1)
+    for c in second:
+        assert c == min(G.conj(g, c) for g in cent.tolist())
