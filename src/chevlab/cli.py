@@ -1,8 +1,8 @@
 """Batch command-line entry point.
 
 Commands: relations, centralizer, prooflab, chain, sha, decompose, eval.
-Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage or parse errors,
-3 INCONCLUSIVE outcomes only.
+Exit codes: 0 all checks PASS, 1 any FAIL, 2 usage, parse or resource
+errors (a cap exceeded, memory exhausted), 3 INCONCLUSIVE outcomes only.
 """
 
 from __future__ import annotations
@@ -272,6 +272,12 @@ def dispatch(argv) -> int:
             decomp.NoFactorization, decomp.ElementNotInGroup,
             shacheck.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}"
+              f" (system {getattr(args, 'system', None)},"
+              f" prime {getattr(args, 'prime', None)},"
+              f" cap {getattr(args, 'cap', None)})", file=sys.stderr)
         return 2
     verdicts = {r.verdict for r in reports}
     if "FAIL" in verdicts:

@@ -1,8 +1,10 @@
 """Brute-force Sha-rigidity certification over small prime fields.
 
-Builds the elementary group E(system, F_p) by closure of the root-element
-generators, enumerates the class-preserving endomorphisms that fix the first
-generator s_1 by searching generator images inside the generators' conjugacy
+``close`` closes any stack of generator matrices over Z/p; ``generate_group``
+gives it the root-element generators of the elementary group E(system, F_p).
+``sha_report`` checks the closure's order against ``expected_order``,
+enumerates the class-preserving endomorphisms that fix the first generator
+s_1 by searching generator images inside the generators' conjugacy
 classes, and checks that each one is inner.  Conjugation moves s_1 around its
 whole class, so these maps determine all the others, and conjugation by
 C_G(s_1) moves the image of s_2 around its orbit, so one image of s_2 per
@@ -11,22 +13,24 @@ orbit is extended (see ``sha_report`` and ``class_preserving_endos``).
 An endomorphism is fixed by its images of the generators, so everything is
 done with the generators: the closure records the right-multiplication
 table by the generators (``rmul``, |G| x k) and a breadth-first spanning
-tree, right multiplication by any element is a composition of ``rmul``
-columns along that element's tree word, and endomorphisms are identified by
-their image tuples.  The closure works one tree level and one generator at
-a time on whole arrays; no Python loop runs per element.  Memory is
-O(|G| k); no |G| x |G| table is built.
+tree, the generators are the ids ``rmul[0]`` and their inverses are read
+off the table, right multiplication by any element is a composition of
+``rmul`` columns along that element's tree word, and endomorphisms are
+identified by their image tuples.  The closure works one tree level and
+one generator at a time on whole arrays; no Python loop runs per element.
+Memory is O(|G| k); no |G| x |G| table is built.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import count, filterfalse
+from math import gcd
 
 import numpy as np
 
-from .chevgroup import (GroupWord, RealizationError, build_basis,
-                        default_realization, root_element)
+from .chevgroup import (RealizationError, build_basis, default_realization,
+                        root_element)
 from .exactring import RingSpec
 from .rootsys import SystemType, simple_roots
 
@@ -93,7 +97,7 @@ def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
 
 
 class FiniteGroupTable:
-    """The elements of E(system, F_p), closed under multiplication.
+    """The elements of a group of matrices over Z/p, from ``close``.
 
     Element ids follow the breadth-first closure from the identity (id 0),
     so the ids of one tree level form the contiguous range
@@ -103,14 +107,14 @@ class FiniteGroupTable:
     spans the group; ``inverses[x]`` is the id of x^-1.
     """
 
-    def __init__(self, p, realization, elements, index, generators, rmul,
-                 parent, parent_gen, levels, inverses):
+    def __init__(self, p, realization, elements, index, rmul, parent,
+                 parent_gen, levels, inverses):
         self.p = p
         self.realization = realization
         self.elements = elements          # (|G|, d, d) uint8 array
         self.index = index                # bytes -> id
-        self.generators = generators      # list of (GroupWord, id)
         self.rmul = rmul
+        self.generators = rmul[0].tolist()  # ids of s_1, ..., s_k
         self.parent = parent
         self.parent_gen = parent_gen
         self.levels = levels
@@ -177,26 +181,26 @@ class FiniteGroupTable:
 
 
 def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
-    """Closure of the root-element generators of E(system, F_p) in the
-    default realization, with its right-multiplication table, spanning tree
-    and inverses."""
+    """``close`` of the root elements x_{+-a}(1) over the simple roots a:
+    E(system, F_p) in the default realization."""
     system = SystemType(system)
     if p < 2:
         raise ValueError("p must be at least 2")
     realization = default_realization(system)
     basis = build_basis(system)
-    spec = RingSpec("modular", modulus=p)
-    one = spec.one()
+    one = RingSpec("modular", modulus=p).one()
+    gens = np.stack([matrix_array(root_element(basis, r, one, realization),
+                                  realization, p)
+                     for g in simple_roots(system) for r in (g, -g)])
+    return close(gens, realization, p, cap)
 
-    gen_roots = []
-    for g in simple_roots(system):
-        gen_roots += [g, -g]
 
-    gen_words = [GroupWord.x(system, g, one) for g in gen_roots]
-    gens = np.stack([matrix_array(root_element(basis, g, one, realization),
-                                  realization, p) for g in gen_roots])
-
-    ident, ident_keys = _keyed(np.eye(len(gens[0]), dtype=np.int64)[None],
+def close(gens: np.ndarray, realization: str, p: int,
+          cap: int = DEFAULT_CAP) -> FiniteGroupTable:
+    """The group generated by a (k, d, d) stack of integer matrices over
+    Z/p, keyed in ``realization``, with its right-multiplication table,
+    spanning tree and inverses; at most ``cap`` elements."""
+    ident, ident_keys = _keyed(np.eye(gens.shape[1], dtype=np.int64)[None],
                                realization, p)
     index = {ident_keys[0]: 0}
     blocks, parent, parent_gen = [ident], [[0]], [[0]]
@@ -241,20 +245,17 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     parent = np.concatenate(parent).astype(np.int32)
     parent_gen = np.concatenate(parent_gen).astype(np.int32)
 
-    # y = x s_i gives y^-1 = s_i^-1 x^-1 with s_i^-1 = x_{+-g}(-1): fill the
-    # inverses down the tree, one product and one lookup per element
-    gen_inv = [matrix_array(root_element(basis, g, -one, realization),
-                            realization, p) for g in gen_roots]
+    # y = x s_i gives y^-1 = s_i^-1 x^-1, and s_i^-1 is the x with
+    # x s_i = 1: fill the inverses down the tree, one product and one
+    # lookup per element
+    gen_inv = elements[(rmul == 0).argmax(axis=0)].astype(np.int64)
     inverses = np.zeros(len(elements), dtype=np.int32)
     for lo, hi in zip(levels[1:], levels[2:]):
         for i, s_inv in enumerate(gen_inv):
             ys = lo + np.flatnonzero(parent_gen[lo:hi] == i)
             x_inv = elements[inverses[parent[ys]]].astype(np.int64)
             inverses[ys] = _lookup(index, s_inv @ x_inv, realization, p)
-
-    gen_ids = _lookup(index, gens, realization, p).tolist()
-    return FiniteGroupTable(p, realization, elements, index,
-                            list(zip(gen_words, gen_ids)), rmul, parent,
+    return FiniteGroupTable(p, realization, elements, index, rmul, parent,
                             parent_gen, levels, inverses)
 
 
@@ -333,21 +334,18 @@ def inner_endomorphisms(G: FiniteGroupTable) -> dict:
     """The image tuples (g s_i g^-1)_i of the conjugations fixing the first
     generator s_1, i.e. by g in C_G(s_1), each mapped to its least
     conjugator g: a certificate that the tuple is inner."""
-    cent = G.centralizer(G.generators[0][1])
-    cols = [_conjugates(G, cent, gid).tolist() for _, gid in G.generators]
+    cent = G.centralizer(G.generators[0])
+    cols = [_conjugates(G, cent, gid).tolist() for gid in G.generators]
     conjugators = {}
     for g, images in zip(cent.tolist(), zip(*cols)):
         conjugators.setdefault(images, g)
     return conjugators
 
 
-def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int, target) -> bool:
-    """Do a*c and the commutator [a, c] fall in the classes ``target``?"""
-    prod = G.mul(a, c)
-    if class_of[prod] != target[0]:
-        return False
-    comm = G.mul(prod, G.mul(G.inv(a), G.inv(c)))
-    return class_of[comm] == target[1]
+def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int,
+             target: int) -> bool:
+    """Does a*c fall in the class ``target``?"""
+    return class_of[G.mul(a, c)] == target
 
 
 def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
@@ -360,16 +358,10 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
     are searched and extended only under the least c of each C_G(s_1)-orbit
     of the images of s_2, and each map found there is carried to every other
     c' of the orbit by one witness g with g c g^-1 = c' (the least such g)."""
-    gen_ids = [gid for _, gid in G.generators]
+    gen_ids = G.generators
     n = len(gen_ids)
-    pair_target = {}
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                prod = G.mul(gen_ids[i], gen_ids[j])
-                comm = G.mul(prod, G.mul(G.inv(gen_ids[i]),
-                                         G.inv(gen_ids[j])))
-                pair_target[(i, j)] = (class_of[prod], class_of[comm])
+    pair_target = {(i, j): class_of[G.mul(gen_ids[i], gen_ids[j])]
+                   for i in range(n) for j in range(n) if i != j}
 
     s1 = gen_ids[0]
     second = [c for c in classes[class_of[gen_ids[1]]]
@@ -387,7 +379,8 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
         seen.update(orbit)
         witnesses = np.fromiter(orbit.values(), dtype=np.int64)
         # image tuples under (s_1, c), one generator at a time, kept while
-        # every pair with an earlier generator lands in the right classes
+        # its product with each earlier image lands in the class of the
+        # generators' product
         chosen = [(s1, c)]
         for k in range(2, n):
             chosen = [prefix + (x,) for prefix in chosen
@@ -408,9 +401,21 @@ def hypothesis_violated(system, p: int) -> bool:
     return p == 2 or (p == 3 and SystemType(system).tag == "G2")
 
 
+def expected_order(system, p: int) -> int:
+    """|E_ad(system, F_p)| by the order formula (Carter, Simple Groups of
+    Lie Type, 1972), with q = p."""
+    q = p
+    return {"A1": q * (q**2 - 1) // gcd(2, q - 1),
+            "A2": q**3 * (q**2 - 1) * (q**3 - 1) // gcd(3, q - 1),
+            "B2": q**4 * (q**2 - 1) * (q**4 - 1) // gcd(2, q - 1),
+            "G2": q**6 * (q**2 - 1) * (q**6 - 1)}[SystemType(system).tag]
+
+
 def sha_report(system, p: int, cap: int = DEFAULT_CAP):
     """PASS iff every class-preserving endomorphism of E(system, F_p) is
     inner and the counts agree; the group order is bounded by ``cap``.
+    A closure whose order is not ``expected_order`` searched the wrong
+    group, so that report is INCONCLUSIVE with a ``detail``.
 
     phi -> c_g o phi permutes the class-preserving endomorphisms, and the
     inner ones, and moves phi(s_1) around the whole class of s_1 (Burnside
@@ -423,11 +428,11 @@ def sha_report(system, p: int, cap: int = DEFAULT_CAP):
     classes, class_of = conjugacy_classes(G)
     normalized = class_preserving_endos(G, classes, class_of)
     inner = inner_endomorphisms(G)
-    orbit = len(classes[class_of[G.generators[0][1]]])
+    orbit = len(classes[class_of[G.generators[0]]])
     cp_count, inner_count = orbit * len(normalized), orbit * len(inner)
     all_inner = all(images in inner for images in normalized)
     verdict = "PASS" if (all_inner and cp_count == inner_count) else "FAIL"
-    return {
+    rep = {
         "system": system.tag,
         "p": p,
         "group_order": len(G),
@@ -438,3 +443,9 @@ def sha_report(system, p: int, cap: int = DEFAULT_CAP):
         "hypothesis_violated": hypothesis_violated(system, p),
         "seconds": round(time.perf_counter() - t0, 3),
     }
+    expected = expected_order(system, p)
+    if len(G) != expected:
+        rep.update(verdict="INCONCLUSIVE",
+                   detail=f"closed {len(G)} elements, but E({system.tag},"
+                   f" F_{p}) has order {expected}")
+    return rep

@@ -80,6 +80,20 @@ def test_sha_names_the_prime_that_violates_the_hypothesis(capsys,
     assert out.startswith("PASS (HYPOTHESIS-VIOLATED: p=3) sha G2/F_3")
 
 
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    # exit 1 is a FAIL verdict; running out of memory refutes nothing
+    def exhausted(system, p, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(shacheck, "generate_group", exhausted)
+    code, out, err = run(capsys, "sha", "--system", "B2", "--prime", "5",
+                         "--cap", "5000000")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: out of memory in sha (system B2, prime 5, cap 5000000)"]
+    assert "Traceback" not in err
+
+
 def test_decompose_gauss(capsys):
     code, out, _ = run(capsys, "decompose", "--system", "A1", "--prime", "5",
                        "x(a,2) x(-a,3)")

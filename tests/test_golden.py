@@ -9,7 +9,10 @@ maps fixing the first generator; the other lines by the code before the
 duplicate paths, dead helpers and unread options were deleted.  The A2/F_5,
 B2/F_3 and G2/F_2 ``decompose --bruhat`` lines and the A1/F_5 and A2/F_2
 ``centralizer --prime`` lines were produced by the ``AdjointMatrix`` search
-and family evaluation that integer arrays replaced.
+and family evaluation that integer arrays replaced.  The A2/F_7
+``decompose --bruhat`` line pins the projective scaling of the pgl3 keys:
+7 = 1 mod 3, so 2I is a scalar of SL3(7), and keys without the scaling
+give the torus factor ``h(a1, 2) h(a1+a2, 6)`` instead.
 """
 
 import ast
@@ -58,6 +61,10 @@ GOLDEN = [
       "h(a1,2) x(-a1,3) x(-a2,1) x(a1+a2,4)"],
      '{"factorization": "h(a1+a2, 4) x(a1, 2) x(a1+a2, 1) w(a1, 1)'
      ' w(a2, 1) x(a1, 2) x(a2, 1) x(a1+a2, 2)", "weyl_word": [0, 1]}\n'),
+    (["decompose", "--system", "A2", "--prime", "7", "--bruhat",
+      "x(a1,3) x(-a2,5) x(a2,2) x(-a1,4) x(a1+a2,6)"],
+     '{"factorization": "h(a1+a2, 3) x(a2, 1) x(a1+a2, 4) w(a2, 1)'
+     ' w(a1, 1) x(a1, 2) x(a2, 6) x(a1+a2, 4)", "weyl_word": [1, 0]}\n'),
     (["decompose", "--system", "B2", "--prime", "3", "--bruhat",
       "h(a,2) x(-a,1) x(-b,2) x(a+b,1)"],
      '{"factorization": "x(a, 1) x(a+b, 1) w(a, 1) w(b, 1) x(a, 1)'

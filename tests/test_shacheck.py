@@ -11,15 +11,16 @@ import pytest
 
 import chevlab
 from chevlab import shacheck
-from chevlab.chevgroup import (GroupWord, build_basis, default_realization,
-                               root_element)
+from chevlab.chevgroup import build_basis, default_realization, root_element
+from chevlab.cli import dispatch
 from chevlab.exactring import RingSpec
 from chevlab.rootsys import SystemType, simple_roots
 from chevlab.shacheck import (CapExceeded, DEFAULT_CAP, REJECT,
                               FiniteGroupTable, _canonicalize,
                               _inverse_permutation, _lookup, _pair_ok,
-                              class_preserving_endos, conjugacy_classes,
-                              element_keys, extend_homomorphism,
+                              class_preserving_endos, close,
+                              conjugacy_classes, element_keys,
+                              expected_order, extend_homomorphism,
                               generate_group, hypothesis_violated,
                               inner_endomorphisms, matrix_array, sha_report)
 
@@ -40,18 +41,23 @@ def matrix_conj(G, g, x):
     return matrix_mul(G, matrix_mul(G, g, x), g_inv)
 
 
-def per_row_closure(system, p, cap=DEFAULT_CAP):
-    """Reference closure: every product x s_i looked up by its own Python
-    step, and the inverses filled down the tree from the inverse
-    permutations of the k |G| left-multiplication lookups."""
+def generator_matrices(system, p):
+    """The default realization of E(system, F_p) and its generators
+    x_{+-a}(1) over the simple roots a, as a stack of integer matrices."""
     system = SystemType(system)
     realization = default_realization(system)
     basis = build_basis(system)
     one = RingSpec("modular", modulus=p).one()
-    gen_roots = [r for g in simple_roots(system) for r in (g, -g)]
-    gen_words = [GroupWord.x(system, g, one) for g in gen_roots]
-    gens = np.stack([matrix_array(root_element(basis, g, one, realization),
-                                  realization, p) for g in gen_roots])
+    return realization, np.stack([
+        matrix_array(root_element(basis, r, one, realization), realization, p)
+        for g in simple_roots(system) for r in (g, -g)])
+
+
+def per_row_closure(system, p, cap=DEFAULT_CAP):
+    """Reference closure: every product x s_i looked up by its own Python
+    step, and the inverses filled down the tree from the inverse
+    permutations of the k |G| left-multiplication lookups."""
+    realization, gens = generator_matrices(system, p)
     dim = gens.shape[1]
 
     def rows(keys):
@@ -100,9 +106,7 @@ def per_row_closure(system, p, cap=DEFAULT_CAP):
     inverses = np.zeros(len(elements), dtype=np.int32)
     for lo, hi in zip(levels[1:], levels[2:]):
         inverses[lo:hi] = left_inv[parent_gen[lo:hi], inverses[parent[lo:hi]]]
-    gen_ids = _lookup(index, gens, realization, p).tolist()
-    return FiniteGroupTable(p, realization, elements, index,
-                            list(zip(gen_words, gen_ids)), rmul, parent,
+    return FiniteGroupTable(p, realization, elements, index, rmul, parent,
                             parent_gen, levels, inverses)
 
 
@@ -137,17 +141,14 @@ def unreduced_search(G, classes, class_of, first):
     """Reference: the class-preserving tuples whose image of s_1 lies in
     ``first``, with every candidate tuple that passes the pair filters
     extended (not one image of s_2 per C_G(s_1)-orbit)."""
-    gen_ids = [gid for _, gid in G.generators]
+    gen_ids = G.generators
     candidates = [first] + [classes[class_of[g]] for g in gen_ids[1:]]
     n = len(gen_ids)
     pair_target = {}
     for i in range(n):
         for j in range(n):
             if i != j:
-                prod = G.mul(gen_ids[i], gen_ids[j])
-                comm = G.mul(prod, G.mul(G.inv(gen_ids[i]),
-                                         G.inv(gen_ids[j])))
-                pair_target[(i, j)] = (class_of[prod], class_of[comm])
+                pair_target[(i, j)] = class_of[G.mul(gen_ids[i], gen_ids[j])]
     chosen = [()]
     for k in range(n):
         chosen = [prefix + (c,) for prefix in chosen for c in candidates[k]
@@ -167,7 +168,7 @@ def normalized_search(G):
     """The normalized class-preserving tuples N, the inner set over
     C_G(s_1) and the size of the class of s_1."""
     classes, class_of = conjugacy_classes(G)
-    s1 = G.generators[0][1]
+    s1 = G.generators[0]
     return (class_preserving_endos(G, classes, class_of),
             inner_endomorphisms(G), len(classes[class_of[s1]]))
 
@@ -176,7 +177,7 @@ def full_class_preserving_endos(G):
     """Reference: every class-preserving endomorphism, with each image
     searched in the whole class of its generator."""
     classes, class_of = conjugacy_classes(G)
-    s1 = G.generators[0][1]
+    s1 = G.generators[0]
     return unreduced_search(G, classes, class_of, classes[class_of[s1]])
 
 
@@ -185,7 +186,7 @@ def full_inner_endomorphisms(G):
     stack = G.elements.astype(np.int64)
     inverse = stack[G.inverses]
     cols = []
-    for _, gid in G.generators:
+    for gid in G.generators:
         s = G.elements[gid].astype(np.int64)
         cols.append(_lookup(G.index, stack @ s @ inverse, G.realization,
                             G.p).tolist())
@@ -235,6 +236,45 @@ def test_cap_boundary():
         generate_group("A2", 3, cap=5615)
 
 
+@pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A1", 7),
+                                      ("A1", 13), ("A2", 2), ("A2", 3),
+                                      ("B2", 2), ("G2", 2)])
+def test_order_formula_matches_closure(system, p):
+    assert expected_order(system, p) == len(generate_group(system, p,
+                                                           cap=13000))
+
+
+def test_close_of_given_matrices():
+    realization, gens = generator_matrices("A1", 5)
+    # x_a(1) has order p: it generates the root subgroup alone
+    assert len(close(gens[:1], realization, 5)) == 5
+    # in A2/F_3, x_{+-a1}(1) generate SL2(3) and x_{a1}(1), x_{a2}(1) the
+    # unipotent radical
+    realization, gens = generator_matrices("A2", 3)
+    assert len(close(gens[:2], realization, 3)) == 24
+    assert len(close(gens[::2], realization, 3)) == 27
+
+
+def test_order_guard_makes_a_wrong_group_inconclusive(capsys, monkeypatch):
+    realization, gens = generator_matrices("A2", 3)
+    monkeypatch.setattr(shacheck, "generate_group",
+                        lambda system, p, cap: close(gens[:2], realization, p,
+                                                     cap))
+    rep = sha_report("A2", 3)
+    assert (rep["group_order"], rep["verdict"]) == (24, "INCONCLUSIVE")
+    assert rep["detail"] == ("closed 24 elements, but E(A2, F_3) has order"
+                             " 5616")
+    assert dispatch(["sha", "--system", "A2", "--prime", "3"]) == 3
+    assert capsys.readouterr().out.startswith("INCONCLUSIVE sha A2/F_3")
+
+
+def test_pgl3_keys_are_projective():
+    # 7 = 1 mod 3, so 2I is a scalar matrix of SL3(7)
+    eye = np.eye(3, dtype=np.int64)
+    two, one = element_keys(np.stack([2 * eye, eye]), "pgl3", 7)
+    assert two == one
+
+
 def test_element_keys_of_an_empty_stack():
     assert element_keys(np.zeros((0, 3, 3), dtype=np.int64), "pgl3", 3) == []
     assert element_keys(np.zeros((0, 8, 8), dtype=np.int64), "adjoint",
@@ -261,8 +301,9 @@ def test_closure_matches_per_row_closure(system, p):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want), field
     assert list(G.index.items()) == list(ref.index.items())
-    assert ([(w.format_text(), g) for w, g in G.generators]
-            == [(w.format_text(), g) for w, g in ref.generators])
+    _, gens = generator_matrices(system, p)
+    assert G.generators == ref.generators == _lookup(
+        G.index, gens, G.realization, p).tolist()
     assert conjugacy_classes(G) == per_element_conjugacy_classes(ref)
 
 
@@ -277,7 +318,7 @@ def test_generator_order_independence():
     while frontier:
         nxt = []
         for x in frontier:
-            for _, g in shuffled:
+            for g in shuffled:
                 y = table.mul(x, g)
                 if y not in seen:
                     seen.add(y)
@@ -311,7 +352,7 @@ def test_conjugacy_classes():
 
 def test_extend_homomorphism():
     G = generate_group("A1", 3)
-    gen_ids = [g for _, g in G.generators]
+    gen_ids = G.generators
     ident = extend_homomorphism(G, gen_ids)
     assert ident is not REJECT
     assert ident.table.tolist() == list(range(len(G)))
@@ -333,7 +374,7 @@ def test_extend_homomorphism():
 
 def test_extension_composes():
     G = generate_group("A1", 3)
-    gen_ids = [g for _, g in G.generators]
+    gen_ids = G.generators
     f = extend_homomorphism(G, [G.conj(3, g) for g in gen_ids])
     g = extend_homomorphism(G, [G.conj(7, x) for x in gen_ids])
     composed = extend_homomorphism(G, [f.table[img] for img in g.images])
@@ -350,7 +391,7 @@ def test_class_preserving_endos_a1_p3():
     assert len(cp) == len(set(cp)) == len(inner) == 3
     assert orbit * len(cp) == orbit * len(inner) == 12
     classes, class_of = conjugacy_classes(G)
-    s1 = G.generators[0][1]
+    s1 = G.generators[0]
     tables = set()
     for images in cp:
         assert images in inner
@@ -378,7 +419,7 @@ def test_class_preserving_endos_a1_p3():
 
 def test_is_inner_identity():
     G = generate_group("A1", 3)
-    ident = extend_homomorphism(G, [g for _, g in G.generators])
+    ident = extend_homomorphism(G, G.generators)
     inner = inner_endomorphisms(G)
     assert ident.images in inner
     assert inner[ident.images] == G.identity_id
@@ -439,11 +480,11 @@ def test_tables_match_matrix_products(system, p):
     k = len(G.generators)
     assert G.rmul.shape == (len(G), k)
     for x in range(len(G)):
-        for i, (_, g) in enumerate(G.generators):
+        for i, g in enumerate(G.generators):
             assert G.rmul[x, i] == matrix_mul(G, x, g)
         assert matrix_mul(G, x, G.inv(x)) == G.identity_id
         if x != G.identity_id:
-            step = G.generators[G.parent_gen[x]][1]
+            step = G.generators[G.parent_gen[x]]
             assert matrix_mul(G, G.parent[x], step) == x
     rng = random.Random(7)
     for _ in range(100):
@@ -455,7 +496,7 @@ def test_tables_match_matrix_products(system, p):
 
 def test_inner_endomorphisms_match_conjugation():
     G = generate_group("A1", 5)
-    gen_ids = [g for _, g in G.generators]
+    gen_ids = G.generators
     s1 = gen_ids[0]
     cent = [g for g in range(len(G))
             if matrix_mul(G, g, s1) == matrix_mul(G, s1, g)]
@@ -488,7 +529,7 @@ def test_normalized_search_matches_full_search(system, p):
     cp, inner, orbit = normalized_search(G)
     full_cp = full_class_preserving_endos(G)
     full_inner = full_inner_endomorphisms(G)
-    s1 = G.generators[0][1]
+    s1 = G.generators[0]
     assert orbit * len(cp) == len(full_cp)
     assert cp == [images for images in full_cp if images[0] == s1]
     assert set(inner) == {images for images in full_inner
@@ -500,7 +541,7 @@ def test_normalized_search_matches_full_search(system, p):
 def test_conjugators_certify_inner(system, p):
     G = generate_group(system, p)
     cp, inner, _ = normalized_search(G)
-    gen_ids = [g for _, g in G.generators]
+    gen_ids = G.generators
     cent = set(G.centralizer(gen_ids[0]).tolist())
     for images in cp:
         g = inner[images]
@@ -514,7 +555,7 @@ def test_sha_fail_branch(monkeypatch):
     def planted(G, classes, class_of):
         # conjugation is injective and s_2 != s_1, so no g sends s_1 and
         # s_2 both to s_1
-        s1 = G.generators[0][1]
+        s1 = G.generators[0]
         return search(G, classes, class_of) + [(s1,) * len(G.generators)]
 
     G = generate_group("A1", 5)
@@ -533,7 +574,7 @@ def test_sha_fail_branch_optimized():
         "from chevlab import shacheck\n"
         "search = shacheck.class_preserving_endos\n"
         "def planted(G, classes, class_of):\n"
-        "    s1 = G.generators[0][1]\n"
+        "    s1 = G.generators[0]\n"
         "    return (search(G, classes, class_of)\n"
         "            + [(s1,) * len(G.generators)])\n"
         "shacheck.class_preserving_endos = planted\n"
@@ -563,7 +604,7 @@ def test_orbit_search_matches_unreduced_search(system, p, cap, monkeypatch):
     monkeypatch.setattr(shacheck, "extend_homomorphism", counted)
     found = class_preserving_endos(G, classes, class_of)
     monkeypatch.undo()
-    s1 = G.generators[0][1]
+    s1 = G.generators[0]
     assert found == unreduced_search(G, classes, class_of, [s1])
     # every extension is made under the least image of s_2 in its orbit
     second = {images[1] for images in calls}
