@@ -26,16 +26,16 @@ import numpy as np
 
 from . import shacheck
 from .chevgroup import (AdjointMatrix, CentralizerFamily, GroupWord,
-                        build_basis, evaluate_word, identity_matrix,
-                        matrix_from_entries, parse_word, pgl3_equal,
-                        root_element, standard_family)
+                        build_basis, commutator_relation, evaluate_word,
+                        identity_matrix, matrix_from_entries, parse_word,
+                        pgl3_equal, root_element, standard_family)
 # reduce_terms is unused here; perfbench's tracer test calls prooflab's name
 from .exactring import (DenominatorNotInvertible, MonomialPacking, NotAUnit,
                         RingElement, RingError, RingSpec, RewriteRule,
                         assert_denominators_divide_power_of_six, deglex_key,
                         invert, map_to_modular, mul_terms, parse_expr,
                         reduce_terms, sub_terms, substitute)
-from .rootsys import SystemType, cartan_integer
+from .rootsys import SystemType, cartan_integer, positive_roots
 
 
 class Report:
@@ -59,6 +59,97 @@ class Report:
 
     def __repr__(self):
         return f"<{self.verdict} {self.name}>"
+
+
+# ---------------------------------------------------------------------------
+# independent jobs spread over the CPUs
+# ---------------------------------------------------------------------------
+
+def _share_count() -> int:
+    """How many processes ``_fan_out`` may deal jobs to: one per CPU the
+    process may run on, at most four, and one where fork is missing.  Four
+    of the chain's nine stages take nearly all its time, so more than four
+    shares gain nothing there."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), 4)
+
+
+def _share_payload(fn, jobs) -> bytes:
+    """The pickled (True, results) of ``fn`` over ``jobs``, or (False,
+    exception) when one raises."""
+    try:
+        return pickle.dumps((True, [fn(*job) for job in jobs]))
+    except BaseException as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)          # the caller must be able to rebuild it
+            return data
+        except Exception:
+            return pickle.dumps(
+                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _run_child_share(fn, jobs, write, inherited):
+    """The body of a forked share: write its payload to ``write``, then
+    end the process without running the parent's cleanup."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        data = _share_payload(fn, jobs)
+        with open(write, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fan_out(fn, jobs, n) -> list:
+    """[fn(*job) for job in jobs], the jobs dealt round-robin over ``n``
+    shares, or over one share per job when there are fewer.  Share 0 runs
+    in this process; every other share runs in a forked child that sends
+    back its results, or its exception, which is raised here.  Every child
+    is reaped before this returns or raises.  A single share forks
+    nothing."""
+    n = min(n, len(jobs))
+    if n <= 1:
+        return [fn(*job) for job in jobs]
+    shares = [jobs[k::n] for k in range(n)]
+    children = []                               # (pid, read end)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child_share(fn, share, write,
+                                 [read] + [fd for _, fd in children])
+            os.close(write)
+            children.append((pid, read))
+        results = [[fn(*job) for job in shares[0]]]
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise RuntimeError(f"share process {pid} ended without"
+                                   " a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    out = [None] * len(jobs)
+    for k, share in enumerate(results):
+        out[k::n] = share
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +283,23 @@ def _unit_monomial_quotient(entry: RingElement, claim: RingElement):
     return None
 
 
-def run_identity(rec: IdentityRecord) -> Report:
+def run_identity(rec: IdentityRecord, sides: dict = None) -> Report:
+    """The verdict on ``rec``.  ``sides`` holds the matrices of sides
+    already evaluated for records over the same system, realization and
+    ring, keyed by their items: a side found there is not evaluated again,
+    and a side evaluated here is added."""
+    sides = {} if sides is None else sides
+
+    def evaluated(items):
+        key = tuple(item if isinstance(item, str) else tuple(map(tuple, item))
+                    for item in items)
+        if key not in sides:
+            sides[key] = rec._eval_side(items)
+        return sides[key]
+
     t0 = time.perf_counter()
     try:
-        lhs = rec._eval_side(rec.lhs)
+        lhs = evaluated(rec.lhs)
         kind = rec.expected[0]
         if kind == "trace":
             want = parse_expr(rec.expected[1], rec.ring)
@@ -210,7 +314,7 @@ def run_identity(rec: IdentityRecord) -> Report:
                 power = power * base
             return _residual_report(rec, power.is_zero(),
                                     "nonzero matrix power", t0)
-        rhs = rec._eval_side(rec.rhs)
+        rhs = evaluated(rec.rhs)
         if kind == "pgl3equal":
             ok = pgl3_equal(lhs, rhs)
             return _residual_report(rec, ok, "projective mismatch", t0)
@@ -513,18 +617,64 @@ def builtin_catalog(system) -> list:
     return recs
 
 
-def run_catalog(system, name_filter: str = None) -> list:
+def _record_job(rec: IdentityRecord, mutant: bool):
+    """The report on ``rec`` and, when ``mutant`` is set, the report on its
+    mutant, which passes when the mutant does not; the mutant reuses each
+    side it leaves as it was."""
+    sides = {}
+    report = run_identity(rec, sides)
+    if not mutant:
+        return report, None
+    rep = run_identity(rec.mutate(), sides)
+    ok = rep.verdict != "PASS"
+    return report, Report(rep.name, "PASS" if ok else "FAIL",
+                          "" if ok else "mutant passed", rep.millis,
+                          f"mutant verdict {rep.verdict}")
+
+
+def run_catalog(*systems, name_filter: str = None,
+                mutants: bool = False) -> list:
+    """The reports on the built-in catalogs of ``systems``, system by
+    system: its record reports and SKIPPED notes sorted by name, then,
+    when ``mutants`` is set, one report per record's mutant in catalog
+    order.  Each record, with its mutant, is one job, and the jobs of all
+    the systems are spread over the CPUs at once (``_fan_out``)."""
+    def picked(name):
+        return not name_filter or fnmatch.fnmatch(name, name_filter)
+
+    catalogs = [[rec for rec in builtin_catalog(system) if picked(rec.name)]
+                for system in systems]
+    for system in systems:
+        build_basis(system)             # built once, before any fork
+    done = iter(_fan_out(_record_job,
+                         [(rec, mutants) for recs in catalogs for rec in recs],
+                         _share_count()))
     reports = []
-    for rec in builtin_catalog(system):
-        if name_filter and not fnmatch.fnmatch(rec.name, name_filter):
-            continue
-        reports.append(run_identity(rec))
-    for name, anchor in _SKIPPED_NOTES.get(SystemType(system).tag, ()):
-        if name_filter and not fnmatch.fnmatch(name, name_filter):
-            continue
-        reports.append(Report(name, "SKIPPED", detail=anchor))
-    reports.sort(key=lambda r: r.name)
+    for system, recs in zip(systems, catalogs):
+        results = [next(done) for _ in recs]
+        notes = [Report(name, "SKIPPED", detail=anchor) for name, anchor
+                 in _SKIPPED_NOTES.get(SystemType(system).tag, ())
+                 if picked(name)]
+        reports += sorted([report for report, _ in results] + notes,
+                          key=lambda r: r.name)
+        if mutants:
+            reports += [mutant for _, mutant in results]
     return reports
+
+
+def commutator_tables(*systems) -> list:
+    """For each of ``systems``, its nontrivial relations [x_g(t), x_d(u)]
+    over the ordered pairs g != d of positive roots, in root order.  Each
+    pair is one job, and the jobs of all the systems are spread over the
+    CPUs at once (``_fan_out``)."""
+    pairs = [[(g, d) for g in pos for d in pos if g != d]
+             for pos in map(positive_roots, systems)]
+    jobs = [(build_basis(system), g, d)
+            for system, system_pairs in zip(systems, pairs)
+            for g, d in system_pairs]
+    relations = iter(_fan_out(commutator_relation, jobs, _share_count()))
+    return [[rel for rel in itertools.islice(relations, len(system_pairs))
+             if not rel.is_trivial()] for system_pairs in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -865,88 +1015,6 @@ def _chain_stage(name, claim_text, rules) -> Report:
                   (time.perf_counter() - t0) * 1000, detail)
 
 
-def _chain_shares() -> int:
-    """How many processes share the chain's stages: one per CPU the
-    process may run on, and one where fork is missing.  Four of the nine
-    stages take nearly all the time, so more than four shares gain
-    nothing."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), 4)
-
-
-def _share_payload(fn, jobs) -> bytes:
-    """The pickled (True, results) of ``fn`` over ``jobs``, or (False,
-    exception) when one raises."""
-    try:
-        return pickle.dumps((True, [fn(*job) for job in jobs]))
-    except BaseException as exc:
-        try:
-            data = pickle.dumps((False, exc))
-            pickle.loads(data)          # the caller must be able to rebuild it
-            return data
-        except Exception:
-            return pickle.dumps(
-                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
-def _run_child_share(fn, jobs, write, inherited):
-    """The body of a forked share: write its payload to ``write``, then
-    end the process without running the parent's cleanup."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        data = _share_payload(fn, jobs)
-        with open(write, "wb") as f:
-            f.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _fan_out(fn, jobs, n) -> list:
-    """[fn(*job) for job in jobs], the jobs dealt round-robin over ``n``
-    shares.  Share 0 runs in this process; every other share runs in a
-    forked child that sends back its results, or its exception, which is
-    raised here.  Every child is reaped before this returns or raises."""
-    shares = [jobs[k::n] for k in range(n)]
-    children = []                               # (pid, read end)
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _run_child_share(fn, share, write,
-                                 [read] + [fd for _, fd in children])
-            os.close(write)
-            children.append((pid, read))
-        results = [[fn(*job) for job in shares[0]]]
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as f:
-                data = f.read()
-            if not data:
-                raise RuntimeError(f"chain process {pid} ended without"
-                                   " a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-    finally:
-        for pid, read in children:
-            os.close(read)
-            os.waitpid(pid, 0)
-    out = [None] * len(jobs)
-    for k, share in enumerate(results):
-        out[k::n] = share
-    return out
-
-
 def entry_chain_g2() -> list:
     """Run the highest-root conjugacy constraint chain; one report per stage.
 
@@ -967,7 +1035,7 @@ def entry_chain_g2() -> list:
         jobs.append((name, claim_text, rules))
         rules += tuple(_parse_rule(text) for text in rule_texts)
     _chain_residual_entries()           # built once, before any fork
-    reports = _fan_out(_chain_stage, jobs, _chain_shares())
+    reports = _fan_out(_chain_stage, jobs, _share_count())
     for k, failed in enumerate(reports):
         if failed.verdict == "FAIL":
             return reports[:k + 1] + [

@@ -1,10 +1,13 @@
 import argparse
+import fnmatch
 import json
+import os
 
 import pytest
 
-from chevlab import shacheck
+from chevlab import prooflab, shacheck
 from chevlab.cli import _parser, dispatch
+from chevlab.rootsys import SYSTEMS, positive_roots
 
 
 def run(capsys, *argv):
@@ -300,3 +303,48 @@ def test_gauss_checks_the_system_before_evaluating(capsys, monkeypatch,
                word) == (2, "", "error: constructive Gauss decomposition"
                                 " is A1-only\n")
     assert calls == []
+
+
+def _fan_out_jobs(argv):
+    """How many jobs ``prooflab`` or ``relations`` deals for ``argv``."""
+    args = _parser().parse_args(argv)
+    systems = [args.system] if args.system else list(SYSTEMS)
+    if args.command == "relations":
+        return sum(len(positive_roots(s)) * (len(positive_roots(s)) - 1)
+                   for s in systems)
+    return sum(not args.filter or fnmatch.fnmatch(rec.name, args.filter)
+               for s in systems for rec in prooflab.builtin_catalog(s))
+
+
+@pytest.mark.parametrize("argv", [
+    ["prooflab", *system, *mutants]
+    for system in ([], *(["--system", s] for s in SYSTEMS))
+    for mutants in ([], ["--mutants"])] + [
+    ["prooflab", "--filter", "B2-cent-final", "--mutants"],
+    ["relations"], ["relations", "--system", "A1"]], ids=" ".join)
+def test_output_is_the_same_on_any_cpu_count(capsys, monkeypatch, argv):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    jobs = _fan_out_jobs(argv)
+    if "--filter" in argv:
+        assert jobs == 1
+    outputs = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        for output in ("text", "json-lines"):
+            forks.clear()
+            outputs.setdefault(output, []).append(
+                run(capsys, *argv, "--output", output, "--no-timing"))
+            assert len(forks) == max(min(cpus, 4, jobs) - 1, 0)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    for runs in outputs.values():
+        assert runs[0][0] == 0 and runs[0][1] and not runs[0][2]
+        assert runs[0] == runs[1] == runs[2]

@@ -139,6 +139,18 @@ def _set_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _count_forks(monkeypatch):
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -170,14 +182,7 @@ def test_entry_chain_fabricated_claim_fails(monkeypatch):
 
 
 def test_chain_reports_match_on_one_two_and_four_shares(monkeypatch):
-    real_fork = os.fork
-    forks = []
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
+    forks = _count_forks(monkeypatch)
     runs = []
     for cpus, children in [(1, 0), (2, 1), (8, 3)]:
         _set_cpus(monkeypatch, cpus)
@@ -188,7 +193,7 @@ def test_chain_reports_match_on_one_two_and_four_shares(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
     assert all(verdict == "PASS" for _, verdict, _, _ in runs[0])
     monkeypatch.delattr(os, "fork")
-    assert prooflab._chain_shares() == 1
+    assert prooflab._share_count() == 1
 
 
 class _StageError(Exception):
@@ -239,6 +244,63 @@ def test_fan_out_unpicklable_child_error_becomes_runtime_error():
     with pytest.raises(LocalError):     # the parent's own share raises as is
         prooflab._fan_out(job, [(1,), (0,)], 2)
     _no_child_left()
+
+
+@pytest.mark.parametrize("jobs,n,children", [
+    (0, 2, 0), (1, 4, 0), (2, 1, 0), (2, 4, 1), (3, 8, 2), (9, 4, 3)])
+def test_fan_out_forks_one_child_per_share_beyond_the_first(monkeypatch, jobs,
+                                                            n, children):
+    forks = _count_forks(monkeypatch)
+    out = prooflab._fan_out(lambda k: (k, os.getpid()),
+                            [(k,) for k in range(jobs)], n)
+    assert [k for k, _ in out] == list(range(jobs))
+    assert len(forks) == children
+    # no share is empty: every child ran at least one job
+    assert len({pid for _, pid in out}) == children + (jobs > 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("system,calls", [
+    ("A1", 11), ("A2", 67), ("B2", 22), ("G2", 61)])
+def test_mutants_reuse_the_sides_they_leave_unchanged(monkeypatch, system,
+                                                      calls):
+    # 16, 90, 30 and 80 evaluations when every mutant evaluated both sides
+    evaluate = prooflab.evaluate_word
+    count = []
+
+    def counted(*args, **kwargs):
+        count.append(1)
+        return evaluate(*args, **kwargs)
+
+    prooflab.build_basis(system)
+    monkeypatch.setattr(prooflab, "evaluate_word", counted)
+    _set_cpus(monkeypatch, 1)
+    reports = prooflab.run_catalog(system, mutants=True)
+    assert len(count) == calls
+    assert all(r.verdict in ("PASS", "SKIPPED") for r in reports), reports
+
+
+def test_catalog_error_in_child_reaches_caller_as_inline(monkeypatch):
+    # the second record lies in the first child's share on two or more CPUs
+    target = prooflab.builtin_catalog("A2")[1].name
+    run_identity = prooflab.run_identity
+    raised_here = []
+
+    def failing(rec, sides=None):
+        if rec.name == target:
+            raised_here.append(1)       # a child's append stays in the child
+            raise _StageError(f"no verdict on {rec.name}")
+        return run_identity(rec, sides)
+
+    monkeypatch.setattr(prooflab, "run_identity", failing)
+    for cpus in (1, 2, 8):
+        _set_cpus(monkeypatch, cpus)
+        raised_here.clear()
+        with pytest.raises(_StageError) as info:
+            prooflab.run_catalog("A2", mutants=True)
+        assert info.value.args == (f"no verdict on {target}",)
+        assert len(raised_here) == (cpus == 1)
+        _no_child_left()
 
 
 class _FractionEchelon:

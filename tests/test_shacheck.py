@@ -268,6 +268,29 @@ def test_order_guard_makes_a_wrong_group_inconclusive(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("INCONCLUSIVE sha A2/F_3")
 
 
+def test_sha_exit_code_follows_the_verdict_when_the_hypothesis_fails(
+        capsys, monkeypatch):
+    # A2/F_2's x_{+-a1}(1) close SL2(2), of order 6, not 168: the order
+    # guard's INCONCLUSIVE exits 3 though p = 2 violates the hypothesis
+    realization, gens = generator_matrices("A2", 2)
+    monkeypatch.setattr(shacheck, "generate_group",
+                        lambda system, p, cap: shacheck.close(
+                            gens[:2], realization, p, cap))
+    assert dispatch(["sha", "--system", "A2", "--prime", "2"]) == 3
+    assert capsys.readouterr().out.startswith(
+        "INCONCLUSIVE (HYPOTHESIS-VIOLATED: p=2) sha A2/F_2: order 6,")
+
+    def failed(system, p, cap):
+        return {"system": system, "p": p, "group_order": 1,
+                "class_count": 1, "cp_endo_count": 2, "inner_count": 1,
+                "verdict": "FAIL", "hypothesis_violated": True}
+
+    monkeypatch.setattr(shacheck, "sha_report", failed)
+    assert dispatch(["sha", "--system", "A2", "--prime", "2"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL (HYPOTHESIS-VIOLATED: p=2) sha A2/F_2")
+
+
 def test_pgl3_keys_are_projective():
     # 7 = 1 mod 3, so 2I is a scalar matrix of SL3(7)
     eye = np.eye(3, dtype=np.int64)
