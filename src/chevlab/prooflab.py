@@ -1102,21 +1102,12 @@ def _det3(M: AdjointMatrix) -> RingElement:
             + e(0, 2) * (e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)))
 
 
-def _inv3(M: AdjointMatrix) -> AdjointMatrix:
-    det = _det3(M)
-    dinv = invert(det)
+def _minor_sum3(M: AdjointMatrix) -> RingElement:
+    """e_2(M): the sum of the three principal 2x2 minors."""
     e = M.entry
-    cof = [[(e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)),
-            -(e(0, 1) * e(2, 2) - e(0, 2) * e(2, 1)),
-            (e(0, 1) * e(1, 2) - e(0, 2) * e(1, 1))],
-           [-(e(1, 0) * e(2, 2) - e(1, 2) * e(2, 0)),
-            (e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0)),
-            -(e(0, 0) * e(1, 2) - e(0, 2) * e(1, 0))],
-           [(e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)),
-            -(e(0, 0) * e(2, 1) - e(0, 1) * e(2, 0)),
-            (e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0))]]
-    return AdjointMatrix(M.spec, [[c * dinv for c in row] for row in cof],
-                         M.realization)
+    return (e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0)
+            + e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0)
+            + e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1))
 
 
 def scalar_conjugacy_obstruction(M: AdjointMatrix, N: AdjointMatrix):
@@ -1127,7 +1118,9 @@ def scalar_conjugacy_obstruction(M: AdjointMatrix, N: AdjointMatrix):
     spec = M.spec
     detM, detN = _det3(M), _det3(N)
     trM, trN = M.trace(), N.trace()
-    triM, triN = _inv3(M).trace(), _inv3(N).trace()
+    # Cayley-Hamilton: tr(M^-1) = e_2(M) / det M
+    triM = _minor_sum3(M) * invert(detM)
+    triN = _minor_sum3(N) * invert(detN)
 
     def check(lam):
         if not (detM - lam ** 3 * detN).is_zero():
@@ -1139,13 +1132,10 @@ def scalar_conjugacy_obstruction(M: AdjointMatrix, N: AdjointMatrix):
         return None
 
     if spec.kind == "modular":
-        failures = []
         for r in range(1, spec.modulus):
             lam = spec.const(r)
-            w = check(lam)
-            if w is None:
+            if check(lam) is None:
                 return ("POSSIBLE", lam)
-            failures.append(w)
         # report the obstruction for the trace-determined candidate if any
         if not trN.is_zero():
             w = check(trM * invert(trN))

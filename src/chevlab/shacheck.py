@@ -200,6 +200,9 @@ def close(gens: np.ndarray, realization: str, p: int,
     """The group generated by a (k, d, d) stack of integer matrices over
     Z/p, keyed in ``realization``, with its right-multiplication table,
     spanning tree and inverses; at most ``cap`` elements."""
+    if len(gens) == 0:
+        raise ValueError("close needs at least one generator matrix; the"
+                         " generator stack is empty")
     ident, ident_keys = _keyed(np.eye(gens.shape[1], dtype=np.int64)[None],
                                realization, p)
     index = {ident_keys[0]: 0}
@@ -289,23 +292,10 @@ def conjugacy_classes(G: FiniteGroupTable):
     return classes, (np.cumsum(least) - 1)[label].tolist()
 
 
-class EndoMap:
-    """A verified endomorphism: the images of the generators, plus the
-    full id -> id table as an int32 array."""
-
-    __slots__ = ("images", "table")
-
-    def __init__(self, images, table):
-        self.images = tuple(images)
-        self.table = table
-
-    def __repr__(self):
-        return f"EndoMap(images={self.images})"
-
-
 def extend_homomorphism(G: FiniteGroupTable, images):
     """Extend generator images over the spanning tree, then check every
-    Cayley edge x -> x s_i; returns an EndoMap, or REJECT on any conflict."""
+    Cayley edge x -> x s_i; returns the extended map's id -> id table as
+    an int32 array, or REJECT on any conflict."""
     images = tuple(int(f) for f in images)
     right = np.stack(G.right_multiplications(images))
     table = np.full(len(G), -1, dtype=np.int32)
@@ -317,7 +307,7 @@ def extend_homomorphism(G: FiniteGroupTable, images):
     for i in range(len(images)):
         if not np.array_equal(table[G.rmul[:, i]], right[i][table]):
             return REJECT
-    return EndoMap(images, table)
+    return table
 
 
 def _conjugates(G: FiniteGroupTable, conjugators: np.ndarray,
@@ -342,12 +332,6 @@ def inner_endomorphisms(G: FiniteGroupTable) -> dict:
     return conjugators
 
 
-def _pair_ok(G: FiniteGroupTable, class_of, a: int, c: int,
-             target: int) -> bool:
-    """Does a*c fall in the class ``target``?"""
-    return class_of[G.mul(a, c)] == target
-
-
 def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
     """The image tuples of the endomorphisms that fix the first generator
     s_1 and send every element into its conjugacy class, sorted; ``classes``
@@ -357,7 +341,9 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
     psi to a map with psi(s_2) = g c g^-1 when psi(s_2) = c.  So the maps
     are searched and extended only under the least c of each C_G(s_1)-orbit
     of the images of s_2, and each map found there is carried to every other
-    c' of the orbit by one witness g with g c g^-1 = c' (the least such g)."""
+    c' of the orbit by one witness g with g c g^-1 = c' (the least such g).
+    A tuple is kept when ``extend_homomorphism`` returns a table, not
+    REJECT, that sends every id into its own class."""
     gen_ids = G.generators
     n = len(gen_ids)
     pair_target = {(i, j): class_of[G.mul(gen_ids[i], gen_ids[j])]
@@ -365,7 +351,7 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
 
     s1 = gen_ids[0]
     second = [c for c in classes[class_of[gen_ids[1]]]
-              if _pair_ok(G, class_of, s1, c, pair_target[(0, 1)])]
+              if class_of[G.mul(s1, c)] == pair_target[(0, 1)]]
     cent = G.centralizer(s1)
     class_arr = np.array(class_of)
     found, seen = [], set()
@@ -385,14 +371,14 @@ def class_preserving_endos(G: FiniteGroupTable, classes, class_of):
         for k in range(2, n):
             chosen = [prefix + (x,) for prefix in chosen
                       for x in classes[class_of[gen_ids[k]]]
-                      if all(_pair_ok(G, class_of, prefix[i], x,
-                                      pair_target[(i, k)]) for i in range(k))]
+                      if all(class_of[G.mul(prefix[i], x)]
+                             == pair_target[(i, k)] for i in range(k))]
         for images in chosen:
-            endo = extend_homomorphism(G, images)
-            if endo is not REJECT and np.array_equal(class_arr[endo.table],
-                                                     class_arr):
+            table = extend_homomorphism(G, images)
+            if table is not REJECT and np.array_equal(class_arr[table],
+                                                      class_arr):
                 found += zip(*(_conjugates(G, witnesses, x).tolist()
-                               for x in endo.images))
+                               for x in images))
     return sorted(found)
 
 

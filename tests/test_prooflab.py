@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 import chevlab
 from chevlab import exactring, prooflab
 from chevlab.chevgroup import matrix_from_entries
 from chevlab.exactring import (RewriteRule, RingError, RingSpec, deglex_key,
-                               mul_terms, reduce_terms, sub_terms)
+                               invert, mul_terms, reduce_terms, sub_terms)
 
 
 def test_catalog_sizes():
@@ -698,6 +699,50 @@ def test_scalar_obstruction_exact_cube_roots(lam):
                                                             "determinant")
 
 
+def explicit_inverse3(M):
+    """Reference: the inverse of a 3x3 matrix from its cofactors."""
+    e = M.entry
+    cof = [[(e(1, 1) * e(2, 2) - e(1, 2) * e(2, 1)),
+            -(e(0, 1) * e(2, 2) - e(0, 2) * e(2, 1)),
+            (e(0, 1) * e(1, 2) - e(0, 2) * e(1, 1))],
+           [-(e(1, 0) * e(2, 2) - e(1, 2) * e(2, 0)),
+            (e(0, 0) * e(2, 2) - e(0, 2) * e(2, 0)),
+            -(e(0, 0) * e(1, 2) - e(0, 2) * e(1, 0))],
+           [(e(1, 0) * e(2, 1) - e(1, 1) * e(2, 0)),
+            -(e(0, 0) * e(2, 1) - e(0, 1) * e(2, 0)),
+            (e(0, 0) * e(1, 1) - e(0, 1) * e(1, 0))]]
+    dinv = invert(prooflab._det3(M))
+    return matrix_from_entries(M.spec, [[c * dinv for c in row]
+                                        for row in cof], M.realization)
+
+
+@st.composite
+def invertible_3x3(draw):
+    """An invertible 3x3 matrix over Q, F_2, F_3, F_7 or F_13."""
+    p = draw(st.sampled_from([None, 2, 3, 7, 13]))
+    if p is None:
+        spec = RingSpec("poly", ())
+        entry = st.fractions(-9, 9, max_denominator=4)
+    else:
+        spec = RingSpec("modular", modulus=p)
+        entry = st.integers(0, p - 1)
+    row = st.lists(entry, min_size=3, max_size=3)
+    M = matrix_from_entries(spec, draw(st.lists(row, min_size=3,
+                                                max_size=3)), "pgl3")
+    assume(not prooflab._det3(M).is_zero())
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(invertible_3x3())
+def test_inverse_trace_by_cayley_hamilton(M):
+    # tr(M^-1) = e_2(M) / det M, as scalar_conjugacy_obstruction reads it
+    inverse = explicit_inverse3(M)
+    assert (M * inverse).is_identity()
+    assert (prooflab._minor_sum3(M) * invert(prooflab._det3(M))
+            == inverse.trace())
+
+
 def test_obstruction_conjugation_invariance():
     import random
     rng = random.Random(17)
@@ -712,7 +757,7 @@ def test_obstruction_conjugation_invariance():
                 "pgl3")
             if not prooflab._det3(g).is_zero():
                 break
-        gi = prooflab._inv3(g)
+        gi = explicit_inverse3(g)
         got = prooflab.scalar_conjugacy_obstruction(g * Y * gi, g * Yp * gi)
         assert got[0] == base
 

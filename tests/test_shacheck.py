@@ -17,7 +17,7 @@ from chevlab.exactring import RingSpec
 from chevlab.rootsys import SystemType, simple_roots
 from chevlab.shacheck import (CapExceeded, DEFAULT_CAP, REJECT,
                               FiniteGroupTable, _canonicalize,
-                              _inverse_permutation, _lookup, _pair_ok,
+                              _inverse_permutation, _lookup,
                               class_preserving_endos, close,
                               conjugacy_classes, element_keys,
                               expected_order, extend_homomorphism,
@@ -152,15 +152,15 @@ def unreduced_search(G, classes, class_of, first):
     chosen = [()]
     for k in range(n):
         chosen = [prefix + (c,) for prefix in chosen for c in candidates[k]
-                  if all(_pair_ok(G, class_of, prefix[i], c,
-                                  pair_target[(i, k)]) for i in range(k))]
+                  if all(class_of[G.mul(prefix[i], c)] == pair_target[(i, k)]
+                         for i in range(k))]
     class_arr = np.array(class_of)
     found = []
     for images in chosen:
-        endo = extend_homomorphism(G, images)
-        if endo is not REJECT and np.array_equal(class_arr[endo.table],
-                                                 class_arr):
-            found.append(endo.images)
+        table = extend_homomorphism(G, images)
+        if table is not REJECT and np.array_equal(class_arr[table],
+                                                  class_arr):
+            found.append(images)
     return sorted(found)
 
 
@@ -242,6 +242,13 @@ def test_cap_boundary():
 def test_order_formula_matches_closure(system, p):
     assert expected_order(system, p) == len(generate_group(system, p,
                                                            cap=13000))
+
+
+def test_close_of_an_empty_stack():
+    with pytest.raises(ValueError) as err:
+        close(np.zeros((0, 3, 3), dtype=np.int64), "pgl3", 5)
+    assert str(err.value) == ("close needs at least one generator matrix;"
+                              " the generator stack is empty")
 
 
 def test_close_of_given_matrices():
@@ -378,14 +385,14 @@ def test_extend_homomorphism():
     gen_ids = G.generators
     ident = extend_homomorphism(G, gen_ids)
     assert ident is not REJECT
-    assert ident.table.tolist() == list(range(len(G)))
+    assert ident.tolist() == list(range(len(G)))
 
     # conjugated generators extend to the inner map
     h = 5
     conj = [G.conj(h, g) for g in gen_ids]
-    endo = extend_homomorphism(G, conj)
-    assert endo is not REJECT
-    assert all(endo.table[x] == G.conj(h, x) for x in range(len(G)))
+    table = extend_homomorphism(G, conj)
+    assert table is not REJECT
+    assert all(table[x] == G.conj(h, x) for x in range(len(G)))
 
     # an image of mismatched order is rejected
     classes, class_of = conjugacy_classes(G)
@@ -395,15 +402,29 @@ def test_extend_homomorphism():
     assert extend_homomorphism(G, [wrong, gen_ids[1]]) is REJECT
 
 
+@pytest.mark.parametrize("system", ["A1", "A2"])
+def test_extend_homomorphism_returns_a_table_or_reject(system):
+    G = generate_group(system, 3)
+    table = extend_homomorphism(G, G.generators)
+    assert isinstance(table, np.ndarray)
+    assert table.dtype == np.int32 and table.shape == (len(G),)
+    # the normal closure of s_1 is G (PSL2(3) = A4 is generated by its
+    # 3-cycles, PSL3(3) is simple), so no endomorphism kills s_1 and
+    # fixes s_2
+    rejected = extend_homomorphism(G, [G.identity_id] + G.generators[1:])
+    assert rejected is REJECT
+    assert isinstance(rejected, str)
+
+
 def test_extension_composes():
     G = generate_group("A1", 3)
     gen_ids = G.generators
     f = extend_homomorphism(G, [G.conj(3, g) for g in gen_ids])
-    g = extend_homomorphism(G, [G.conj(7, x) for x in gen_ids])
-    composed = extend_homomorphism(G, [f.table[img] for img in g.images])
+    g_images = [G.conj(7, x) for x in gen_ids]
+    g = extend_homomorphism(G, g_images)
+    composed = extend_homomorphism(G, [f[img] for img in g_images])
     assert composed is not REJECT
-    assert composed.table.tolist() == [f.table[g.table[x]]
-                                       for x in range(len(G))]
+    assert composed.tolist() == [f[g[x]] for x in range(len(G))]
 
 
 def test_class_preserving_endos_a1_p3():
@@ -419,18 +440,18 @@ def test_class_preserving_endos_a1_p3():
     for images in cp:
         assert images in inner
         assert images[0] == s1
-        endo = extend_homomorphism(G, images)
-        assert endo is not REJECT
+        table = extend_homomorphism(G, images)
+        assert table is not REJECT
         # exhaustive search for a conjugator realizing the map on every
         # element, by matrix products
         conjugators = [g for g in range(len(G))
-                       if all(endo.table[x] == matrix_conj(G, g, x)
+                       if all(table[x] == matrix_conj(G, g, x)
                               for x in range(len(G)))]
         assert conjugators
         # independent elementwise re-check
-        assert all(class_of[endo.table[x]] == class_of[x]
+        assert all(class_of[table[x]] == class_of[x]
                    for x in range(len(G)))
-        tables.add(tuple(endo.table.tolist()))
+        tables.add(tuple(table.tolist()))
     assert len(tables) == 3
     # the inner maps fixing s_1 form a subgroup under composition
     table_list = sorted(tables)
@@ -444,10 +465,10 @@ def test_is_inner_identity():
     G = generate_group("A1", 3)
     ident = extend_homomorphism(G, G.generators)
     inner = inner_endomorphisms(G)
-    assert ident.images in inner
-    assert inner[ident.images] == G.identity_id
+    assert tuple(G.generators) in inner
+    assert inner[tuple(G.generators)] == G.identity_id
     conjugators = [g for g in range(len(G))
-                   if all(ident.table[x] == matrix_conj(G, g, x)
+                   if all(ident[x] == matrix_conj(G, g, x)
                           for x in range(len(G)))]
     assert conjugators and conjugators[0] == G.identity_id
 
