@@ -13,18 +13,20 @@ orbit is extended (see ``sha_report`` and ``class_preserving_endos``).
 An endomorphism is fixed by its images of the generators, so everything is
 done with the generators: the closure records the right-multiplication
 table by the generators (``rmul``, |G| x k) and a breadth-first spanning
-tree, the generators are the ids ``rmul[0]`` and their inverses are read
-off the table, right multiplication by any element is a composition of
-``rmul`` columns along that element's tree word, and endomorphisms are
-identified by their image tuples.  The closure works one tree level and
-one generator at a time on whole arrays; no Python loop runs per element.
-Memory is O(|G| k); no |G| x |G| table is built.
+tree, the generators are the ids ``rmul[0]``, every inverse is read off
+the table by walking the element's tree word backwards, right
+multiplication by any element is a composition of ``rmul`` columns along
+that element's tree word, and endomorphisms are identified by their image
+tuples.  The closure works one tree level and one generator at a time on
+whole arrays; the one step it takes per element is a single
+``dict.setdefault`` that both looks the element up and numbers it if it is
+new.  Memory is O(|G| k); no |G| x |G| table is built.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from itertools import count, filterfalse
 from math import gcd
 
 import numpy as np
@@ -44,6 +46,13 @@ DEFAULT_CAP = 10000
 REJECT = "REJECT"
 
 
+@functools.cache
+def _unit_inverses(p: int) -> np.ndarray:
+    """u -> u^-1 mod p for u = 1, ..., p - 1, with 0 -> 0."""
+    return np.array([0] + [pow(u, -1, p) for u in range(1, p)],
+                    dtype=np.int64)
+
+
 def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
     """Canonical representative mod p of a matrix or a stack of matrices
     (projective scaling for pgl3)."""
@@ -53,9 +62,7 @@ def _canonicalize(arr: np.ndarray, realization: str, p: int) -> np.ndarray:
     flat = arr.reshape(arr.shape[:-2] + (arr.shape[-2] * arr.shape[-1],))
     idx = (flat != 0).argmax(axis=-1)
     lead = np.take_along_axis(flat, idx[..., None], axis=-1)
-    inv = np.array([0] + [pow(int(u), -1, p) for u in range(1, p)],
-                   dtype=np.int64)
-    return (arr * inv[lead][..., None]) % p
+    return (arr * _unit_inverses(p)[lead][..., None]) % p
 
 
 def matrix_array(m, realization: str, p: int) -> np.ndarray:
@@ -69,7 +76,11 @@ def matrix_array(m, realization: str, p: int) -> np.ndarray:
 def _keyed(mats: np.ndarray, realization: str, p: int):
     """The canonical uint8 stack of a stack of integer matrices, and its
     keys: the bytes of each canonical matrix, read through one ``np.void``
-    view."""
+    view.  Residues are stored in one byte each, so p must be at most
+    256."""
+    if p > 256:
+        raise ValueError(f"matrices over F_{p} are keyed in bytes, which"
+                         " hold residues mod p only for p <= 256")
     canon = _canonicalize(mats, realization, p).astype(np.uint8)
     n, rows, cols = canon.shape
     void = np.dtype((np.void, rows * cols))
@@ -182,10 +193,14 @@ class FiniteGroupTable:
 
 def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
     """``close`` of the root elements x_{+-a}(1) over the simple roots a:
-    E(system, F_p) in the default realization."""
+    E(system, F_p) in the default realization.  A group whose
+    ``expected_order`` exceeds ``cap`` is refused before any of it is
+    closed."""
     system = SystemType(system)
     if p < 2:
         raise ValueError("p must be at least 2")
+    if expected_order(system, p) > cap:
+        raise CapExceeded(f"group order exceeds cap {cap}; raise --cap")
     realization = default_realization(system)
     basis = build_basis(system)
     one = RingSpec("modular", modulus=p).one()
@@ -200,6 +215,9 @@ def close(gens: np.ndarray, realization: str, p: int,
     """The group generated by a (k, d, d) stack of integer matrices over
     Z/p, keyed in ``realization``, with its right-multiplication table,
     spanning tree and inverses; at most ``cap`` elements."""
+    if gens.ndim != 3:
+        raise ValueError("close needs a (k, d, d) stack of generator"
+                         f" matrices, not an array of shape {gens.shape}")
     if len(gens) == 0:
         raise ValueError("close needs at least one generator matrix; the"
                          " generator stack is empty")
@@ -212,23 +230,21 @@ def close(gens: np.ndarray, realization: str, p: int,
 
     # breadth-first closure, one level (one block of rows) and one
     # generator at a time: the products x * s_i of the level are keyed at
-    # once, the keys not yet in ``index`` get the next ids in order of first
-    # occurrence, and each new element's parent is the first row that
-    # reached it
+    # once, and one pass over the keys gives each key not yet in ``index``
+    # the next id, in order of first occurrence; each new element's parent
+    # is the first row that reached it
     lo = 0
     while lo < len(index):
         stack = blocks[-1].astype(np.int64)
         new_rows, cols = [], []
         for i, g in enumerate(gens):
             canon, keys = _keyed(stack @ g, realization, p)
-            fresh = dict.fromkeys(filterfalse(index.__contains__, keys))
             start = len(index)
-            if start + len(fresh) > cap:
+            col = np.array([index.setdefault(key, len(index)) for key in keys],
+                           dtype=np.int32)
+            if len(index) > cap:
                 raise CapExceeded(
                     f"group order exceeds cap {cap}; raise --cap")
-            index.update(zip(fresh, count(start)))
-            col = np.fromiter(map(index.__getitem__, keys), dtype=np.int32,
-                              count=len(keys))
             # the new ids rise in order of first occurrence, so a new
             # element first occurs where col passes every id before it
             before = np.maximum.accumulate(
@@ -247,19 +263,26 @@ def close(gens: np.ndarray, realization: str, p: int,
     rmul = np.concatenate(rmul_levels)
     parent = np.concatenate(parent).astype(np.int32)
     parent_gen = np.concatenate(parent_gen).astype(np.int32)
-
-    # y = x s_i gives y^-1 = s_i^-1 x^-1, and s_i^-1 is the x with
-    # x s_i = 1: fill the inverses down the tree, one product and one
-    # lookup per element
-    gen_inv = elements[(rmul == 0).argmax(axis=0)].astype(np.int64)
-    inverses = np.zeros(len(elements), dtype=np.int32)
-    for lo, hi in zip(levels[1:], levels[2:]):
-        for i, s_inv in enumerate(gen_inv):
-            ys = lo + np.flatnonzero(parent_gen[lo:hi] == i)
-            x_inv = elements[inverses[parent[ys]]].astype(np.int64)
-            inverses[ys] = _lookup(index, s_inv @ x_inv, realization, p)
     return FiniteGroupTable(p, realization, elements, index, rmul, parent,
-                            parent_gen, levels, inverses)
+                            parent_gen, levels,
+                            _tree_inverses(rmul, parent, parent_gen, levels))
+
+
+def _tree_inverses(rmul, parent, parent_gen, levels) -> np.ndarray:
+    """The id of y^-1 for every id y, read off the table: y's tree word
+    s_{i_1} ... s_{i_m} gives y^-1 = 1 s_{i_m}^-1 ... s_{i_1}^-1, and
+    x -> x s_i^-1 is the inverse permutation of ``rmul[:, i]``.  The ids of
+    depth at least t are the range ``levels[t]:``, so step t applies the
+    t-th letter from the end of their words to all of them at once."""
+    n = len(rmul)
+    right_inv = np.stack([_inverse_permutation(col) for col in rmul.T])
+    inverses = np.zeros(n, dtype=np.int32)
+    node = np.arange(n, dtype=np.int32)    # the part of each word not read
+    for lo in levels[1:-1]:
+        ys = node[lo:]
+        inverses[lo:] = right_inv[parent_gen[ys], inverses[lo:]]
+        node[lo:] = parent[ys]
+    return inverses
 
 
 def conjugacy_classes(G: FiniteGroupTable):

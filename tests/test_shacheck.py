@@ -236,6 +236,27 @@ def test_cap_boundary():
         generate_group("A2", 3, cap=5615)
 
 
+def test_close_cap_boundary():
+    # the closure's own cap check, which generate_group's refusal of a
+    # group known to be too large no longer reaches
+    realization, gens = generator_matrices("A2", 3)
+    assert len(close(gens, realization, 3, cap=5616)) == 5616
+    with pytest.raises(CapExceeded):
+        close(gens, realization, 3, cap=5615)
+
+
+def test_over_cap_group_is_refused_before_closing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("close called for a group over the cap")
+
+    monkeypatch.setattr(shacheck, "close", fail)
+    # PSL3(7) has order 1,876,896
+    with pytest.raises(CapExceeded) as err:
+        generate_group("A2", 7)
+    assert str(err.value) == (f"group order exceeds cap {DEFAULT_CAP};"
+                              " raise --cap")
+
+
 @pytest.mark.parametrize("system,p", [("A1", 3), ("A1", 5), ("A1", 7),
                                       ("A1", 13), ("A2", 2), ("A2", 3),
                                       ("B2", 2), ("G2", 2)])
@@ -249,6 +270,41 @@ def test_close_of_an_empty_stack():
         close(np.zeros((0, 3, 3), dtype=np.int64), "pgl3", 5)
     assert str(err.value) == ("close needs at least one generator matrix;"
                               " the generator stack is empty")
+
+
+def test_close_of_a_bare_matrix():
+    with pytest.raises(ValueError) as err:
+        close(np.eye(3, dtype=np.int64), "pgl3", 5)
+    assert str(err.value) == ("close needs a (k, d, d) stack of generator"
+                              " matrices, not an array of shape (3, 3)")
+
+
+def test_close_refuses_residues_wider_than_a_byte():
+    x = np.array([[[1, 1], [0, 1]]])
+    # x(a, 1) has order p: 251 residues all fit in a byte
+    assert len(close(x, "adjoint", 251)) == 251
+    with pytest.raises(ValueError) as err:
+        close(x, "adjoint", 257)
+    assert str(err.value) == ("matrices over F_257 are keyed in bytes, which"
+                              " hold residues mod p only for p <= 256")
+
+
+@pytest.mark.parametrize("cap", [None, "20000000"])
+def test_sha_refuses_p_257(capsys, cap):
+    # |PSL2(257)| = 8,487,168 exceeds the default cap; past it, the keys
+    # refuse the prime
+    argv = ["sha", "--system", "A1", "--prime", "257"]
+    assert dispatch(argv + (["--cap", cap] if cap else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_unit_inverses():
+    for p in (2, 3, 5, 7, 13):
+        inv = shacheck._unit_inverses(p)
+        assert inv[0] == 0
+        assert all(u * inv[u] % p == 1 for u in range(1, p))
+    assert shacheck._unit_inverses(7) is shacheck._unit_inverses(7)
 
 
 def test_close_of_given_matrices():
