@@ -917,6 +917,9 @@ class _Echelon:
         return out
 
     def insert(self, row):
+        """Reduce ``row`` and keep it as a pivot if it is not in the span;
+        returns the new pivot's lead, or None.  The pivot's tail avoids
+        every older lead."""
         row = self.reduce(row)
         if row:
             lead = max(row)
@@ -925,6 +928,8 @@ class _Echelon:
                 g = -g
             self.pivots[lead] = (row.pop(lead) // g,
                                  tuple((m, x // g) for m, x in row.items()))
+            return lead
+        return None
 
 
 def _integer_row(terms):
@@ -935,9 +940,10 @@ def _integer_row(terms):
     return {m: x // g for m, x in row.items()}
 
 
-def _chain_echelon(entries, rules):
-    """The echelon form of the reduced monomial multiples of the reduced
-    entries, inserted shortest first."""
+def _chain_rows(entries, rules):
+    """The nonzero reduced monomial multiples of the reduced entries as
+    primitive integer rows, sorted shortest first: the order a stage
+    inserts them in."""
     reduce = _CHAIN_PACKING.reduce
     rules = _CHAIN_PACKING.rules(rules)
     rows = []
@@ -948,11 +954,7 @@ def _chain_echelon(entries, rules):
             if r:
                 rows.append(r)
     rows.sort(key=lambda r: (len(r), max(r)))
-    rows.reverse()
-    ech = _Echelon()
-    while rows:                 # each row freed once inserted
-        ech.insert(rows.pop())
-    return ech
+    return rows
 
 
 def _unit_entry(claim_red, entries):
@@ -986,15 +988,28 @@ def _chain_stage(name, claim_text, rules) -> Report:
             (i, j), unit = hit
             detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
         else:
-            ech = _chain_echelon(entries, rules)
+            rows = _chain_rows(entries, rules)
+            rows.reverse()      # popped shortest first, freed once inserted
+            n_rows = len(rows)
+            ech = _Echelon()
             claim_row = _integer_row(claim_red)
             for ii in range(3):
                 if ok:
                     break
                 for jj in range(3):
                     mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
-                    rem = ech.reduce(P.reduce(claim_row, rules,
-                                              shift=mono))
+                    mult = P.reduce(claim_row, rules, shift=mono)
+                    if len(rows) == n_rows and all(
+                            r.keys().isdisjoint(mult) for r in rows):
+                        # on no row: its own remainder
+                        rem = mult
+                    else:
+                        # rows go in until the multiple is in their span;
+                        # only a new lead on the remainder changes it
+                        rem = ech.reduce(mult)
+                        while rem and rows:
+                            if ech.insert(rows.pop()) in rem:
+                                rem = ech.reduce(rem)
                     if not rem:
                         ok = True
                         detail = (f"claim * a^{ii} d^{jj} lies in the"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -77,10 +77,15 @@ def _keyed(mats: np.ndarray, realization: str, p: int):
     """The canonical uint8 stack of a stack of integer matrices, and its
     keys: the bytes of each canonical matrix, read through one ``np.void``
     view.  Residues are stored in one byte each, so p must be at most
-    256."""
+    256, and a pgl3 key divides by a leading entry, so p must be prime
+    there."""
     if p > 256:
         raise ValueError(f"matrices over F_{p} are keyed in bytes, which"
                          " hold residues mod p only for p <= 256")
+    if realization == "pgl3" and (
+            p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+        raise ValueError(f"pgl3 keys scale by units mod p, so the modulus"
+                         f" must be prime, not {p}")
     canon = _canonicalize(mats, realization, p).astype(np.uint8)
     n, rows, cols = canon.shape
     void = np.dtype((np.void, rows * cols))

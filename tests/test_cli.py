@@ -2,9 +2,12 @@ import argparse
 import fnmatch
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import chevlab
 from chevlab import prooflab, shacheck
 from chevlab.cli import _parser, dispatch
 from chevlab.rootsys import SYSTEMS, positive_roots
@@ -95,6 +98,35 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     assert err.splitlines() == [
         "error: out of memory in sha (system B2, prime 5, cap 5000000)"]
     assert "Traceback" not in err
+
+
+BOUNDED_SHA = """
+import os, resource, sys
+from chevlab.cli import dispatch
+# the address space in use once the interpreter, numpy and chevlab are in,
+# plus 256 MiB: far less than the closure of |PSL3(7)| = 1,876,896 elements
+in_use = int(open("/proc/self/statm").read().split()[0]) * os.sysconf(
+    "SC_PAGE_SIZE")
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (in_use + 2 ** 28, hard))
+sys.exit(dispatch(["sha", "--system", "A2", "--prime", "7",
+                   "--cap", "2000000"]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS and /proc/self/statm are Linux's")
+def test_address_space_limit_exits_2_with_one_line():
+    # a real allocation failure, in a child with its own limit, exits as
+    # the patched MemoryError above does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", BOUNDED_SHA],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: out of memory in sha (system A2, prime 7, cap 2000000)"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_decompose_gauss(capsys):

@@ -203,14 +203,14 @@ class _StageError(Exception):
 
 def test_chain_stage_error_in_child_reaches_caller(monkeypatch):
     parent = os.getpid()
-    echelon = prooflab._chain_echelon
+    chain_rows = prooflab._chain_rows
 
     def failing(entries, rules):
         if os.getpid() != parent:
-            raise _StageError("echelon failed in the child")
-        return echelon(entries, rules)
+            raise _StageError("rows failed in the child")
+        return chain_rows(entries, rules)
 
-    monkeypatch.setattr(prooflab, "_chain_echelon", failing)
+    monkeypatch.setattr(prooflab, "_chain_rows", failing)
     _set_cpus(monkeypatch, 2)
     with pytest.raises(_StageError, match="in the child"):
         prooflab.entry_chain_g2()
@@ -362,6 +362,15 @@ def _unpacked(terms):
     return {pk.unpack(k): Fraction(c) for k, c in terms.items()}
 
 
+def _full_echelon(entries, rules, echelon=prooflab._Echelon):
+    """The echelon of every row a span stage builds, inserted shortest
+    first."""
+    ech = echelon()
+    for row in prooflab._chain_rows(entries, rules):
+        ech.insert(row)
+    return ech
+
+
 def test_packed_chain_stage_matches_fraction_path():
     # the c2quad stage has the most rules; its rows, pivots and nine T-vector
     # remainders are compared with the tuple-keyed Fraction computation
@@ -395,7 +404,7 @@ def test_packed_chain_stage_matches_fraction_path():
     old_ech = _FractionEchelon()
     for r in old_rows:
         old_ech.insert(r)
-    new_ech = prooflab._chain_echelon(entries, prules)
+    new_ech = _full_echelon(entries, prules)
     assert len(new_ech.pivots) == len(old_ech.pivots)
     for lead, pivot in old_ech.pivots.items():
         p, tail = new_ech.pivots[pk.pack(lead)]
@@ -429,7 +438,7 @@ def test_chain_echelon_pivot_counts(stage, pivots):
     # the four stages that need the echelon: a change in the rewrite order
     # or in the rows shows here, not only in a golden string
     rules = _rules_before(stage)
-    ech = prooflab._chain_echelon(prooflab._reduced_entries(rules), rules)
+    ech = _full_echelon(prooflab._reduced_entries(rules), rules)
     assert len(ech.pivots) == pivots
 
 
@@ -459,20 +468,95 @@ class _MaxEchelon(prooflab._Echelon):
         return out
 
 
-def test_echelon_takes_the_leads_of_max(monkeypatch):
+def test_echelon_takes_the_leads_of_max():
     # the same pivots in the same order, and the same normal forms with
     # their terms in the same order
     rules = _rules_before("b-ac2sq")
     entries = prooflab._reduced_entries(rules)
-    ech = prooflab._chain_echelon(entries, rules)
-    monkeypatch.setattr(prooflab, "_Echelon", _MaxEchelon)
-    ref = prooflab._chain_echelon(entries, rules)
+    ech = _full_echelon(entries, rules)
+    ref = _full_echelon(entries, rules, _MaxEchelon)
     assert list(ech.pivots.items()) == list(ref.pivots.items())
     rows = [prooflab._integer_row(terms) for _, terms in entries]
     assert any(ech.reduce(row) != row for row in rows)
     for row in rows:
         assert (list(ech.reduce(row).items())
                 == list(ref.reduce(row).items()))
+
+
+def _full_echelon_stage(name, claim_text, rules):
+    """(verdict, detail) of a chain stage that builds the full echelon of
+    its rows before it tests any claim multiple."""
+    pk = prooflab._CHAIN_PACKING
+    claim_red = pk.reduce(pk.pack_terms(prooflab.parse_expr(
+        claim_text, prooflab._chain_spec()).terms), rules)
+    if not claim_red:
+        return "PASS", "claim already rewrites to zero"
+    entries = prooflab._reduced_entries(rules)
+    hit = prooflab._unit_entry(claim_red, entries)
+    if hit:
+        (i, j), unit = hit
+        detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
+        if name == "final-2b":
+            detail += "; with 2 invertible, b rewrites to 0"
+        return "PASS", detail
+    ech = _full_echelon(entries, rules)
+    claim_row = prooflab._integer_row(claim_red)
+    for i in range(3):
+        for j in range(3):
+            rem = ech.reduce(pk.reduce(
+                claim_row, rules, shift=pk.pack((i, 0, 0, 0, 0, 0, 0, j))))
+            if not rem:
+                return "PASS", (f"claim * a^{i} d^{j} lies in the span of"
+                                " the residual entries")
+            qq = prooflab._poly_divide(rem, claim_red)
+            if qq is not None and all(m & prooflab._CHAIN_RADICAL
+                                      for m in qq):
+                return "PASS", ("claim * unit lies in the span of the"
+                                " residual entries")
+    return "FAIL", ""
+
+
+_SPAN_ROWS = {"b-ac2sq": 1894, "c4-c2sq": 3286, "c3sq-plus-c2cube": 3604,
+              "c2quad": 3703}
+
+
+@pytest.mark.parametrize("name, claim_text, stage, verdict, inserted", [
+    *[(name, claim, name, "PASS", _SPAN_ROWS.get(name, 0))
+      for name, claim, _ in prooflab._CHAIN_STAGES],
+    # every multiple off every row: FAIL with no row inserted
+    ("off-rows", "a^4*d^3", "b-ac2sq", "FAIL", 0),
+    # in no span: FAIL once every row is in
+    ("no-span", "a", "b-ac2sq", "FAIL", 6520),
+    # the multiple by 1 is on the rows but outside the full span, and the
+    # multiple by d is in it
+    ("after-all-rows", "c1 + c1*d", "b-ac2sq", "PASS", 6520)])
+def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
+                                          stage, verdict, inserted):
+    # a stage inserts rows only until the claim multiple it tests is in
+    # their span, with the verdict and detail of the full echelon
+    rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
+    expected = _full_echelon_stage(name, claim_text, rules)
+    assert expected[0] == verdict
+    calls = []
+    insert = prooflab._Echelon.insert
+
+    def counted(self, row):
+        calls.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(prooflab._Echelon, "insert", counted)
+    report = prooflab._chain_stage(name, claim_text, rules)
+    assert (report.verdict, report.detail) == expected
+    assert len(calls) == inserted
+
+
+def test_echelon_insert_returns_the_new_lead():
+    ech = prooflab._Echelon()
+    assert ech.insert({5: 2, 3: 1}) == 5
+    assert ech.insert({5: -4, 3: -2}) is None       # in the span
+    assert ech.insert({5: 1, 4: 1}) == 4
+    # the new pivot's tail avoids the older lead
+    assert ech.pivots[4] == (2, ((3, -1),))
 
 
 def _chain_sympy(terms):

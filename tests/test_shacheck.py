@@ -307,6 +307,18 @@ def test_unit_inverses():
     assert shacheck._unit_inverses(7) is shacheck._unit_inverses(7)
 
 
+@pytest.mark.parametrize("n", [1, 4, 6, 9, 256])
+def test_pgl3_refuses_a_composite_modulus(n):
+    # a zero divisor cannot lead a projective key: Z/6 has 2, Z/9 has 3
+    x = np.array([[[2, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    with pytest.raises(ValueError) as err:
+        close(x, "pgl3", n)
+    assert str(err.value) == ("pgl3 keys scale by units mod p, so the"
+                              f" modulus must be prime, not {n}")
+    # the adjoint keys scale nothing
+    assert len(close(x, "adjoint", 9)) == 6
+
+
 def test_close_of_given_matrices():
     realization, gens = generator_matrices("A1", 5)
     # x_a(1) has order p: it generates the root subgroup alone
