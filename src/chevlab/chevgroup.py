@@ -1,15 +1,16 @@
 """Chevalley bases, adjoint matrices and symbolic group words.
 
 The Chevalley basis is built abstractly: the structure constants N_{g,d}
-are +(p+1) on the extraspecial pairs, and every other one follows by one
-memoized recursion on root height through the opposite-pair, antisymmetry,
-triple and four-root identities (Carter, Simple Groups of Lie Type, 1972,
-section 4.2).  Then the whole bracket table is verified (Jacobi on all
-pairs of basis elements, |N| = p+1, coroot brackets).  The Jacobi check
-and the powers of ad e_g apply the sparse bracket table to sparse vectors.  Finally the signs of the
-non-simple basis vectors are calibrated so that the commutator relations
-come out exactly in the normalization used by every identity this package
-checks; the flip vector is recorded on the basis.
+are a recorded sign times (p+1) on the extraspecial pairs
+(``_EXTRASPECIAL_SIGNS``), and every other one follows by one memoized
+recursion on root height through the opposite-pair, antisymmetry, triple
+and four-root identities (Carter, Simple Groups of Lie Type, 1972, section
+4.2).  Then the whole bracket table is verified (Jacobi on all pairs of
+basis elements, |N| = p+1, coroot brackets).  The Jacobi check and the
+powers of ad e_g apply the sparse bracket table to sparse vectors.
+Finally the displayed commutator relations are checked: the recorded signs
+are the ones that give the normalization every identity this package
+checks relies on, and any other choice fails a displayed relation.
 
 Realizations are data: each is a ``Realization`` record on the basis
 (dimension, the sparse entries of every x_g(t), the diagonal exponents of
@@ -21,7 +22,7 @@ h_g(u) and t_i(u)), and one code path per letter reads it.
            realization on the basis (-e_a, e_{-a}, h)
 
 The centralizer families of x_a(1) x_b(1) (``standard_family``) live here
-too: the sign calibration of B2 and G2 evaluates them.
+too.
 
 Every product -- of two matrices, of one root element's entries, of a whole
 word -- is one call of the kernel of its ring's kind (``_KERNELS``).  Over a
@@ -79,10 +80,25 @@ def _sparse_sum(terms) -> dict:
     return {k: x for k, x in out.items() if x}
 
 
+# the sign of N on the extraspecial pair of each non-simple positive root,
+# keyed by that root.  These signs may be chosen freely and fix every other
+# N_{g,d} (Carter, 1972, section 4.2); the recorded ones are those under
+# which the displayed commutator relations hold.  Rescaling e_g by chi(g)
+# for a character chi of the root lattice leaves N unchanged, so no other
+# sign choice is left.
+_EXTRASPECIAL_SIGNS = {
+    "A1": {},
+    "A2": {(1, 1): 1},
+    "B2": {(1, 1): -1, (1, 2): 1},
+    "G2": {(1, 1): 1, (1, 2): -1, (1, 3): 1, (2, 3): 1},
+}
+
+
 def _structure_constants(system: SystemType) -> dict:
-    """N_{g,d} for all ordered root pairs with g+d a root: +(p+1) on the
-    extraspecial pairs, every other value by one recursion on the height of
-    g + d (Carter, Simple Groups of Lie Type, 1972, section 4.2)."""
+    """N_{g,d} for all ordered root pairs with g+d a root: the recorded
+    sign times (p+1) on the extraspecial pairs, every other value by one
+    recursion on the height of g + d (Carter, section 4.2)."""
+    signs = _EXTRASPECIAL_SIGNS[system.tag]
     pos = [r.coords for r in positive_roots(system)]
     order = {c: i for i, c in enumerate(pos)}
     roots = pos + [tuple(-x for x in c) for c in pos]
@@ -129,7 +145,7 @@ def _structure_constants(system: SystemType) -> dict:
         elif order[g] > order[d]:
             return -n(d, g)
         elif (g, d) == extraspecial[neg(e)]:
-            return magnitude(g, d)
+            return signs[neg(e)] * magnitude(g, d)
         else:
             # the four-root identity on g + d - x - y = 0, where (x, y) is
             # the extraspecial pair of g + d
@@ -150,7 +166,8 @@ def _structure_constants(system: SystemType) -> dict:
 
 
 class ChevalleyBasis:
-    """Chevalley basis with calibrated signs and cached adjoint data.
+    """Chevalley basis from the recorded extraspecial signs, verified
+    against the displayed commutator relations, with cached adjoint data.
 
     Basis order: e_g for positive g in canonical order, the simple coroots,
     then e_{-g} in canonical order.
@@ -169,9 +186,14 @@ class ChevalleyBasis:
         for i, lab in enumerate(self.labels):
             self.index[lab if lab[0] == "h" else ("e", lab[1].coords)] = i
         self.N = _structure_constants(self.system)
-        self.flips = {r.coords: 1 for r in self.pos}
-        self._rebuild(check=True)
-        self._calibrate()
+        self._build_adjoint()
+        # any extraspecial sign but the recorded one fails one of these
+        for (g, d), want in _DISPLAYED_RELATIONS[self.system.tag].items():
+            got = commutator_relation(self, self.root(g),
+                                      self.root(d)).constants()
+            if got != want:
+                raise RuntimeError(f"[{g}, {d}] gives {got}, not the"
+                                   f" displayed {want}")
 
     # -- bracket table ------------------------------------------------
 
@@ -200,11 +222,9 @@ class ChevalleyBasis:
             return {self.index[("e", s)]: self.N[(g.coords, d.coords)]}
         return {}
 
-    def _rebuild(self, check: bool = False):
-        """The adjoint data of the current N; with ``check``, the Jacobi
-        identity on the whole bracket table first.  A sign calibration
-        rescales basis vectors, which keeps the identity, so only the
-        uncalibrated table is checked."""
+    def _build_adjoint(self):
+        """The Jacobi identity on the whole bracket table of N, then the
+        adjoint data read off that table."""
         dim = self.dim
         # bracket[i][j] is [v_i, v_j] as a sparse dict, the coroots included
         bracket = [[self._bracket_basis(i, j) for j in range(dim)]
@@ -217,7 +237,7 @@ class ChevalleyBasis:
         # ad is a Lie-algebra homomorphism on every pair of basis vectors:
         # ad([v_i, v_j]) v_k == [ad v_i, ad v_j] v_k for every v_k; this is
         # the Jacobi identity.  Both sides are antisymmetric in i, j.
-        pairs = itertools.combinations(range(dim), 2) if check else ()
+        pairs = itertools.combinations(range(dim), 2)
         for (i, j), k in itertools.product(pairs, range(dim)):
             lhs = _sparse_sum((c, bracket[m][k])
                               for m, c in bracket[i][j].items())
@@ -271,80 +291,6 @@ class ChevalleyBasis:
             self.realizations["a1std"] = _permuted(adjoint, _A1STD_FRAME)
         elif self.system.tag == "A2":
             self.realizations["pgl3"] = _PGL3
-
-    # -- calibration ----------------------------------------------------
-
-    def _calibrate(self):
-        targets = _DISPLAYED_RELATIONS[self.system.tag]
-        if not targets:
-            return
-        base = {}
-        for (gname, dname), _ in targets.items():
-            g, d = self.root(gname), self.root(dname)
-            base[(gname, dname)] = {(i, j): c for i, j, _, c in
-                                    commutator_relation(self, g, d).factors}
-        pos_coords = [r.coords for r in self.pos]
-        solutions = []
-        for signs in itertools.product((1, -1), repeat=len(pos_coords)):
-            sigma = dict(zip(pos_coords, signs))
-
-            def sig(coords):
-                return sigma[coords if coords in sigma
-                             else tuple(-v for v in coords)]
-
-            def flipped(g, d, got):
-                # the coefficients of [x_g, x_d] with the basis vectors of
-                # g, d and i g + j d multiplied by their signs
-                return {(i, j): c * sig(g.coords) ** i * sig(d.coords) ** j
-                        * sig(tuple(i * x + j * y
-                                    for x, y in zip(g.coords, d.coords)))
-                        for (i, j), c in got.items()}
-
-            if all(flipped(self.root(g), self.root(d), base[(g, d)]) == want
-                   for (g, d), want in targets.items()):
-                solutions.append(signs)
-        if not solutions:
-            raise RuntimeError("no sign calibration reproduces the"
-                               f" {self.system} relations")
-        # the displayed relations pin the signs only up to a torus-conjugation
-        # kernel; the centralizer-family identity resolves the rest
-        solutions.sort(key=lambda s: (sum(1 for x in s if x < 0), s))
-        baseN = dict(self.N)
-        chosen = None
-        for signs in solutions:
-            sigma = dict(zip(pos_coords, signs))
-            for r in self.pos:
-                sigma[(-r).coords] = sigma[r.coords]
-            self.N = {(gc, dc): sigma[gc] * sigma[dc]
-                      * sigma[tuple(x + y for x, y in zip(gc, dc))] * val
-                      for (gc, dc), val in baseN.items()}
-            self._rebuild()
-            if self._calibration_filter():
-                chosen = signs
-                break
-        if chosen is None:
-            raise RuntimeError("no sign calibration satisfies the"
-                               f" {self.system} centralizer identity")
-        self.flips = dict(zip(pos_coords, chosen))
-        for (gname, dname), want in targets.items():
-            g, d = self.root(gname), self.root(dname)
-            got = {(i, j): c for i, j, _, c in
-                   commutator_relation(self, g, d).factors}
-            if got != want:
-                raise RuntimeError(f"calibrated [{gname}, {dname}] gives"
-                                   f" {got}, not {want}")
-
-    def _calibration_filter(self) -> bool:
-        """The B2 and G2 centralizer families must come out in the
-        normalization every later identity relies on."""
-        if self.system.tag not in ("B2", "G2"):
-            return True
-        fam = standard_family(self.system)
-        spec = fam.ring()
-        g, x0 = (evaluate_word(parse_word(text, self.system, spec), self,
-                               fam.realization, spec=spec)
-                 for text in (fam.word_text(), fam.x0))
-        return (g * x0 - x0 * g).is_zero()
 
     # -- helpers ----------------------------------------------------------
 

@@ -10,20 +10,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import decomp, prooflab, shacheck
 from .chevgroup import (RealizationError, build_basis, default_realization,
                         evaluate_word, parse_word, trace_poly)
-from .exactring import RingError, RingSpec
+from .exactring import RingError, RingSpec, is_prime
 from .rootsys import SYSTEMS, positive_roots
 
 
 def _prime(text: str) -> int:
     """The argparse type of every --prime option."""
     p = int(text)
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime")
     return p
 

@@ -760,6 +760,11 @@ def map_to_modular(a: RingElement, p: int, bindings: Mapping[str, int]) -> RingE
     return RingElement(target, residue=image(a.terms))
 
 
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime, by trial division."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def divides_power_of_six(d: int) -> bool:
     """Whether the positive integer d divides a power of 6."""
     for q in (2, 3):

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import functools
 import time
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
 from .chevgroup import (RealizationError, build_basis, default_realization,
                         root_element)
-from .exactring import RingSpec
+from .exactring import RingSpec, is_prime
 from .rootsys import SystemType, simple_roots
 
 
@@ -82,8 +82,7 @@ def _keyed(mats: np.ndarray, realization: str, p: int):
     if p > 256:
         raise ValueError(f"matrices over F_{p} are keyed in bytes, which"
                          " hold residues mod p only for p <= 256")
-    if realization == "pgl3" and (
-            p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+    if realization == "pgl3" and not is_prime(p):
         raise ValueError(f"pgl3 keys scale by units mod p, so the modulus"
                          f" must be prime, not {p}")
     canon = _canonicalize(mats, realization, p).astype(np.uint8)

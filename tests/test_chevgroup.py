@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given, settings, strategies as st
 
 import chevlab
+from chevlab import chevgroup
 from chevlab.chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
                                build_basis, commutator_relation, diag_torus,
                                evaluate_word, format_root, identity_matrix,
@@ -79,22 +80,22 @@ def _check_structure_constants(tag, N):
 
 
 def test_structure_constants():
-    # before calibration N is +(p+1) on every extraspecial pair (x, y): x is
-    # the earliest positive root of a pair of positive roots summing to
-    # x + y.  These signs and the identities pin N; calibration flips signs
-    # of basis vectors, which keeps the identities.
+    # N is +-(p+1) on every extraspecial pair (x, y): x is the earliest
+    # positive root of a pair of positive roots summing to x + y.  Those
+    # values, pinned by CALIBRATED, and the identities determine N.
     for tag in SYSTEMS:
-        raw = _structure_constants(SystemType(tag))
-        _check_structure_constants(tag, raw)
+        N = build_basis(tag).N
+        _check_structure_constants(tag, N)
+        assert _structure_constants(SystemType(tag)) == N
         extraspecial = {}
         for x, y in itertools.combinations(
                 [r.coords for r in positive_roots(tag)], 2):
-            if (x, y) in raw:
+            if (x, y) in N:
                 extraspecial.setdefault(tuple(map(sum, zip(x, y))), (x, y))
         for x, y in extraspecial.values():
             p, _ = root_string(Root(tag, x), Root(tag, y))
-            assert raw[(x, y)] == p + 1, (tag, x, y)
-        _check_structure_constants(tag, build_basis(tag).N)
+            pinned = CALIBRATED[tag].get((x, y)) or -CALIBRATED[tag][(y, x)]
+            assert N[(x, y)] == pinned and abs(pinned) == p + 1, (tag, x, y)
 
 
 def test_b2_structure_constant_pattern():
@@ -645,38 +646,53 @@ def test_unipotent_coordinates_over_small_residue_rings(tag, p):
     assert all(c.is_one() for _, c in got)
 
 
-# the calibrated sign flips of the positive basis vectors and N on pairs of
-# positive roots (g before d), as the displayed relations and the
-# centralizer families pin them
+# N on pairs of positive roots (g before d), as the displayed relations
+# pin it
 CALIBRATED = {
-    "A1": ({(1,): 1}, {}),
-    "A2": ({(1, 0): 1, (0, 1): 1, (1, 1): 1}, {((0, 1), (1, 0)): -1}),
-    "B2": ({(1, 0): -1, (0, 1): 1, (1, 1): 1, (1, 2): 1},
-           {((0, 1), (1, 0)): 1, ((0, 1), (1, 1)): 2}),
-    "G2": ({(1, 0): -1, (0, 1): -1, (1, 1): 1, (1, 2): 1, (1, 3): -1,
-            (2, 3): 1},
-           {((1, 0), (1, 3)): 1, ((0, 1), (1, 0)): -1, ((0, 1), (1, 1)): -2,
-            ((0, 1), (1, 2)): 3, ((1, 1), (1, 2)): 3}),
+    "A1": {},
+    "A2": {((0, 1), (1, 0)): -1},
+    "B2": {((0, 1), (1, 0)): 1, ((0, 1), (1, 1)): 2},
+    "G2": {((1, 0), (1, 3)): 1, ((0, 1), (1, 0)): -1, ((0, 1), (1, 1)): -2,
+           ((0, 1), (1, 2)): 3, ((1, 1), (1, 2)): 3},
 }
 
 
 @pytest.mark.parametrize("tag", SYSTEMS)
 def test_calibration_is_pinned(tag):
-    # every N is the uncalibrated N rescaled by the flips of g, d and g + d
+    # these values fix the extraspecial signs, and with them and the
+    # identities of _check_structure_constants every other N
     basis = build_basis(tag)
-    flips, positive_n = CALIBRATED[tag]
-    assert basis.flips == flips
     pos = {r.coords for r in basis.pos}
     assert {(g, d): n for (g, d), n in basis.N.items()
-            if g in pos and d in pos and g < d} == positive_n
+            if g in pos and d in pos and g < d} == CALIBRATED[tag]
 
-    def sign(coords):
-        return flips.get(coords) or flips[tuple(-c for c in coords)]
 
-    raw = _structure_constants(SystemType(tag))
-    assert basis.N == {
-        (g, d): sign(g) * sign(d) * sign(tuple(map(sum, zip(g, d)))) * n
-        for (g, d), n in raw.items()}
+# every extraspecial sign vector but the recorded one, per system: 1 for
+# A2, 3 for B2 and 15 for G2
+WRONG_SIGNS = [
+    (tag, dict(zip(table, signs)))
+    for tag, table in chevgroup._EXTRASPECIAL_SIGNS.items()
+    for signs in itertools.product((1, -1), repeat=len(table))
+    if list(signs) != list(table.values())]
+
+
+def test_every_wrong_sign_vector_is_listed():
+    assert len(WRONG_SIGNS) == 19
+    assert {tag: sorted(table) for tag, table
+            in chevgroup._EXTRASPECIAL_SIGNS.items()} == {
+        tag: sorted(r.coords for r in positive_roots(tag)
+                    if sum(r.coords) > 1) for tag in SYSTEMS}
+
+
+@pytest.mark.parametrize("tag,signs", WRONG_SIGNS)
+def test_wrong_extraspecial_signs_fail_the_displayed_relations(
+        monkeypatch, tag, signs):
+    # each sign vector gives a valid Chevalley basis (the magnitude and
+    # Jacobi checks pass) in another normalization, so only the displayed
+    # relations can reject it
+    monkeypatch.setitem(chevgroup._EXTRASPECIAL_SIGNS, tag, signs)
+    with pytest.raises(RuntimeError, match="not the displayed"):
+        ChevalleyBasis(tag)
 
 
 def test_torus_letters():

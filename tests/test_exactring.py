@@ -14,8 +14,8 @@ from chevlab.exactring import (SLOT_BITS, DenominatorNotInvertible,
                                MonomialPacking, NotAUnit, ParseError,
                                RewriteRule,
                                RingElement, RingError, RingSpec, deglex_key,
-                               invert, map_to_modular, mul_terms, parse_expr,
-                               reduce_terms, substitute)
+                               invert, is_prime, map_to_modular, mul_terms,
+                               parse_expr, reduce_terms, substitute)
 
 
 def poly_ts():
@@ -583,3 +583,9 @@ def test_normal_forms_match_sympy_reduced(case):
         order="grlex")[1])
     assert pk.reduce(got, prules, shift=pk.pack(mono)) == pk.pack_terms(
         shifted)
+
+
+def test_is_prime_matches_sympy():
+    # the one primality test behind --prime and the pgl3 key check
+    assert [n for n in range(-3, 3000) if is_prime(n)] == list(
+        sympy.primerange(3000))
