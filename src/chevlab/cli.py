@@ -139,6 +139,8 @@ def cmd_relations(args):
 def cmd_prooflab(args):
     reports = prooflab.run_catalog(*_systems(args), name_filter=args.filter,
                                    mutants=args.mutants)
+    if not reports:
+        raise ValueError(f"--filter {args.filter!r} matches no record")
     for report in reports:
         _emit_report(report, args)
     return reports

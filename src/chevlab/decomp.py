@@ -107,13 +107,41 @@ def _a1std_matrix(spec, A, B, C, D) -> AdjointMatrix:
     return AdjointMatrix(spec, rows, "a1std")
 
 
+def _unit_sqrts(x: RingElement) -> list:
+    """The square roots of the unit x of Z/p^k, p an odd prime, in
+    increasing order: none, or r and p^k - r.  A root mod p is found among
+    the p residues, and Hensel's lemma lifts it uniquely, one power of p at
+    least per step r <- r - (r^2 - x) / 2r."""
+    spec = x.spec
+    n = spec.modulus
+    p = 3
+    while n % p and p * p < n:
+        p += 2
+    if n % p:
+        p = n
+    k = 0
+    q = n
+    while q % p == 0:
+        q //= p
+        k += 1
+    if n % 2 == 0 or q != 1:
+        raise RingError(f"square roots need an odd prime power modulus,"
+                        f" not {n}")
+    a = x.residue
+    for r in range(p):
+        if (r * r - a) % p == 0:
+            break
+    else:
+        return []
+    for _ in range(k - 1):
+        r = (r - (r * r - a) * pow(2 * r, -1, n)) % n
+    lo, hi = sorted((r, n - r))
+    return [spec.const(lo), spec.const(hi)]
+
+
 def _lift_to_sl2(M: AdjointMatrix):
     """Recover an SL2 matrix (A,B,C,D) over Z/p^k mapping to M, or None."""
     spec = M.spec
-    n = spec.modulus
-
-    def units_sqrt(x: RingElement):
-        return [spec.const(r) for r in range(n) if (r * r - x.residue) % n == 0]
 
     def is_unit(x):
         try:
@@ -126,21 +154,21 @@ def _lift_to_sl2(M: AdjointMatrix):
     e = M.entry
     candidates = []
     if is_unit(e(0, 0)):
-        for A in units_sqrt(e(0, 0)):
+        for A in _unit_sqrts(e(0, 0)):
             if not is_unit(A):
                 continue
             Ai = invert(A)
             candidates.append((A, e(0, 2) * half * Ai, e(2, 0) * Ai,
                                (e(2, 2) + 1) * half * Ai))
     elif is_unit(e(1, 1)):
-        for D in units_sqrt(e(1, 1)):
+        for D in _unit_sqrts(e(1, 1)):
             if not is_unit(D):
                 continue
             Di = invert(D)
             candidates.append(((e(2, 2) + 1) * half * Di, e(2, 1) * Di,
                                e(1, 2) * half * Di, D))
     elif is_unit(e(0, 1)):
-        for B in units_sqrt(e(0, 1)):
+        for B in _unit_sqrts(e(0, 1)):
             if not is_unit(B):
                 continue
             Bi = invert(B)

@@ -353,6 +353,30 @@ class MonomialPacking:
              tuple(rhs.items()))
             for lhs, rhs in rules)
 
+    def unread(self, rules) -> list:
+        """The degree-one monomial of each variable that no rule's lhs
+        holds, in variable order.
+
+        ``reduce`` never reads such a variable v: whether an lhs divides a
+        monomial, and what a rewrite makes of it, depend on the lhs slots
+        alone (the degree slot follows from them), and adding one key to
+        every key keeps their deglex order.  So for a normal form
+        ``terms``, ``reduce(terms, rules, shift=m + v)`` equals
+        ``shift(reduce(terms, rules, shift=m), v)`` item for item, dict
+        order included: the same rewrites in the same order, every key
+        moved by v.
+        """
+        held = 0
+        for _, mask, _ in self.rules(rules):
+            held |= mask
+        out = []
+        for k in range(self.nvars):
+            if not self.value_mask((k,)) & held:
+                unit = [0] * self.nvars
+                unit[k] = 1
+                out.append(self.pack(unit))
+        return out
+
     def reduce(self, terms: dict, rules, shift: int = None) -> dict:
         """``reduce_terms`` on packed terms and packed rules; with ``shift``,
         the normal form of ``terms`` times the monomial ``shift``, ``terms``

@@ -943,14 +943,33 @@ def _integer_row(terms):
 def _chain_rows(entries, rules):
     """The nonzero reduced monomial multiples of the reduced entries as
     primitive integer rows, sorted shortest first: the order a stage
-    inserts them in."""
-    reduce = _CHAIN_PACKING.reduce
-    rules = _CHAIN_PACKING.rules(rules)
+    inserts them in.
+
+    Only the multiples made of lhs variables are reduced.  A multiple
+    v * m' with v a variable that no lhs holds comes after m' in
+    ``_CHAIN_MULTS``, and its row is the row of m' shifted by v, item for
+    item (``MonomialPacking.unread``)."""
+    P = _CHAIN_PACKING
+    rules = P.rules(rules)
+    unread = P.unread(rules)
+    plan = []       # (m, v): the row of m - v shifted by v, or reduced if 0
+    for m in _CHAIN_MULTS:
+        step = 0
+        for v in unread:
+            if P.divides(v, m):
+                step = v
+                break
+        plan.append((m, step))
     rows = []
     for _, terms in entries:
         row = _integer_row(terms)
-        for m in _CHAIN_MULTS:
-            r = reduce(row, rules, shift=m)
+        forms = {}
+        for m, v in plan:
+            if v:
+                r = P.shift(forms[m - v], v)
+            else:
+                r = P.reduce(row, rules, shift=m)
+            forms[m] = r
             if r:
                 rows.append(r)
     rows.sort(key=lambda r: (len(r), max(r)))

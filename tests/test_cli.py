@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -40,6 +41,14 @@ def test_prooflab_filter_and_json(capsys):
     assert code == 0
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert lines == [{"name": "A1-trace", "verdict": "PASS", "residual": ""}]
+
+
+@pytest.mark.parametrize("argv", [["--filter", "zzz"],
+                                  ["--system", "A1", "--filter", "B2-*"]])
+def test_prooflab_filter_matching_nothing_is_an_error(capsys, argv):
+    code, out, err = run(capsys, "prooflab", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --filter {argv[-1]!r} matches no record\n"
 
 
 def test_json_output_deterministic(capsys):
@@ -245,6 +254,15 @@ def test_prime_power_ring(capsys):
                        "3", "--power", "2", "--output", "json-lines",
                        "x(a,4) x(-a,3)")
     assert code == 0 and "factorization" in json.loads(out)
+
+
+def test_gauss_decompose_at_a_high_power(capsys):
+    # square roots mod 3^16 come from a root mod 3, not a scan of Z/3^16
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "decompose", "--system", "A1", "--prime",
+                       "3", "--power", "16", "x(a,1) x(-a,2)")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.startswith("PASS ")
 
 
 def test_option_counts(capsys):

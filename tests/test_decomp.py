@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,36 @@ def test_gauss_rejects_outsiders():
     bad = matrix_from_entries(f5, [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "a1std")
     with pytest.raises(decomp.NoFactorization):
         decomp.gauss_decompose_a1(bad, build_basis("A1"))
+
+
+@pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 2)])
+def test_unit_sqrts_match_the_scan(p, top):
+    # the lifted roots are the list a scan of Z/p^k gives, in its order
+    for k in range(1, top + 1):
+        n = p ** k
+        spec = RingSpec("modular", modulus=n)
+        for x in range(1, n):
+            if x % p:
+                assert [r.residue for r in
+                        decomp._unit_sqrts(spec.const(x))] == [
+                    r for r in range(n) if (r * r - x) % n == 0]
+
+
+def test_unit_sqrts_of_a_large_modulus():
+    # the prime is looked for below the square root of the modulus and the
+    # root among its residues, never among all of Z/n
+    start = time.perf_counter()
+    for n in (100000007, 10007 ** 2):
+        spec = RingSpec("modular", modulus=n)
+        assert [r.residue for r in decomp._unit_sqrts(spec.const(4))] == [
+            2, n - 2]
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 15, 45, 225])
+def test_unit_sqrts_need_an_odd_prime_power(n):
+    with pytest.raises(RingError, match=f"odd prime power modulus, not {n}$"):
+        decomp._unit_sqrts(RingSpec("modular", modulus=n).const(1))
 
 
 def test_bruhat_examples():

@@ -404,19 +404,25 @@ def test_packed_reduce_matches_reduce_terms(case):
 
 
 @st.composite
-def shifted_rows(draw):
+def shifted_rows(draw, unread=False):
     """Deglex-decreasing rules in 2 or 3 variables, a row in normal form
     modulo them and a monomial to shift it by.  Some rhs monomials are the
     lhs with one unit moved to a later variable, so a rewrite often makes a
-    monomial that its own lhs, or another rule's, divides again."""
+    monomial that its own lhs, or another rule's, divides again.  With
+    ``unread``, no lhs holds the variable at one drawn position."""
     n = draw(st.integers(2, 3))
     coef = st.one_of(st.integers(-3, 3),
                      st.fractions(min_value=-3, max_value=3,
                                   max_denominator=6))
     pk = MonomialPacking(n)
+    free = draw(st.integers(0, n - 1)) if unread else None
     rules = []
     for _ in range(draw(st.integers(1, 4))):
-        lhs = draw(exponents(n, 3).filter(any))
+        if unread:
+            lhs = draw(exponents(n - 1, 3).filter(any))
+            lhs = lhs[:free] + (0,) + lhs[free:]
+        else:
+            lhs = draw(exponents(n, 3).filter(any))
         near = [lhs[:i] + (lhs[i] - 1,) + lhs[i + 1:j] + (lhs[j] + 1,)
                 + lhs[j + 1:] for i in range(n) for j in range(i + 1, n)
                 if lhs[i]]
@@ -448,6 +454,21 @@ def test_shifted_reduce_matches_reduce_of_shifted_row(case):
     assert {pk.unpack(k): c for k, c in got.items()} == reduce_terms(
         {pk.unpack(k): Fraction(c) for k, c in pk.shift(row, m).items()},
         tuple_rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shifted_rows(unread=True))
+def test_reduce_moves_an_unread_variable_along(case):
+    # reduce never reads a variable that no lhs holds, so shifting a normal
+    # form by it commutes with reduction, down to the order of the keys
+    pk, rules, row, m = case
+    unread = pk.unread(rules)
+    assert unread
+    for v in unread:
+        assert sum(pk.unpack(v)) == 1
+        want = pk.shift(pk.reduce(row, rules, shift=m), v)
+        got = pk.reduce(row, rules, shift=m + v)
+        assert list(got.items()) == list(want.items())
 
 
 # -- sympy as an independent oracle -------------------------------------------

@@ -550,6 +550,75 @@ def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
     assert len(calls) == inserted
 
 
+# a span stage reduces the multiples of its 184 or 185 reduced entries that
+# hold no unread variable (15 of the 45 before b-ac2sq, 28 after) and shifts
+# the rest; every stage reduces its claim and the 189 residual entries, and
+# a span stage the claim multiples it tests (one or two here)
+@pytest.mark.parametrize("stage, reduces", [
+    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 2966),
+    ("c4-c2sq", 5372), ("c3sq-plus-c2cube", 5372), ("c2quad", 5344),
+    ("bc1", 190), ("final-2b", 190)])
+def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
+    # 8,516, 8,517, 8,517 and 8,472 in the span stages when every multiple
+    # was reduced
+    claim_text = {name: claim for name, claim, _
+                  in prooflab._CHAIN_STAGES}[stage]
+    rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
+    calls = []
+    reduce = exactring.MonomialPacking.reduce
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactring.MonomialPacking, "reduce", counted)
+    assert prooflab._chain_stage(stage, claim_text, rules).verdict == "PASS"
+    assert len(calls) == reduces
+
+
+@pytest.mark.parametrize("stage, unread", [
+    ("b2c4", "a b c1 c2 c3 c4 c5 d"), ("ac5", "a c1 c2 c3 c5 d"),
+    ("c3cube", "a c1 c2 c3 d"), ("b-ac2sq", "a c1 c2 d"),
+    ("c4-c2sq", "c1 d"), ("c3sq-plus-c2cube", "c1 d"), ("c2quad", "c1 d"),
+    ("bc1", "c1 d"), ("final-2b", "d")])
+def test_chain_rows_match_direct_reduction(stage, unread):
+    # the rows shifted by an unread variable are the direct reductions, in
+    # the same order and each with its items in the same order
+    pk = prooflab._CHAIN_PACKING
+    rules = pk.rules(_rules_before(stage))
+    assert [prooflab._CHAIN_VARS[pk.unpack(v).index(1)]
+            for v in pk.unread(rules)] == unread.split()
+    entries = prooflab._reduced_entries(rules)
+    want = []
+    for _, terms in entries:
+        row = prooflab._integer_row(terms)
+        for m in prooflab._CHAIN_MULTS:
+            r = pk.reduce(row, rules, shift=m)
+            if r:
+                want.append(r)
+    want.sort(key=lambda r: (len(r), max(r)))
+    got = prooflab._chain_rows(entries, rules)
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+@pytest.mark.parametrize("stage", ["c3sq-plus-c2cube", "c2quad"])
+def test_shifting_by_an_lhs_variable_is_not_reduction(stage):
+    # why _chain_rows shifts only by unread variables: for every variable y
+    # some lhs holds, some entry e and variable x give a row reduce(e x) y
+    # that differs from reduce(e x y)
+    pk = prooflab._CHAIN_PACKING
+    rules = pk.rules(_rules_before(stage))
+    rows = [prooflab._integer_row(terms)
+            for _, terms in prooflab._reduced_entries(rules)]
+    units = [m for m in prooflab._CHAIN_MULTS if sum(pk.unpack(m)) == 1]
+    held = [y for y in units if y not in pk.unread(rules)]
+    assert len(held) == 6
+    for y in held:
+        assert any(list(pk.shift(pk.reduce(row, rules, shift=x), y).items())
+                   != list(pk.reduce(row, rules, shift=x + y).items())
+                   for row in rows for x in units)
+
+
 def test_echelon_insert_returns_the_new_lead():
     ech = prooflab._Echelon()
     assert ech.insert({5: 2, 3: 1}) == 5
