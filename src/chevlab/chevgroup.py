@@ -682,21 +682,19 @@ def _permuted(rec: Realization, frame) -> Realization:
 # a1std is the A1 adjoint realization on the basis (-e_a, e_{-a}, h)
 _A1STD_FRAME = ((0, -1), (2, 1), (1, 1))
 
+# x_g(t) = 1 + t E_ij in the standard 3-dim lift, so h_g has weight +1 at
+# i, -1 at j and 0 elsewhere
 _PGL3_UNITS = {
     (1, 0): (0, 1), (0, 1): (1, 2), (1, 1): (0, 2),
     (-1, 0): (1, 0), (0, -1): (2, 1), (-1, -1): (2, 0),
 }
 
-# weights of the standard 3-dim lift under each coroot of A2
-_PGL3_COWEIGHTS = {
-    (1, 0): (1, -1, 0), (0, 1): (0, 1, -1), (1, 1): (1, 0, -1),
-    (-1, 0): (-1, 1, 0), (0, -1): (0, -1, 1), (-1, -1): (-1, 0, 1),
-}
-
 _PGL3 = Realization(
     3, {g: [(k, k, 0, 1) for k in range(3)] + [(i, j, 1, 1)]
         for g, (i, j) in _PGL3_UNITS.items()},
-    _PGL3_COWEIGHTS, ((1, 0, 0), (0, 0, -1)))
+    {g: tuple((k == i) - (k == j) for k in range(3))
+     for g, (i, j) in _PGL3_UNITS.items()},
+    ((1, 0, 0), (0, 0, -1)))
 
 
 def root_element(basis: ChevalleyBasis, gamma, t: RingElement,

@@ -1,6 +1,9 @@
 """Factorization calculus: rank-one identities, Gauss decomposition over
 Z/p^k for A1 and brute-force Bruhat decomposition over small fields.
 
+The Gauss factors are read off the entries of the ``a1std`` matrix, with
+at most one square root taken, and re-multiplied as the one check.
+
 The rank-one factorization is implemented in the form that actually holds
 in the Chevalley normalization used throughout this package:
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -98,20 +102,11 @@ def nilpotent_commute(gamma: Root, u: RingElement) -> GroupWord:
 # Gauss decomposition for A1 over Z/p^k
 # ---------------------------------------------------------------------------
 
-def _a1std_matrix(spec, A, B, C, D) -> AdjointMatrix:
-    # image of the SL2 matrix [[A,B],[C,D]] in the standard 3x3 realization
-    two = spec.const(2)
-    rows = [[A * A, B * B, two * A * B],
-            [C * C, D * D, two * C * D],
-            [A * C, B * D, A * D + B * C]]
-    return AdjointMatrix(spec, rows, "a1std")
-
-
 def _unit_sqrts(x: RingElement) -> list:
-    """The square roots of the unit x of Z/p^k, p an odd prime, in
-    increasing order: none, or r and p^k - r.  A root mod p is found among
-    the p residues, and Hensel's lemma lifts it uniquely, one power of p at
-    least per step r <- r - (r^2 - x) / 2r."""
+    """The unit square roots of x in Z/p^k, p an odd prime, in increasing
+    order: none, or r and p^k - r.  Tonelli-Shanks finds a root mod p, and
+    Hensel's lemma lifts it uniquely, one power of p at least per step
+    r <- r - (r^2 - x) / 2r."""
     spec = x.spec
     n = spec.modulus
     p = 3
@@ -128,92 +123,88 @@ def _unit_sqrts(x: RingElement) -> list:
         raise RingError(f"square roots need an odd prime power modulus,"
                         f" not {n}")
     a = x.residue
-    for r in range(p):
-        if (r * r - a) % p == 0:
-            break
-    else:
+    if pow(a, (p - 1) // 2, p) != 1:
         return []
+    # p - 1 = q 2^s with q odd, and z a non-residue mod p
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # t has order 2^i < 2^s; c has order 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     for _ in range(k - 1):
         r = (r - (r * r - a) * pow(2 * r, -1, n)) % n
     lo, hi = sorted((r, n - r))
     return [spec.const(lo), spec.const(hi)]
 
 
-def _lift_to_sl2(M: AdjointMatrix):
-    """Recover an SL2 matrix (A,B,C,D) over Z/p^k mapping to M, or None."""
-    spec = M.spec
-
-    def is_unit(x):
-        try:
-            invert(x)
-            return True
-        except NotAUnit:
-            return False
-
-    half = invert(spec.const(2))
-    e = M.entry
-    candidates = []
-    if is_unit(e(0, 0)):
-        for A in _unit_sqrts(e(0, 0)):
-            if not is_unit(A):
-                continue
-            Ai = invert(A)
-            candidates.append((A, e(0, 2) * half * Ai, e(2, 0) * Ai,
-                               (e(2, 2) + 1) * half * Ai))
-    elif is_unit(e(1, 1)):
-        for D in _unit_sqrts(e(1, 1)):
-            if not is_unit(D):
-                continue
-            Di = invert(D)
-            candidates.append(((e(2, 2) + 1) * half * Di, e(2, 1) * Di,
-                               e(1, 2) * half * Di, D))
-    elif is_unit(e(0, 1)):
-        for B in _unit_sqrts(e(0, 1)):
-            if not is_unit(B):
-                continue
-            Bi = invert(B)
-            candidates.append((e(0, 2) * half * Bi, B, (e(2, 2) - 1) * half * Bi,
-                               e(2, 1) * Bi))
-    # when none of A^2, D^2, B^2 is a unit, AD - BC is not one: no lift
-    for A, B, C, D in candidates:
-        if (A * D - B * C).is_one() and _a1std_matrix(spec, A, B, C, D) == M:
-            return A, B, C, D
-    return None
-
-
 def gauss_decompose_a1(M: AdjointMatrix,
                        basis: ChevalleyBasis) -> GaussFactorization:
     """TUVU factorization of an element of E(A1, Z/p^k) given in the
-    standard 3x3 realization; verified by re-multiplication."""
+    standard 3x3 realization, read off its entries; verified by
+    re-multiplication.
+
+    M is the image of an SL2 matrix [[A, B], [C, D]]: row 0 is
+    (A^2, B^2, 2AB), row 1 (C^2, D^2, 2CD) and row 2 (AC, BD, AD + BC).
+    When D is a unit, M = t1(1/D^2) x_a(BD) x_{-a}(C/D), read off e(1,1),
+    e(2,1) and e(1,2) whatever the sign of the lift, and M is in the
+    image exactly when e(1,1) is a square.  When D is in the radical, B
+    and C are units and M = x_a(B - Ac) x_{-a}(C) x_a(c), c = (D - 1)/C,
+    from the lift with the smaller root of A^2, or of B^2 when A^2 is not
+    a unit."""
     if M.realization != "a1std":
         raise RingError("gauss_decompose_a1 expects the a1std realization")
     spec = M.spec
     if spec.kind != "modular":
         raise RingError("gauss_decompose_a1 works over Z/p^k")
     try:
-        invert(spec.const(2))
+        half = invert(spec.const(2))
     except NotAUnit:
         raise RingError(f"the Gauss decomposition needs 2 invertible, and it"
                         f" is not mod {spec.modulus}; the Bruhat decomposition"
                         " (--bruhat) works over F_2") from None
-    lift = _lift_to_sl2(M)
-    if lift is None:
-        raise NoFactorization("matrix is not in the image of SL2")
-    A, B, C, D = lift
-    one = spec.one()
-    try:
-        Di = invert(D)
-        sigma = Di
-        a, b, c = B * D, C * Di, spec.zero()
-    except NotAUnit:
-        # D in the radical forces B, C to be units
+
+    def is_unit(x):
+        return math.gcd(x.residue, spec.modulus) == 1
+
+    def root(x):
+        roots = _unit_sqrts(x)
+        if not roots:
+            raise NoFactorization("matrix is not in the image of SL2")
+        return roots[0]
+
+    e = M.entry
+    if is_unit(e(1, 1)):
+        root(e(1, 1))  # only tests that e(1,1) is a square
+        t = invert(e(1, 1))
+        a, b, c = e(2, 1), e(1, 2) * half * t, spec.zero()
+    else:
+        if is_unit(e(0, 0)):
+            A = root(e(0, 0))
+            Ai = invert(A)
+            B, C = e(0, 2) * half * Ai, e(2, 0) * Ai
+            D = (e(2, 2) + 1) * half * Ai
+        else:
+            B = root(e(0, 1))
+            Bi = invert(B)
+            A, D = e(0, 2) * half * Bi, e(2, 1) * Bi
+            C = (e(2, 2) - 1) * half * Bi
+        if not is_unit(C):
+            raise NoFactorization("matrix is not in the image of SL2")
+        t, b = spec.one(), C
         c = (D - 1) * invert(C)
-        sigma = one
-        b = C
         a = B - A * c
     alpha = Root("A1", (1,))
     fact = GaussFactorization(
-        GroupWord.t("A1", 0, sigma * sigma),
+        GroupWord.t("A1", 0, t),
         GroupWord.x("A1", alpha, a),
         GroupWord.x("A1", -alpha, b),
         GroupWord.x("A1", alpha, c))

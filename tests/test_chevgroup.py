@@ -22,7 +22,6 @@ from chevlab.chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord,
                                trace_poly, unipotent_coordinates,
                                weyl_element, RealizationError,
                                _structure_constants)
-from chevlab.decomp import _a1std_matrix
 from chevlab.exactring import (NotAUnit, ParseError, RewriteRule,
                                RingElement, RingError, RingSpec, invert,
                                map_to_modular, parse_expr)
@@ -1342,12 +1341,21 @@ def test_word_letters_in_different_rings_raise():
             evaluate_word(word, basis, realization, spec=other)
 
 
+def _a1std_matrix(spec, A, B, C, D) -> AdjointMatrix:
+    # image of the SL2 matrix [[A,B],[C,D]] in the standard 3x3 realization
+    two = spec.const(2)
+    rows = [[A * A, B * B, two * A * B],
+            [C * C, D * D, two * C * D],
+            [A * C, B * D, A * D + B * C]]
+    return AdjointMatrix(spec, rows, "a1std")
+
+
 @pytest.mark.parametrize("spec", [
     RingSpec("poly", ("t",)), RingSpec("fraction", ("t", "u")),
     RingSpec("modular", modulus=7)], ids=["poly", "fraction", "mod7"])
 def test_a1std_letters_are_sym2_of_sl2(spec):
-    # the a1std letters against the image of their SL2 matrices under the
-    # independent Sym^2 formula used by the Gauss decomposition
+    # the a1std letters against the image of their SL2 matrices under an
+    # independent Sym^2 formula, whose entries the Gauss decomposition reads
     basis = build_basis("A1")
     if spec.kind == "modular":
         t, u = spec.const(3), spec.const(5)

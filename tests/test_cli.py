@@ -256,13 +256,20 @@ def test_prime_power_ring(capsys):
     assert code == 0 and "factorization" in json.loads(out)
 
 
-def test_gauss_decompose_at_a_high_power(capsys):
-    # square roots mod 3^16 come from a root mod 3, not a scan of Z/3^16
+@pytest.mark.parametrize("args,factors", [
+    (["--prime", "3", "--power", "16", "x(a,1) x(-a,2)"],
+     "t1(1) x(alpha, 1) x(-alpha, 2) x(alpha, 0)"),
+    (["--prime", "100000007", "h(a,50000000) x(a,1)"],
+     "t1(25000014) x(alpha, 1) x(-alpha, 0) x(alpha, 0)"),
+], ids=["p3-power16", "p100000007"])
+def test_gauss_decompose_at_a_high_power(capsys, args, factors):
+    # square roots mod 3^16 are lifted from a root mod 3, not found by a
+    # scan of Z/3^16, and the root mod a large prime comes from
+    # Tonelli-Shanks, not a scan of its residues
     start = time.perf_counter()
-    code, out, _ = run(capsys, "decompose", "--system", "A1", "--prime",
-                       "3", "--power", "16", "x(a,1) x(-a,2)")
+    code, out, _ = run(capsys, "decompose", "--system", "A1", *args)
     assert time.perf_counter() - start < 1
-    assert code == 0 and out.startswith("PASS ")
+    assert (code, out) == (0, f"PASS         {args[-1]} = {factors}\n")
 
 
 def test_option_counts(capsys):

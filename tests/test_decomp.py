@@ -79,15 +79,33 @@ def test_gauss_examples():
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2),
                                  (7, 2)])
 def test_gauss_round_trip(p, k):
+    # x, h, w and t1 letters; t1(u) is the image of diag(u, 1), so the word
+    # is in the image of SL2 exactly when the product of its t1 parameters
+    # is a square mod p
     basis = build_basis("A1")
-    spec = RingSpec("modular", modulus=p ** k)
+    n = p ** k
+    spec = RingSpec("modular", modulus=n)
+    units = [u for u in range(1, n) if u % p]
     rng = random.Random(100 * p + k)
     for _ in range(200):
-        word = GroupWord("A1")
+        word, det = GroupWord("A1"), 1
         for _ in range(rng.randint(1, 8)):
-            word = word * GroupWord.x("A1", rng.choice(["a", "-a"]),
-                                      spec.const(rng.randrange(p ** k)))
+            kind, root = rng.choice("xxxhwt"), rng.choice(["a", "-a"])
+            if kind == "x":
+                word = word * GroupWord.x("A1", root,
+                                          spec.const(rng.randrange(n)))
+            elif kind == "t":
+                u = rng.choice(units)
+                word, det = word * GroupWord.t("A1", 0, spec.const(u)), det * u
+            else:
+                word = word * getattr(GroupWord, kind)(
+                    "A1", root, spec.const(rng.choice(units)))
         m = evaluate_word(word, basis, "a1std", spec=spec)
+        if pow(det, (p - 1) // 2, p) != 1:
+            with pytest.raises(decomp.NoFactorization,
+                               match="^matrix is not in the image of SL2$"):
+                decomp.gauss_decompose_a1(m, basis)
+            continue
         fact = decomp.gauss_decompose_a1(m, basis)
         again = evaluate_word(fact.word(), basis, "a1std", spec=spec)
         assert (again - m).is_zero()
@@ -110,14 +128,20 @@ def test_gauss_torus_shape():
 def test_gauss_rejects_outsiders():
     from chevlab.chevgroup import matrix_from_entries
     f5 = RingSpec("modular", modulus=5)
-    bad = matrix_from_entries(f5, [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "a1std")
-    with pytest.raises(decomp.NoFactorization):
-        decomp.gauss_decompose_a1(bad, build_basis("A1"))
+    # D a unit, then D in the radical with a lift whose C is no unit
+    for rows in ([[1, 1, 1], [0, 1, 1], [0, 0, 1]],
+                 [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
+        bad = matrix_from_entries(f5, rows, "a1std")
+        with pytest.raises(decomp.NoFactorization):
+            decomp.gauss_decompose_a1(bad, build_basis("A1"))
 
 
-@pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 2)])
+@pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 2),
+                                    (13, 2), (17, 2), (257, 1)])
 def test_unit_sqrts_match_the_scan(p, top):
-    # the lifted roots are the list a scan of Z/p^k gives, in its order
+    # the lifted roots are the list a scan of Z/p^k gives, in its order;
+    # 2^2, 2^4 and 2^8 divide 13 - 1, 17 - 1 and 257 - 1, so Tonelli-Shanks
+    # takes more than one step there
     for k in range(1, top + 1):
         n = p ** k
         spec = RingSpec("modular", modulus=n)

@@ -420,16 +420,70 @@ def test_golden_output(argv, expected):
     assert out.getvalue() == expected
 
 
+# Gauss factorizations of A1 words, one per way the factors are read off:
+# D a unit; D in the radical with the lift from A^2 and from B^2, over F_5
+# and with D = 3 over Z/9; and t1(2), outside the image of SL2 over F_5.
+# Each entry: the decompose arguments, the exit code, then the json-lines
+# and the text output (stderr when the code is 2).
+GAUSS = [
+    (["--prime", "5", "x(a,2) x(-a,3) x(a,1) x(-a,5)"], 0,
+     '{"factorization": "t1(1) x(alpha, 1) x(-alpha, 2) x(alpha, 0)"}\n',
+     "PASS         x(a,2) x(-a,3) x(a,1) x(-a,5) = t1(1) x(alpha, 1)"
+     " x(-alpha, 2) x(alpha, 0)\n"),
+    (["--prime", "5", "x(a,1) w(a,1)"], 0,
+     '{"factorization": "t1(1) x(alpha, 0) x(-alpha, 1) x(alpha, 4)"}\n',
+     "PASS         x(a,1) w(a,1) = t1(1) x(alpha, 0) x(-alpha, 1)"
+     " x(alpha, 4)\n"),
+    (["--prime", "5", "w(a,1)"], 0,
+     '{"factorization": "t1(1) x(alpha, 1) x(-alpha, 4) x(alpha, 1)"}\n',
+     "PASS         w(a,1) = t1(1) x(alpha, 1) x(-alpha, 4) x(alpha, 1)\n"),
+    (["--prime", "3", "--power", "2", "x(-a,1) x(a,2)"], 0,
+     '{"factorization": "t1(1) x(alpha, 0) x(-alpha, 1) x(alpha, 2)"}\n',
+     "PASS         x(-a,1) x(a,2) = t1(1) x(alpha, 0) x(-alpha, 1)"
+     " x(alpha, 2)\n"),
+    (["--prime", "5", "t1(2)"], 2,
+     "error: matrix is not in the image of SL2\n",
+     "error: matrix is not in the image of SL2\n"),
+]
+GAUSS_IDS = ["unit-d", "radical-a", "radical-b", "radical-z9", "refusal"]
+
+
+def _gauss_jobs():
+    """(argv, exit code, output) for each Gauss entry, json-lines first."""
+    for args, code, json_out, text_out in GAUSS:
+        argv = ["decompose", "--system", "A1"] + args
+        yield argv + FLAGS, code, json_out
+        yield argv + ["--no-timing"], code, text_out
+
+
+def _dispatch(argv):
+    """The exit code of ``argv`` and its stdout and stderr together."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = dispatch(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("job", _gauss_jobs(), ids=[
+    f"{name} {fmt}" for name in GAUSS_IDS for fmt in ("json", "text")])
+def test_gauss_golden_output(job):
+    argv, code, expected = job
+    assert _dispatch(argv) == (code, expected)
+
+
 def test_golden_output_optimized():
     script = (
         "import contextlib, io, json, sys\n"
         "from chevlab.cli import dispatch\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out = io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out):\n"
+        "    with contextlib.redirect_stdout(out),"
+        " contextlib.redirect_stderr(out):\n"
         "        code = dispatch(argv)\n"
         "    print(json.dumps([code, out.getvalue()]))\n")
-    jobs = [argv + FLAGS for argv, _ in GOLDEN]
+    gauss = list(_gauss_jobs())
+    jobs = [argv + FLAGS for argv, _ in GOLDEN] + [argv for argv, _, _ in
+                                                   gauss]
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-O", "-c", script,
                            json.dumps(jobs)],
@@ -437,7 +491,8 @@ def test_golden_output_optimized():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert results == [[0, expected] for _, expected in GOLDEN]
+    assert results == ([[0, expected] for _, expected in GOLDEN]
+                       + [[code, expected] for _, code, expected in gauss])
 
 
 def _src_nodes():
