@@ -45,8 +45,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exactring import (MonomialPacking, ParseError, RingElement, RingError,
-                        RingSpec, _ExprParser, divides_power_of_six, invert,
-                        parse_expr)
+                        RingSpec, _ExprParser, invert, parse_expr)
 from .rootsys import (Root, SystemType, cartan_integer, coroot_coefficients,
                       is_root, positive_roots, root_string, simple_roots,
                       _norm2)
@@ -250,9 +249,10 @@ class ChevalleyBasis:
                                     for j in range(dim)] for k in range(dim)]
                    for i, lab in enumerate(self.labels) if lab[0] == "e"}
         # exp(t ad e_g) = sum_k t^k ad^k / k!, kept as its nonzero entries
-        # (i, j, k, ad^k[i][j] / k!); ad e_g^k moves the root grading by
-        # k g, so each entry (i, j) comes from one k alone.  Column j of
-        # ad^k is ad e_g applied k times to v_j.
+        # (i, j, k, ad^k[i][j] / k!), integers on a Chevalley basis
+        # (Steinberg, 1967; Carter, 1972, section 4.4); ad e_g^k moves the
+        # root grading by k g, so each entry (i, j) comes from one k alone.
+        # Column j of ad^k is ad e_g applied k times to v_j.
         exp_entries = {}
         for coords in self.ad:
             g = self.index[("e", coords)]
@@ -263,7 +263,11 @@ class ChevalleyBasis:
             while columns := {j: col for j, vec in columns.items()
                               if (col := ad(g, vec))}:
                 fact *= k
-                entries += sorted((r, j, k, Fraction(x, fact))
+                if any(x % fact for col in columns.values()
+                       for x in col.values()):
+                    raise RuntimeError(f"(ad e_{coords})^{k}/{k}! is not"
+                                       " integral")
+                entries += sorted((r, j, k, x // fact)
                                   for j, col in columns.items()
                                   for r, x in col.items())
                 k += 1
@@ -271,9 +275,6 @@ class ChevalleyBasis:
                     raise RuntimeError(f"ad e_{coords} is not nilpotent")
             if len({(r, c) for r, c, _, _ in entries}) != len(entries):
                 raise RuntimeError(f"powers of ad e_{coords} share an entry")
-            if not all(divides_power_of_six(c.denominator)
-                       for *_, c in entries):
-                raise RuntimeError("entry denominator outside Z[1/6]")
             exp_entries[coords] = entries
         # delta in the root grading is scaled by u^<delta, g-check> under
         # h_g(u) and by u^(coefficient of alpha_i in delta) under t_i(u)
@@ -423,12 +424,12 @@ def _poly_product(spec: RingSpec, dim: int, factors) -> list:
     matrices over a poly ring.
 
     A factor is an ``AdjointMatrix`` or a root element (entries, t): the sum
-    of c t^k E_ij over its realization entries (i, j, k, c), k ascending.
-    Each factor is put over one common denominator as integer numerators on
-    monomials packed by one ``MonomialPacking``, whose slots hold the sum of
-    the factors' degrees, so a sum of keys is a monomial product that never
-    overflows.  The running product stays packed; each output term becomes
-    one Fraction at the end.
+    of c t^k E_ij over its realization entries (i, j, k, c), k ascending and
+    c an int.  Each factor is put over one common denominator as integer
+    numerators on monomials packed by one ``MonomialPacking``, whose slots
+    hold the sum of the factors' degrees, so a sum of keys is a monomial
+    product that never overflows.  The running product stays packed; each
+    output term becomes one Fraction at the end.
     """
     degree = 0
     for f in factors:
@@ -472,13 +473,12 @@ def _poly_product(spec: RingSpec, dim: int, factors) -> list:
             (_, power), = _packed_times([[(0, powers[-1])]],
                                         [[(0, tnum)]])[0]
             powers.append(power)
-        cden = lcm_den(c for *_, c in entries)
         rows = [[] for _ in range(dim)]
         for i, j, k, c in entries:
             if k < len(powers):
-                scale = int(c * cden) * tden ** (top - k)
+                scale = c * tden ** (top - k)
                 rows[i].append((j, [(m, scale * x) for m, x in powers[k]]))
-        return cden * tden ** top, rows
+        return tden ** top, rows
 
     den, acc = packed(factors[0])
     for f in factors[1:]:
@@ -535,14 +535,11 @@ def _residue_product(spec: RingSpec, dim: int, factors) -> list:
     matrices over Z/n, factors as ``_poly_product`` takes them.
 
     Each factor becomes rows of residues, one single-term entry (key 0) per
-    nonzero residue.  Each distinct coefficient of the root elements is
-    converted once by ``spec.const``, so a denominator that is not a unit
-    mod n raises.  The factors are multiplied by ``_packed_times``, reduced
-    mod n after each product, and each output entry becomes one
+    nonzero residue.  The factors are multiplied by ``_packed_times``,
+    reduced mod n after each product, and each output entry becomes one
     ``RingElement`` at the end.
     """
     n = spec.modulus
-    coefficients = {}           # coefficient -> its residue
 
     def residues(f):
         if isinstance(f, AdjointMatrix):
@@ -554,10 +551,7 @@ def _residue_product(spec: RingSpec, dim: int, factors) -> list:
             powers.append(powers[-1] * t.residue % n)
         rows = [[] for _ in range(dim)]
         for i, j, k, c in entries:
-            r = coefficients.get(c)
-            if r is None:
-                r = coefficients[c] = spec.const(c).residue
-            x = powers[k] * r % n
+            x = powers[k] * c % n
             if x:
                 rows[i].append((j, [(0, x)]))
         return rows

@@ -15,13 +15,17 @@ import sys
 from . import decomp, prooflab, shacheck
 from .chevgroup import (RealizationError, build_basis, default_realization,
                         evaluate_word, parse_word, trace_poly)
-from .exactring import RingError, RingSpec, is_prime
+from .exactring import PRIME_BOUND, RingError, RingSpec, is_prime
 from .rootsys import SYSTEMS, positive_roots
 
 
 def _prime(text: str) -> int:
     """The argparse type of every --prime option."""
     p = int(text)
+    if p >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not below {PRIME_BOUND}, where primality is decided"
+            " exactly")
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not a prime")
     return p

@@ -20,7 +20,8 @@ import numpy as np
 
 from .chevgroup import (AdjointMatrix, ChevalleyBasis, GroupWord, build_basis,
                         default_realization, evaluate_word)
-from .exactring import NotAUnit, RingElement, RingError, RingSpec, invert
+from .exactring import (NotAUnit, RingElement, RingError, RingSpec,
+                        integer_root, invert, is_prime)
 from .rootsys import Root, SystemType, positive_roots, simple_roots
 from .shacheck import CapExceeded, element_keys, generate_group, matrix_array
 
@@ -104,22 +105,16 @@ def nilpotent_commute(gamma: Root, u: RingElement) -> GroupWord:
 
 def _unit_sqrts(x: RingElement) -> list:
     """The unit square roots of x in Z/p^k, p an odd prime, in increasing
-    order: none, or r and p^k - r.  Tonelli-Shanks finds a root mod p, and
+    order: none, or r and p^k - r.  p is the exact k-th root of the modulus
+    for the largest such k.  Tonelli-Shanks finds a root mod p, and
     Hensel's lemma lifts it uniquely, one power of p at least per step
     r <- r - (r^2 - x) / 2r."""
     spec = x.spec
     n = spec.modulus
-    p = 3
-    while n % p and p * p < n:
-        p += 2
-    if n % p:
-        p = n
-    k = 0
-    q = n
-    while q % p == 0:
-        q //= p
-        k += 1
-    if n % 2 == 0 or q != 1:
+    k = n.bit_length()
+    while (p := integer_root(n, k)) is None:
+        k -= 1
+    if n % 2 == 0 or not is_prime(p):
         raise RingError(f"square roots need an odd prime power modulus,"
                         f" not {n}")
     a = x.residue

@@ -784,25 +784,53 @@ def map_to_modular(a: RingElement, p: int, bindings: Mapping[str, int]) -> RingE
     return RingElement(target, residue=image(a.terms))
 
 
+# Miller-Rabin on the primes 2..41 as bases is exact below PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Whether the integer n is prime, by trial division."""
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    """Whether the integer n is prime, by Miller-Rabin on the bases
+    _PRIME_BASES; ValueError when n is at or above PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is not below {PRIME_BOUND}, where primality"
+                         " is decided exactly")
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    # n - 1 = d 2^s with d odd; a prime n has a^d = 1 or a^(d 2^i) = -1
+    # for some i < s
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
-def divides_power_of_six(d: int) -> bool:
-    """Whether the positive integer d divides a power of 6."""
-    for q in (2, 3):
-        while d % q == 0:
-            d //= q
-    return d == 1
-
-
-def assert_denominators_divide_power_of_six(a: RingElement):
-    """All in-scope identities have coefficients in Z[1/6]; flag anything else."""
-    if a.spec.kind in ("poly", "quotient"):
-        for c in a.terms.values():
-            if not divides_power_of_six(c.denominator):
-                raise RingError(f"coefficient {c} has denominator outside Z[1/6]")
+def integer_root(n: int, k: int):
+    """r with r^k = n for integers n >= 0 and k >= 1, or None (Newton's
+    method on integers from an overestimate, so no float precision is
+    involved)."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
 
 
 # ---------------------------------------------------------------------------

@@ -1418,17 +1418,40 @@ def test_basis_check_names_a_wrong_bracket(tag, monkeypatch):
                               f" {labels[0]}, {labels[1]}")
 
 
+def test_basis_check_names_a_divided_power_that_is_not_integral(monkeypatch):
+    # the B2 brackets on 2 e_a in place of e_a are integral and satisfy the
+    # Jacobi identity, but (ad e_{a+b})^2 / 2 is not integral there; the
+    # coefficients are kept as ints, so this must raise, not truncate
+    exact = ChevalleyBasis._bracket_basis
+    scale = [2] + [1] * (build_basis("B2").dim - 1)
+
+    def rescaled(self, gi, gj):
+        return {k: scale[gi] * scale[gj] * c // scale[k]
+                for k, c in exact(self, gi, gj).items()}
+
+    monkeypatch.setattr(ChevalleyBasis, "_bracket_basis", rescaled)
+    with pytest.raises(RuntimeError) as err:
+        ChevalleyBasis("B2")
+    assert str(err.value) == "(ad e_(1, 1))^2/2! is not integral"
+
+
 @pytest.mark.parametrize("tag", SYSTEMS)
 def test_basis_data_are_python_numbers(tag):
-    # what leaves the basis must be Python ints and Fractions of them, so
-    # no fixed-width integer reaches exact arithmetic
+    # what leaves the basis must be Python ints, so no fixed-width integer
+    # reaches exact arithmetic
     basis = build_basis(tag)
     assert all(type(x) is int for mat in basis.ad.values()
                for row in mat for x in row)
     for rec in basis.realizations.values():
         for entries in rec.exp_entries.values():
-            for i, j, k, c in entries:
+            for i, j, k, _ in entries:
                 assert type(i) is type(j) is type(k) is int
-                assert type(c) is int or (
-                    type(c) is Fraction
-                    and type(c.numerator) is type(c.denominator) is int)
+
+
+@pytest.mark.parametrize("tag", SYSTEMS)
+def test_root_element_coefficients_are_ints(tag):
+    # (ad e_g)^k / k! is integral on a Chevalley basis, so every product
+    # kernel reads the coefficients of x_g(t) as ints, in every realization
+    for rec in build_basis(tag).realizations.values():
+        assert {type(c) for entries in rec.exp_entries.values()
+                for *_, c in entries} == {int}

@@ -241,6 +241,9 @@ def test_torus_and_weyl_letters_need_a_unit(capsys, system, realization,
     ["decompose", "--system", "A1", "--prime", "4", "x(a,1)"],
     ["eval", "--system", "A1", "--prime", "6", "x(a,1)"],
     ["eval", "--system", "A1", "--prime", "seven", "x(a,1)"],
+    # beyond the bound where primality is decided exactly, prime or not
+    ["sha", "--system", "A1", "--prime", "3317044064679887385961981"],
+    ["eval", "--system", "A1", "--prime", str(2 ** 89 - 1), "x(a,1)"],
 ])
 def test_prime_must_be_prime(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -261,11 +264,14 @@ def test_prime_power_ring(capsys):
      "t1(1) x(alpha, 1) x(-alpha, 2) x(alpha, 0)"),
     (["--prime", "100000007", "h(a,50000000) x(a,1)"],
      "t1(25000014) x(alpha, 1) x(-alpha, 0) x(alpha, 0)"),
-], ids=["p3-power16", "p100000007"])
+    (["--prime", "1000000000000000003", "h(a,2) x(a,1)"],
+     "t1(4) x(alpha, 1) x(-alpha, 0) x(alpha, 0)"),
+], ids=["p3-power16", "p100000007", "p1000000000000000003"])
 def test_gauss_decompose_at_a_high_power(capsys, args, factors):
     # square roots mod 3^16 are lifted from a root mod 3, not found by a
-    # scan of Z/3^16, and the root mod a large prime comes from
-    # Tonelli-Shanks, not a scan of its residues
+    # scan of Z/3^16, the root mod a large prime comes from Tonelli-Shanks,
+    # not a scan of its residues, and neither --prime nor the modulus is
+    # factored by trial division
     start = time.perf_counter()
     code, out, _ = run(capsys, "decompose", "--system", "A1", *args)
     assert time.perf_counter() - start < 1

@@ -153,8 +153,8 @@ def test_unit_sqrts_match_the_scan(p, top):
 
 
 def test_unit_sqrts_of_a_large_modulus():
-    # the prime is looked for below the square root of the modulus and the
-    # root among its residues, never among all of Z/n
+    # the prime is the exact root of the modulus and the root mod p comes
+    # from Tonelli-Shanks, never from a scan of Z/n
     start = time.perf_counter()
     for n in (100000007, 10007 ** 2):
         spec = RingSpec("modular", modulus=n)

@@ -10,12 +10,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import chevlab
-from chevlab.exactring import (SLOT_BITS, DenominatorNotInvertible,
-                               MonomialPacking, NotAUnit, ParseError,
-                               RewriteRule,
+from chevlab.exactring import (PRIME_BOUND, SLOT_BITS,
+                               DenominatorNotInvertible, MonomialPacking,
+                               NotAUnit, ParseError, RewriteRule,
                                RingElement, RingError, RingSpec, deglex_key,
-                               invert, is_prime, map_to_modular, mul_terms,
-                               parse_expr, reduce_terms, substitute)
+                               integer_root, invert, is_prime, map_to_modular,
+                               mul_terms, parse_expr, reduce_terms,
+                               substitute)
 
 
 def poly_ts():
@@ -610,3 +611,20 @@ def test_is_prime_matches_sympy():
     # the one primality test behind --prime and the pgl3 key check
     assert [n for n in range(-3, 3000) if is_prime(n)] == list(
         sympy.primerange(3000))
+    # large primes, and strong pseudoprimes to the bases 2..7, 2..11,
+    # 2..23 and 2..37, each composite
+    for n in (2 ** 61 - 1, 10 ** 18 + 3, sympy.prevprime(PRIME_BOUND),
+              3215031751, 2152302898747, 3825123056546413051,
+              318665857834031151167461):
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError, match=f"^{PRIME_BOUND} is not below"):
+        is_prime(PRIME_BOUND)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 64])
+def test_integer_root(k):
+    for r in [0, 1, 2, 3, 10 ** 20 + 7]:
+        assert integer_root(r ** k, k) == r
+        if r > 1 and k > 1:
+            assert integer_root(r ** k - 1, k) is None
+            assert integer_root(r ** k + 1, k) is None

@@ -610,3 +610,37 @@ def test_every_import_is_used():
     unused = [where for key, where in imported.items()
               if key not in read and key != ("prooflab.py", "reduce_terms")]
     assert unused == []
+
+
+def test_every_definition_is_read():
+    # each module-level function, class and constant of src/chevlab is read,
+    # as a name or an attribute, in src/chevlab or the tests; an import is
+    # no read, and dunders are read by Python itself
+    here = os.path.dirname(os.path.abspath(__file__))
+    src, tests = list(_src_nodes()), []
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name)) as fh:
+                tests += ast.walk(ast.parse(fh.read(), name))
+    defined = {}
+    for name, module in src:
+        if not isinstance(module, ast.Module):
+            continue
+        for stmt in module.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = [n.id for n in ast.walk(stmt)
+                           if isinstance(n, ast.Name)
+                           and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            for t in targets:
+                defined[t] = f"{name}:{stmt.lineno} {t}"
+    read = {getattr(node, "id", None) or node.attr
+            for node in [node for _, node in src] + tests
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    dead = [where for t, where in defined.items()
+            if t not in read and not (t.startswith("__") and t.endswith("__"))]
+    assert dead == []

@@ -915,6 +915,53 @@ def test_obstruction_conjugation_invariance():
         assert got[0] == base
 
 
+@st.composite
+def field_pairs(draw):
+    """(M, N): invertible 3x3 matrices over one F_p, p <= 13, M half the
+    time a unit multiple of N so that both verdicts occur."""
+    spec = RingSpec("modular", modulus=draw(st.sampled_from(
+        [2, 3, 5, 7, 11, 13])))
+    entry = st.integers(0, spec.modulus - 1)
+    row = st.lists(entry, min_size=3, max_size=3)
+
+    def invertible():
+        M = matrix_from_entries(spec, draw(st.lists(row, min_size=3,
+                                                    max_size=3)), "pgl3")
+        assume(not prooflab._det3(M).is_zero())
+        return M
+
+    N = invertible()
+    if draw(st.booleans()):
+        return N.scale(spec.const(draw(st.integers(1, spec.modulus - 1)))), N
+    return invertible(), N
+
+
+def _least_passing_unit(M, N):
+    """The brute-force reference: the least unit lambda with det M =
+    lambda^3 det N, tr M = lambda tr N and tr M^-1 = lambda^-1 tr N^-1,
+    the inverses from their cofactors; None when no unit passes."""
+    spec = M.spec
+    triM, triN = explicit_inverse3(M).trace(), explicit_inverse3(N).trace()
+    for r in range(1, spec.modulus):
+        lam = spec.const(r)
+        if ((prooflab._det3(M) - lam ** 3 * prooflab._det3(N)).is_zero()
+                and (M.trace() - lam * N.trace()).is_zero()
+                and (triM - invert(lam) * triN).is_zero()):
+            return lam
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_pairs())
+def test_obstruction_matches_the_least_passing_unit(pair):
+    verdict, got = prooflab.scalar_conjugacy_obstruction(*pair)
+    want = _least_passing_unit(*pair)
+    if want is None:
+        assert verdict == "IMPOSSIBLE"
+    else:
+        assert (verdict, got) == ("POSSIBLE", want)
+
+
 def test_symmetric_difference():
     spec = RingSpec("poly", ("t",))
     t = spec.var("t")
