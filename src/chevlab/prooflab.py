@@ -32,9 +32,9 @@ from .chevgroup import (AdjointMatrix, CentralizerFamily, GroupWord,
 # reduce_terms is unused here; perfbench's tracer test calls prooflab's name
 from .exactring import (DenominatorNotInvertible, MonomialPacking, NotAUnit,
                         RingElement, RingError, RingSpec, RewriteRule,
-                        deglex_key, integer_root, invert, map_to_modular,
-                        mul_terms, parse_expr, reduce_terms, sub_terms,
-                        substitute)
+                        deglex_key, integer_root, invert, is_prime,
+                        map_to_modular, mul_terms, parse_expr, reduce_terms,
+                        sub_terms, substitute)
 from .rootsys import SystemType, cartan_integer, positive_roots
 
 
@@ -933,10 +933,15 @@ def _integer_row(terms):
     return {m: x // g for m, x in row.items()}
 
 
+def _row_key(row):
+    return len(row), max(row)
+
+
 def _chain_rows(entries, rules):
     """The nonzero reduced monomial multiples of the reduced entries as
-    primitive integer rows, sorted shortest first: the order a stage
-    inserts them in.
+    primitive integer rows, built lazily in the order a stage inserts
+    them: the entries shortest first, and each entry's 45 multiples
+    shortest first (by length, then lead).
 
     Only the multiples made of lhs variables are reduced.  A multiple
     v * m' with v a variable that no lhs holds comes after m' in
@@ -953,10 +958,10 @@ def _chain_rows(entries, rules):
                 step = v
                 break
         plan.append((m, step))
-    rows = []
-    for _, terms in entries:
-        row = _integer_row(terms)
+    for row in sorted((_integer_row(terms) for _, terms in entries),
+                      key=_row_key):
         forms = {}
+        rows = []
         for m, v in plan:
             if v:
                 r = P.shift(forms[m - v], v)
@@ -965,8 +970,48 @@ def _chain_rows(entries, rules):
             forms[m] = r
             if r:
                 rows.append(r)
-    rows.sort(key=lambda r: (len(r), max(r)))
-    return rows
+        rows.sort(key=_row_key)
+        yield from rows
+
+
+def _row_monomials(entries, rules):
+    """A test whether a monomial can lie on a row ``_chain_rows`` builds
+    from ``entries`` modulo ``rules``, run backwards from the monomial.
+
+    A row reduces a multiple m * e, m in ``_CHAIN_MULTS``, so each of its
+    monomials is m + k for k in the support of an entry, or is made from
+    such a monomial nu by rewrites nu -> (nu - lhs) + k', k' in the rhs.
+    The test undoes the rewrites: mu can lie on a row when it is m + k, or
+    when mu - k' + lhs can, k' dividing mu.  A rewrite never raises the
+    degree, so no row monomial exceeds the degree of the largest multiple,
+    and undoing one raises the key: the search ends.  A monomial it calls
+    off the rows is on none."""
+    P = _CHAIN_PACKING
+    support = set()
+    for _, terms in entries:
+        support.update(terms)
+    deg = P.slot_bits * P.nvars          # the shift of the degree slot
+    limit = ((max(support) >> deg) + 3) << deg
+    undo = [(k, lhs - k) for lhs, _, rhs in P.rules(rules) for k, _ in rhs]
+    off = set()                          # monomials shown off every row
+
+    def on_rows(mono):
+        seen = {mono}
+        stack = [mono]
+        while stack:
+            mu = stack.pop()
+            if any(mu - m in support for m in _CHAIN_MULTS):
+                return True
+            for k, step in undo:
+                nu = mu + step
+                if (nu < limit and nu not in seen and nu not in off
+                        and P.divides(k, mu)):
+                    seen.add(nu)
+                    stack.append(nu)
+        off.update(seen)
+        return False
+
+    return on_rows
 
 
 def _unit_entry(claim_red, entries):
@@ -1001,8 +1046,7 @@ def _chain_stage(name, claim_text, rules) -> Report:
             detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
         else:
             rows = _chain_rows(entries, rules)
-            rows.reverse()      # popped shortest first, freed once inserted
-            n_rows = len(rows)
+            on_rows = _row_monomials(entries, rules)
             ech = _Echelon()
             claim_row = _integer_row(claim_red)
             for ii in range(3):
@@ -1011,16 +1055,18 @@ def _chain_stage(name, claim_text, rules) -> Report:
                 for jj in range(3):
                     mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
                     mult = P.reduce(claim_row, rules, shift=mono)
-                    if len(rows) == n_rows and all(
-                            r.keys().isdisjoint(mult) for r in rows):
+                    if not any(map(on_rows, mult)):
                         # on no row: its own remainder
                         rem = mult
                     else:
                         # rows go in until the multiple is in their span;
                         # only a new lead on the remainder changes it
                         rem = ech.reduce(mult)
-                        while rem and rows:
-                            if ech.insert(rows.pop()) in rem:
+                        while rem:
+                            row = next(rows, None)
+                            if row is None:
+                                break
+                            if ech.insert(row) in rem:
                                 rem = ech.reduce(rem)
                     if not rem:
                         ok = True
@@ -1097,10 +1143,47 @@ def transvection_criterion(u1: RingElement, u2: RingElement,
 
 
 def _cube_roots(x: RingElement):
+    """The cube roots of the constant x: the rational one over Q, the
+    nonzero ones in ascending order over F_p.
+
+    Over F_p write p - 1 = 3^s t with 3 not dividing t.  Then r =
+    x^(1/3 mod t) has r^3 = x h^-1 with h of 3-power order, and for s = 0
+    r is the one root.  Else x is a cube when x^((p-1)/3) = 1, and the
+    Adleman-Manders-Miller step reads h = c^L, c = z^t for a non-cube z,
+    one base-3 digit of L at a time; r c^(L/3) is a root, and times the
+    cube roots of unity, all three."""
     spec = x.spec
     if spec.kind == "modular":
-        return [spec.const(r) for r in range(1, spec.modulus)
-                if (pow(r, 3, spec.modulus) - x.residue) % spec.modulus == 0]
+        p = spec.modulus
+        if not is_prime(p):
+            raise RingError(f"cube roots mod {p} need a prime modulus")
+        a = x.residue
+        if not a:
+            return []
+        s, t = 0, p - 1
+        while t % 3 == 0:
+            s, t = s + 1, t // 3
+        r = pow(a, pow(3, -1, t), p)
+        if s:
+            third = (p - 1) // 3
+            if pow(a, third, p) != 1:
+                return []
+            z = 2
+            while pow(z, third, p) == 1:
+                z += 1
+            c = pow(z, t, p)
+            omega = pow(c, 3 ** (s - 1), p)
+            h = a * pow(r, -3, p) % p
+            L = 0
+            for i in range(s):
+                d = pow(h * pow(c, -L, p), 3 ** (s - 1 - i), p)
+                if d != 1:
+                    L += (1 if d == omega else 2) * 3 ** i
+            r = r * pow(c, L // 3, p) % p
+            roots = sorted(r * pow(omega, k, p) % p for k in range(3))
+        else:
+            roots = [r]
+        return [spec.const(r) for r in roots]
     val = x.constant_value()
     num = integer_root(abs(val.numerator), 3)
     den = integer_root(val.denominator, 3)

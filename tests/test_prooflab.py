@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -364,9 +365,11 @@ def _unpacked(terms):
 
 def _full_echelon(entries, rules, echelon=prooflab._Echelon):
     """The echelon of every row a span stage builds, inserted shortest
-    first."""
+    first over all entries (by length, then lead), the order of the
+    Fraction path."""
     ech = echelon()
-    for row in prooflab._chain_rows(entries, rules):
+    for row in sorted(prooflab._chain_rows(entries, rules),
+                      key=prooflab._row_key):
         ech.insert(row)
     return ech
 
@@ -379,7 +382,7 @@ def test_packed_chain_stage_matches_fraction_path():
     pk = prooflab._CHAIN_PACKING
     mults = [pk.unpack(m) for m in prooflab._CHAIN_MULTS]
     entries = prooflab._reduced_entries(prules)
-    old_rows = []
+    by_entry = []
     reduced = []
     for ij, terms in prooflab._chain_residual_entries():
         tr = reduce_terms(_unpacked(terms), rules)
@@ -388,6 +391,8 @@ def test_packed_chain_stage_matches_fraction_path():
             continue
         reduced.append((ij, pk.pack_terms(tr)))
         row = prooflab._integer_row(pk.pack_terms(tr))
+        old_rows = []
+        by_entry.append((prooflab._row_key(row), old_rows))
         for m in mults:
             r = reduce_terms(mul_terms({m: Fraction(1)}, tr), rules)
             packed = pk.reduce(pk.shift(pk.pack_terms(tr), pk.pack(m)), prules)
@@ -399,6 +404,10 @@ def test_packed_chain_stage_matches_fraction_path():
                 assert _proportional(new, packed)
                 old_rows.append(r)
     assert entries == reduced
+    # the entries in the order _chain_rows takes them, then every row
+    # shortest first, as _full_echelon inserts them
+    old_rows = [r for _, rows in sorted(by_entry, key=lambda e: e[0])
+                for r in rows]
     old_rows.sort(key=lambda r: (len(r), deglex_key(max(r, key=deglex_key))))
 
     old_ech = _FractionEchelon()
@@ -516,8 +525,11 @@ def _full_echelon_stage(name, claim_text, rules):
     return "FAIL", ""
 
 
-_SPAN_ROWS = {"b-ac2sq": 1894, "c4-c2sq": 3286, "c3sq-plus-c2cube": 3604,
-              "c2quad": 3703}
+# rows are built entry by entry, so a stage inserts rows of the shortest
+# entries first; with all rows built and sorted before any went in, it
+# inserted 1894, 3286, 3604 and 3703
+_SPAN_ROWS = {"b-ac2sq": 1068, "c4-c2sq": 2257, "c3sq-plus-c2cube": 2404,
+              "c2quad": 2545}
 
 
 @pytest.mark.parametrize("name, claim_text, stage, verdict, inserted", [
@@ -550,17 +562,19 @@ def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
     assert len(calls) == inserted
 
 
-# a span stage reduces the multiples of its 184 or 185 reduced entries that
+# a span stage reduces the multiples of the entries it builds rows of that
 # hold no unread variable (15 of the 45 before b-ac2sq, 28 after) and shifts
 # the rest; every stage reduces its claim and the 189 residual entries, and
-# a span stage the claim multiples it tests (one or two here)
+# a span stage the claim multiples it tests (one or two here).  The span
+# stages build the rows of 32, 66, 71 and 78 of their 184 or 185 entries
 @pytest.mark.parametrize("stage, reduces", [
-    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 2966),
-    ("c4-c2sq", 5372), ("c3sq-plus-c2cube", 5372), ("c2quad", 5344),
+    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 671),
+    ("c4-c2sq", 2040), ("c3sq-plus-c2cube", 2180), ("c2quad", 2376),
     ("bc1", 190), ("final-2b", 190)])
 def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
     # 8,516, 8,517, 8,517 and 8,472 in the span stages when every multiple
-    # was reduced
+    # was reduced, and 2,966, 5,372, 5,372 and 5,344 when the multiples of
+    # every entry were built before any row went in
     claim_text = {name: claim for name, claim, _
                   in prooflab._CHAIN_STAGES}[stage]
     rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
@@ -583,22 +597,136 @@ def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
     ("bc1", "c1 d"), ("final-2b", "d")])
 def test_chain_rows_match_direct_reduction(stage, unread):
     # the rows shifted by an unread variable are the direct reductions, in
-    # the same order and each with its items in the same order
+    # the same order (entries shortest first, then each entry's rows
+    # shortest first) and each with its items in the same order
     pk = prooflab._CHAIN_PACKING
     rules = pk.rules(_rules_before(stage))
     assert [prooflab._CHAIN_VARS[pk.unpack(v).index(1)]
             for v in pk.unread(rules)] == unread.split()
     entries = prooflab._reduced_entries(rules)
     want = []
-    for _, terms in entries:
-        row = prooflab._integer_row(terms)
-        for m in prooflab._CHAIN_MULTS:
-            r = pk.reduce(row, rules, shift=m)
-            if r:
-                want.append(r)
-    want.sort(key=lambda r: (len(r), max(r)))
+    for row in sorted((prooflab._integer_row(terms) for _, terms in entries),
+                      key=prooflab._row_key):
+        rows = [r for r in (pk.reduce(row, rules, shift=m)
+                            for m in prooflab._CHAIN_MULTS) if r]
+        want += sorted(rows, key=prooflab._row_key)
     got = prooflab._chain_rows(entries, rules)
     assert [list(r.items()) for r in got] == [list(r.items()) for r in want]
+
+
+def _row_closure(entries, rules):
+    """Forward reference for ``_row_monomials``: the support of all 45
+    multiples of every entry, closed under the rewrites of ``rules``."""
+    pk = prooflab._CHAIN_PACKING
+    todo = [m + k for _, terms in entries for k in terms
+            for m in prooflab._CHAIN_MULTS]
+    seen = set(todo)
+    while todo:
+        nu = todo.pop()
+        for lhs, _, rhs in pk.rules(rules):
+            if pk.divides(lhs, nu):
+                for k, _ in rhs:
+                    mu = nu - lhs + k
+                    if mu not in seen:
+                        seen.add(mu)
+                        todo.append(mu)
+    return seen
+
+
+def _claim_multiples(claim_text, rules):
+    """The nine reduced claim multiples a span stage tests."""
+    pk = prooflab._CHAIN_PACKING
+    claim_row = prooflab._integer_row(pk.reduce(pk.pack_terms(
+        prooflab.parse_expr(claim_text, prooflab._chain_spec()).terms), rules))
+    return [pk.reduce(claim_row, rules,
+                      shift=pk.pack((i, 0, 0, 0, 0, 0, 0, j)))
+            for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("stage, claim_text", [
+    (name, claim) for name, claim, _ in prooflab._CHAIN_STAGES
+    if name in _SPAN_ROWS])
+def test_row_monomials_match_the_forward_closure(stage, claim_text):
+    # the backward test answers as the forward closure does on every
+    # monomial of the nine claim multiples, on the closure itself, and on
+    # one in seven of its monomials times a variable (some of which leave
+    # it), asked in one pass so the answers it keeps are read back too
+    pk = prooflab._CHAIN_PACKING
+    rules = pk.rules(_rules_before(stage))
+    entries = prooflab._reduced_entries(rules)
+    closure = _row_closure(entries, rules)
+    on_rows = prooflab._row_monomials(entries, rules)
+    units = [m for m in prooflab._CHAIN_MULTS if sum(pk.unpack(m)) == 1]
+    asked = [mu for mult in _claim_multiples(claim_text, rules) for mu in mult]
+    assert any(mu in closure for mu in asked)
+    assert any(mu not in closure for mu in asked)
+    asked += sorted(closure)
+    asked += [mu + v for mu in sorted(closure)[::7] for v in units]
+    assert any(mu not in closure for mu in asked[-len(units):])
+    for mu in asked + asked[::-1]:
+        assert on_rows(mu) == (mu in closure), pk.unpack(mu)
+
+
+@pytest.mark.parametrize("stage", list(_SPAN_ROWS))
+def test_every_row_monomial_is_on_rows(stage):
+    # soundness of "on no row": every row _chain_rows yields holds only
+    # monomials the backward test reaches
+    rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
+    entries = prooflab._reduced_entries(rules)
+    on_rows = prooflab._row_monomials(entries, rules)
+    assert all(on_rows(mu) for row in prooflab._chain_rows(entries, rules)
+               for mu in row)
+
+
+def test_row_monomial_made_only_by_a_rewrite():
+    pk = prooflab._CHAIN_PACKING
+    p = lambda *e: pk.pack(e)
+    # c2 * (a c2) = a c2^2 rewrites to b, which is no multiple of c2
+    rules = [prooflab._parse_rule("a*c2^2 -> b")]
+    c2 = p(0, 0, 0, 1, 0, 0, 0, 0)
+    entries = [((0, 0), {c2: 1})]
+    on_rows = prooflab._row_monomials(entries, rules)
+    b = p(0, 1, 0, 0, 0, 0, 0, 0)
+    assert b not in {m + c2 for m in prooflab._CHAIN_MULTS}
+    assert on_rows(b)
+    assert b in _row_closure(entries, rules)
+    assert {b: 1} in list(prooflab._chain_rows(entries, rules))
+    # b d comes only from a c2^2 d, of degree 4, above every multiple
+    assert not on_rows(b + p(0, 0, 0, 0, 0, 0, 0, 1))
+    # on the chain: rows of c2quad hold monomials that are no monomial
+    # multiple of an entry, which a test of plain multiples would miss
+    rules = pk.rules(_rules_before("c2quad"))
+    entries = prooflab._reduced_entries(rules)
+    plain = {m + k for _, terms in entries for k in terms
+             for m in prooflab._CHAIN_MULTS}
+    on_rows = prooflab._row_monomials(entries, rules)
+    made = {mu for row in prooflab._chain_rows(entries, rules)
+            for mu in row} - plain
+    assert {pk.unpack(mu) for mu in made} >= {(0, 0, 2, 0, 2, 0, 0, 3),
+                                              (1, 0, 2, 0, 2, 0, 0, 2)}
+    assert all(on_rows(mu) for mu in made)
+
+
+def test_row_monomials_end_when_undoing_raises_the_degree():
+    # undoing a*c2^2 -> b trades b for a c2^2, two degrees up, so the search
+    # from b^k climbs until it passes the degree of the largest multiple
+    pk = prooflab._CHAIN_PACKING
+    p = lambda *e: pk.pack(e)
+    rules = [prooflab._parse_rule("a*c2^2 -> b")]
+    # the entry c1: its multiples reach degree 3
+    entries = [((0, 0), {p(0, 0, 1, 0, 0, 0, 0, 0): 1})]
+    on_rows = prooflab._row_monomials(entries, rules)
+    assert not on_rows(p(0, 1, 0, 0, 0, 0, 0, 0))            # b, via a c2^2
+    assert not on_rows(p(0, 2, 0, 0, 0, 0, 0, 0))            # b^2, cut at 4
+    assert not on_rows(p(0, 9, 0, 0, 0, 0, 0, 0))            # above it
+    # b^12 on the chain: every step up to degree 16 and no further
+    rules = pk.rules(_rules_before("c4-c2sq"))
+    entries = prooflab._reduced_entries(rules)
+    on_rows = prooflab._row_monomials(entries, rules)
+    closure = _row_closure(entries, rules)
+    for k in range(1, 18):
+        bk = p(0, k, 0, 0, 0, 0, 0, 0)
+        assert on_rows(bk) == (bk in closure)
 
 
 @pytest.mark.parametrize("stage", ["c3sq-plus-c2cube", "c2quad"])
@@ -850,6 +978,63 @@ def test_scalar_obstruction_exact_cube_roots(lam):
     N3 = matrix_from_entries(spec, [[0, 1, 0], [0, 0, 1], [3, 0, 0]], "pgl3")
     assert prooflab.scalar_conjugacy_obstruction(M, N3) == ("IMPOSSIBLE",
                                                             "determinant")
+
+
+def _scan_cube_roots(x, p):
+    return [r for r in range(1, p) if (pow(r, 3, p) - x) % p == 0]
+
+
+def test_cube_roots_match_the_scan():
+    # every residue mod every prime below 200: 3 divides p - 1 to the power
+    # s = 0 (p = 2, 3, 5, ...) up to s = 4 (p = 163)
+    for p in range(2, 200):
+        if not exactring.is_prime(p):
+            continue
+        spec = RingSpec("modular", modulus=p)
+        for x in range(p):
+            got = [r.residue for r in prooflab._cube_roots(spec.const(x))]
+            assert got == _scan_cube_roots(x, p), (p, x)
+
+
+@pytest.mark.parametrize("p", [1000003, 2 * 3 ** 30 + 1])
+def test_cube_roots_mod_a_large_prime(p):
+    # no scan of F_p: 1000003 - 1 = 2 * 3 * 166667, and 3^30 divides the
+    # other p - 1
+    spec = RingSpec("modular", modulus=p)
+    t0 = time.perf_counter()
+    cubes = 0
+    for y in range(2, 40):
+        x = spec.const(y)
+        roots = [r.residue for r in prooflab._cube_roots(x)]
+        assert roots == sorted(roots)
+        assert all(pow(r, 3, p) == y for r in roots)
+        is_cube = pow(y, (p - 1) // 3, p) == 1
+        assert len(roots) == (3 if is_cube else 0)
+        cubes += is_cube
+        roots = [r.residue for r in prooflab._cube_roots(x ** 3)]
+        assert len(roots) == 3 and y in roots
+    assert 0 < cubes < 38
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_cube_roots_need_a_prime_modulus():
+    with pytest.raises(RingError, match="prime modulus"):
+        prooflab._cube_roots(RingSpec("modular", modulus=27).const(8))
+
+
+def test_obstruction_over_a_large_field_is_fast():
+    # N^3 = 2 has trace 0, so lambda is a cube root of the determinant
+    # ratio; 0.27 s over F_1000003 when the cube roots were a scan
+    spec = RingSpec("modular", modulus=1000003)
+    N = matrix_from_entries(spec, [[0, 1, 0], [0, 0, 1], [2, 0, 0]], "pgl3")
+    lam = spec.const(123457)
+    t0 = time.perf_counter()
+    verdict, got = prooflab.scalar_conjugacy_obstruction(N.scale(lam), N)
+    assert time.perf_counter() - t0 < 0.05
+    # every cube root of lambda^3 passes, and the least is returned
+    roots = prooflab._cube_roots(lam ** 3)
+    assert lam in roots
+    assert (verdict, got) == ("POSSIBLE", roots[0])
 
 
 def explicit_inverse3(M):
