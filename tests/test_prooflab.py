@@ -526,14 +526,32 @@ def _full_echelon_stage(name, claim_text, rules):
 
 
 # rows are built entry by entry, so a stage inserts rows of the shortest
-# entries first; with all rows built and sorted before any went in, it
-# inserted 1894, 3286, 3604 and 3703
+# entries first
 _SPAN_ROWS = {"b-ac2sq": 1068, "c4-c2sq": 2257, "c3sq-plus-c2cube": 2404,
               "c2quad": 2545}
+# and the reduce calls of the span stages (see test_chain_stage_reduce_counts)
+_SPAN_REDUCES = {"b-ac2sq": 671, "c4-c2sq": 2040, "c3sq-plus-c2cube": 2180,
+                 "c2quad": 2376}
+# with every row built and sorted before any went in (``_eager_rows``)
+_EAGER_SPAN_ROWS = {"b-ac2sq": 1894, "c4-c2sq": 3286,
+                    "c3sq-plus-c2cube": 3604, "c2quad": 3703}
+
+
+def _eager_rows(monkeypatch):
+    """Make ``_chain_rows`` build the rows of every entry, in the order the
+    entries are given, and yield them all sorted by ``_row_key``: the rows
+    a stage inserted before they were built lazily, in the same order."""
+    lazy = prooflab._chain_rows
+
+    def eager(entries, rules):
+        return iter(sorted((r for e in entries for r in lazy([e], rules)),
+                           key=prooflab._row_key))
+
+    monkeypatch.setattr(prooflab, "_chain_rows", eager)
 
 
 @pytest.mark.parametrize("name, claim_text, stage, verdict, inserted", [
-    *[(name, claim, name, "PASS", _SPAN_ROWS.get(name, 0))
+    *[(name, claim, name, "PASS", _EAGER_SPAN_ROWS.get(name, 0))
       for name, claim, _ in prooflab._CHAIN_STAGES],
     # every multiple off every row: FAIL with no row inserted
     ("off-rows", "a^4*d^3", "b-ac2sq", "FAIL", 0),
@@ -545,7 +563,10 @@ _SPAN_ROWS = {"b-ac2sq": 1068, "c4-c2sq": 2257, "c3sq-plus-c2cube": 2404,
 def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
                                           stage, verdict, inserted):
     # a stage inserts rows only until the claim multiple it tests is in
-    # their span, with the verdict and detail of the full echelon
+    # their span, with the verdict and detail of the full echelon, whether
+    # the rows are built lazily or all before the first goes in
+    # (``inserted``); the lazy build inserts fewer only in the span stages,
+    # and where no row or every row goes in the counts agree
     rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
     expected = _full_echelon_stage(name, claim_text, rules)
     assert expected[0] == verdict
@@ -559,6 +580,11 @@ def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
     monkeypatch.setattr(prooflab._Echelon, "insert", counted)
     report = prooflab._chain_stage(name, claim_text, rules)
     assert (report.verdict, report.detail) == expected
+    assert len(calls) == _SPAN_ROWS.get(name, inserted)
+    calls.clear()
+    _eager_rows(monkeypatch)
+    report = prooflab._chain_stage(name, claim_text, rules)
+    assert (report.verdict, report.detail) == expected
     assert len(calls) == inserted
 
 
@@ -567,14 +593,14 @@ def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
 # the rest; every stage reduces its claim and the 189 residual entries, and
 # a span stage the claim multiples it tests (one or two here).  The span
 # stages build the rows of 32, 66, 71 and 78 of their 184 or 185 entries
+# lazily (``_SPAN_REDUCES``), and of all of them in ``_eager_rows``
 @pytest.mark.parametrize("stage, reduces", [
-    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 671),
-    ("c4-c2sq", 2040), ("c3sq-plus-c2cube", 2180), ("c2quad", 2376),
+    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 2966),
+    ("c4-c2sq", 5372), ("c3sq-plus-c2cube", 5372), ("c2quad", 5344),
     ("bc1", 190), ("final-2b", 190)])
 def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
     # 8,516, 8,517, 8,517 and 8,472 in the span stages when every multiple
-    # was reduced, and 2,966, 5,372, 5,372 and 5,344 when the multiples of
-    # every entry were built before any row went in
+    # was reduced; ``reduces`` with every row built before any goes in
     claim_text = {name: claim for name, claim, _
                   in prooflab._CHAIN_STAGES}[stage]
     rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
@@ -586,6 +612,10 @@ def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
         return reduce(self, *args, **kwargs)
 
     monkeypatch.setattr(exactring.MonomialPacking, "reduce", counted)
+    assert prooflab._chain_stage(stage, claim_text, rules).verdict == "PASS"
+    assert len(calls) == _SPAN_REDUCES.get(stage, reduces)
+    calls.clear()
+    _eager_rows(monkeypatch)
     assert prooflab._chain_stage(stage, claim_text, rules).verdict == "PASS"
     assert len(calls) == reduces
 
