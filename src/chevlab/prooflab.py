@@ -75,29 +75,38 @@ def _share_count() -> int:
     return min(len(os.sched_getaffinity(0)), 4)
 
 
-def _share_payload(fn, jobs) -> bytes:
-    """The pickled (True, results) of ``fn`` over ``jobs``, or (False,
-    exception) when one raises."""
-    try:
-        return pickle.dumps((True, [fn(*job) for job in jobs]))
-    except BaseException as exc:
+def _run_share(fn, jobs, share):
+    """(None, [fn(*jobs[k]) for k in share]), or (k, exception) for the
+    first k in ``share`` whose job raises."""
+    results = []
+    for k in share:
         try:
-            data = pickle.dumps((False, exc))
-            pickle.loads(data)          # the caller must be able to rebuild it
-            return data
-        except Exception:
-            return pickle.dumps(
-                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            results.append(fn(*jobs[k]))
+        except BaseException as exc:
+            return k, exc
+    return None, results
 
 
-def _run_child_share(fn, jobs, write, inherited):
-    """The body of a forked share: write its payload to ``write``, then
-    end the process without running the parent's cleanup."""
+def _run_child_share(fn, jobs, share, write, inherited):
+    """The body of a forked share: write the pickled ``_run_share`` of
+    ``share`` to ``write``, then end the process without running the
+    parent's cleanup.  An exception the caller could not rebuild is sent
+    as a RuntimeError naming it; results that do not pickle fail after
+    every job."""
     code = 1
     try:
         for fd in inherited:
             os.close(fd)
-        data = _share_payload(fn, jobs)
+        k, value = _run_share(fn, jobs, share)
+        try:
+            data = pickle.dumps((k, value))
+            if k is not None:
+                pickle.loads(data)      # the caller must be able to rebuild it
+        except Exception as exc:
+            if k is None:
+                k, value = len(jobs), exc
+            data = pickle.dumps(
+                (k, RuntimeError(f"{type(value).__name__}: {value}")))
         with open(write, "wb") as f:
             f.write(data)
         code = 0
@@ -105,17 +114,25 @@ def _run_child_share(fn, jobs, write, inherited):
         os._exit(code)
 
 
-def _fan_out(fn, jobs, n) -> list:
-    """[fn(*job) for job in jobs], the jobs dealt round-robin over ``n``
-    shares, or over one share per job when there are fewer.  Share 0 runs
+def _fan_out(fn, jobs, n, weights=None) -> list:
+    """[fn(*job) for job in jobs], the jobs dealt over ``n`` shares, or
+    over one share per job when there are fewer.  The jobs are dealt
+    heaviest first by ``weights`` (all equal when omitted), each to the
+    share with the least weight so far, ties to the lowest share (Graham's
+    LPT rule); equal positive weights deal them round-robin.  Share 0 runs
     in this process; every other share runs in a forked child that sends
-    back its results, or its exception, which is raised here.  Every child
-    is reaped before this returns or raises.  A single share forks
-    nothing."""
-    n = min(n, len(jobs))
-    if n <= 1:
-        return [fn(*job) for job in jobs]
-    shares = [jobs[k::n] for k in range(n)]
+    back its results, or the first exception it meets.  Each share runs
+    its jobs in job order, so the exception of the earliest failing job is
+    the one raised, as in a serial run.  Every child is reaped before this
+    returns or raises.  A single share forks nothing."""
+    n = max(min(n, len(jobs)), 1)
+    weights = weights or [1] * len(jobs)
+    shares = [[] for _ in range(n)]
+    loads = [0] * n
+    for k in sorted(range(len(jobs)), key=lambda k: -weights[k]):
+        s = loads.index(min(loads))
+        bisect.insort(shares[s], k)
+        loads[s] += weights[k]
     children = []                               # (pid, read end)
     try:
         for share in shares[1:]:
@@ -127,29 +144,31 @@ def _fan_out(fn, jobs, n) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _run_child_share(fn, share, write,
+                _run_child_share(fn, jobs, share, write,
                                  [read] + [fd for _, fd in children])
             os.close(write)
             children.append((pid, read))
-        results = [[fn(*job) for job in shares[0]]]
+        done = [_run_share(fn, jobs, shares[0])]
+        k, value = done[0]
+        if k is not None and not isinstance(value, Exception):
+            raise value                         # an interrupt, not a job error
         for pid, read in children:
             with open(read, "rb", closefd=False) as f:
                 data = f.read()
             if not data:
                 raise RuntimeError(f"share process {pid} ended without"
                                    " a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
+            done.append(pickle.loads(data))
+        failed = [(k, exc) for k, exc in done if k is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
     finally:
         for pid, read in children:
             os.close(read)
             os.waitpid(pid, 0)
-    out = [None] * len(jobs)
-    for k, share in enumerate(results):
-        out[k::n] = share
-    return out
+    out = {k: result for share, (_, results) in zip(shares, done)
+           for k, result in zip(share, results)}
+    return [out[k] for k in range(len(jobs))]
 
 
 # ---------------------------------------------------------------------------
@@ -761,16 +780,17 @@ _CHAIN_RADICAL = _CHAIN_PACKING.value_mask(range(1, 7))
 _CHAIN_MULTS = [_CHAIN_PACKING.pack(m)
                 for m in itertools.product(range(3), repeat=8) if sum(m) <= 2]
 _CHAIN_STAGES = [
-    # (name, claim, rules the later stages assume once this stage passes)
-    ("b2c4", "b^2*c4", ["b^2*c4 -> 0"]),
-    ("ac5", "a*c5", ["c5 -> 0"]),
-    ("c3cube", "c3^3", ["c3^3 -> 0"]),
-    ("b-ac2sq", "b - a*c2^2", ["a*c2^2 -> b"]),
-    ("c4-c2sq", "c4 - c2^2", ["c2^2 -> c4"]),
-    ("c3sq-plus-c2cube", "c3^2 + c2^3", ["c2*c4 -> -c3^2"]),
-    ("c2quad", "c2^4", ["c4^2 -> 0", "b^2 -> 0"]),
-    ("bc1", "b*c1", ["b*c1 -> 0"]),
-    ("final-2b", "2*b", []),
+    # (name, claim, rules the later stages assume once this stage passes,
+    #  rows the stage inserts: its cost when the stages are dealt)
+    ("b2c4", "b^2*c4", ["b^2*c4 -> 0"], 0),
+    ("ac5", "a*c5", ["c5 -> 0"], 0),
+    ("c3cube", "c3^3", ["c3^3 -> 0"], 0),
+    ("b-ac2sq", "b - a*c2^2", ["a*c2^2 -> b"], 1068),
+    ("c4-c2sq", "c4 - c2^2", ["c2^2 -> c4"], 2257),
+    ("c3sq-plus-c2cube", "c3^2 + c2^3", ["c2*c4 -> -c3^2"], 2404),
+    ("c2quad", "c2^4", ["c4^2 -> 0", "b^2 -> 0"], 2545),
+    ("bc1", "b*c1", ["b*c1 -> 0"], 0),
+    ("final-2b", "2*b", [], 0),
 ]
 
 
@@ -795,34 +815,19 @@ def _parse_rule(text: str):
 @functools.cache
 def _chain_residual_entries():
     """Nonzero entries of g X6 - x_{2a+3b}(a) g over Q[a,b,c1..c5,d], as
-    ((i, j), packed terms)."""
+    ((i, j), packed terms), with g = x(-a,c1) x(-a-b,c2) x(-a-2b,c3)
+    x(-a-3b,c4) x(-2a-3b,c5) and X6 the standard family: g is evaluated
+    once, and each distinct monomial is packed once."""
     basis = build_basis("G2")
     spec = _chain_spec()
-    word = parse_word(
-        "x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4) x(-2a-3b,c5) "
-        + standard_family("G2").word_text(), "G2", spec)
-    left = evaluate_word(word, basis, "adjoint", spec=spec)
-    right = evaluate_word(parse_word(
-        "x(2a+3b, a) x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4)"
-        " x(-2a-3b,c5)", "G2", spec), basis, "adjoint", spec=spec)
-    residual = left - right
-    out = []
-    for i in range(14):
-        for j in range(14):
-            e = residual.rows[i][j]
-            if not e.is_zero():
-                out.append(((i, j), _CHAIN_PACKING.pack_terms(e.terms)))
-    return out
-
-
-def _reduced_entries(rules):
-    """The residual entries that do not reduce to zero, reduced."""
-    out = []
-    for ij, terms in _chain_residual_entries():
-        tr = _CHAIN_PACKING.reduce(terms, rules)
-        if tr:
-            out.append((ij, tr))
-    return out
+    g, x6, x = (evaluate_word(parse_word(text, "G2", spec), basis, spec=spec)
+                for text in ("x(-a,c1) x(-a-b,c2) x(-a-2b,c3) x(-a-3b,c4)"
+                             " x(-2a-3b,c5)",
+                             standard_family("G2").word_text(), "x(2a+3b, a)"))
+    pack = functools.cache(_CHAIN_PACKING.pack)
+    return [((i, j), {pack(m): c for m, c in e.terms.items()})
+            for i, row in enumerate((g * x6 - x * g).rows)
+            for j, e in enumerate(row) if e.terms]
 
 
 def _poly_divide(entry, claim):
@@ -1014,16 +1019,6 @@ def _row_monomials(entries, rules):
     return on_rows
 
 
-def _unit_entry(claim_red, entries):
-    """((i, j), unit scalar) for the first reduced entry that is a unit
-    multiple of the reduced claim, or None."""
-    for ij, terms in entries:
-        u = _unit_shaped(_poly_divide(terms, claim_red))
-        if u:
-            return ij, u[0]
-    return None
-
-
 def _chain_stage(name, claim_text, rules) -> Report:
     """One stage of the chain: certify ``claim_text`` as a consequence of
     the residual entries modulo the packed ``rules``."""
@@ -1038,48 +1033,51 @@ def _chain_stage(name, claim_text, rules) -> Report:
         detail = "claim already rewrites to zero"
         ok = True
     else:
-        entries = _reduced_entries(rules)
-        hit = _unit_entry(claim_red, entries)
-        if hit:
-            ok = True
-            (i, j), unit = hit
-            detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
+        # the residual entries reduced in order, up to the first that is a
+        # unit multiple of the claim; a span stage takes them all
+        entries = []
+        for (i, j), terms in _chain_residual_entries():
+            terms = P.reduce(terms, rules)
+            unit = _unit_shaped(_poly_divide(terms, claim_red))
+            if unit:
+                ok = True
+                detail = (f"entry ({i},{j}) = unit * claim, unit scalar"
+                          f" {unit[0]}")
+                break
+            if terms:
+                entries.append(((i, j), terms))
         else:
             rows = _chain_rows(entries, rules)
             on_rows = _row_monomials(entries, rules)
             ech = _Echelon()
             claim_row = _integer_row(claim_red)
-            for ii in range(3):
-                if ok:
+            for ii, jj in itertools.product(range(3), repeat=2):
+                mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
+                mult = P.reduce(claim_row, rules, shift=mono)
+                if not any(map(on_rows, mult)):
+                    # on no row: its own remainder
+                    rem = mult
+                else:
+                    # rows go in until the multiple is in their span; only
+                    # a new lead on the remainder changes it
+                    rem = ech.reduce(mult)
+                    while rem:
+                        row = next(rows, None)
+                        if row is None:
+                            break
+                        if ech.insert(row) in rem:
+                            rem = ech.reduce(rem)
+                if not rem:
+                    ok = True
+                    detail = (f"claim * a^{ii} d^{jj} lies in the span of"
+                              " the residual entries")
                     break
-                for jj in range(3):
-                    mono = P.pack((ii, 0, 0, 0, 0, 0, 0, jj))
-                    mult = P.reduce(claim_row, rules, shift=mono)
-                    if not any(map(on_rows, mult)):
-                        # on no row: its own remainder
-                        rem = mult
-                    else:
-                        # rows go in until the multiple is in their span;
-                        # only a new lead on the remainder changes it
-                        rem = ech.reduce(mult)
-                        while rem:
-                            row = next(rows, None)
-                            if row is None:
-                                break
-                            if ech.insert(row) in rem:
-                                rem = ech.reduce(rem)
-                    if not rem:
-                        ok = True
-                        detail = (f"claim * a^{ii} d^{jj} lies in the"
-                                  " span of the residual entries")
-                        break
-                    qq = _poly_divide(rem, claim_red)
-                    if qq is not None and all(
-                            m & _CHAIN_RADICAL for m in qq):
-                        ok = True
-                        detail = ("claim * unit lies in the span of the"
-                                  " residual entries")
-                        break
+                qq = _poly_divide(rem, claim_red)
+                if qq is not None and all(m & _CHAIN_RADICAL for m in qq):
+                    ok = True
+                    detail = ("claim * unit lies in the span of the"
+                              " residual entries")
+                    break
     if name == "final-2b" and ok:
         # 2b = 0 and 2 invertible give b = 0
         detail += "; with 2 invertible, b rewrites to 0"
@@ -1099,16 +1097,18 @@ def entry_chain_g2() -> list:
     states the consequence b = 0 of 2b = 0 once 2 is invertible.
 
     Every stage's rules are known before any stage runs, so the stages are
-    independent and run spread over the available CPUs.  A stage after the
+    independent and run spread over the available CPUs, dealt by the rows
+    each inserts as ``_CHAIN_STAGES`` records them.  A stage after the
     first FAIL rests on that stage's rules, so it is INCONCLUSIVE.
     """
     jobs = []
     rules = ()
-    for name, claim_text, rule_texts in _CHAIN_STAGES:
+    for name, claim_text, rule_texts, _ in _CHAIN_STAGES:
         jobs.append((name, claim_text, rules))
         rules += tuple(_parse_rule(text) for text in rule_texts)
     _chain_residual_entries()           # built once, before any fork
-    reports = _fan_out(_chain_stage, jobs, _share_count())
+    reports = _fan_out(_chain_stage, jobs, _share_count(),
+                       [rows for *_, rows in _CHAIN_STAGES])
     for k, failed in enumerate(reports):
         if failed.verdict == "FAIL":
             return reports[:k + 1] + [

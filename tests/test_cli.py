@@ -369,8 +369,11 @@ def test_gauss_checks_the_system_before_evaluating(capsys, monkeypatch,
 
 
 def _fan_out_jobs(argv):
-    """How many jobs ``prooflab`` or ``relations`` deals for ``argv``."""
+    """How many jobs ``prooflab``, ``relations`` or ``chain`` deals for
+    ``argv``."""
     args = _parser().parse_args(argv)
+    if args.command == "chain":
+        return len(prooflab._CHAIN_STAGES)
     systems = [args.system] if args.system else list(SYSTEMS)
     if args.command == "relations":
         return sum(len(positive_roots(s)) * (len(positive_roots(s)) - 1)
@@ -384,7 +387,7 @@ def _fan_out_jobs(argv):
     for system in ([], *(["--system", s] for s in SYSTEMS))
     for mutants in ([], ["--mutants"])] + [
     ["prooflab", "--filter", "B2-cent-final", "--mutants"],
-    ["relations"], ["relations", "--system", "A1"]], ids=" ".join)
+    ["relations"], ["relations", "--system", "A1"], ["chain"]], ids=" ".join)
 def test_output_is_the_same_on_any_cpu_count(capsys, monkeypatch, argv):
     real_fork = os.fork
     forks = []

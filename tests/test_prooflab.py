@@ -166,8 +166,8 @@ def test_entry_chain_fabricated_claim_fails(monkeypatch):
     # stage 4 claims a, which no residual entry certifies: it fails through
     # the real chain, and no later stage may pass on its rule a c2^2 -> b
     stages = list(prooflab._CHAIN_STAGES)
-    name, _, rule_texts = stages[3]
-    stages[3] = (name, "a", rule_texts)
+    name, _, rule_texts, rows = stages[3]
+    stages[3] = (name, "a", rule_texts, rows)
     monkeypatch.setattr(prooflab, "_CHAIN_STAGES", stages)
     runs = []
     for cpus in (1, 2):
@@ -228,6 +228,89 @@ def test_fan_out_keeps_job_order(n):
     # each share ran in one process of its own
     assert len(set(pids)) == n
     assert all(len(set(pids[k::n])) == 1 for k in range(n))
+    _no_child_left()
+
+
+class _JobError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3), (1, 4)],
+                         ids=lambda f: "jobs-%d-%d" % f)
+def test_fan_out_raises_the_error_of_the_first_failing_job(n, failing):
+    # the error a serial run raises, whichever share meets its error first:
+    # on two shares jobs 0, 2 and 4 run in this process, so with (1, 2) its
+    # own error is not the one raised, and with (2, 3) it is
+    def job(k):
+        if k in failing:
+            raise _JobError(f"job {k}")
+        return k
+
+    with pytest.raises(_JobError, match=f"job {failing[0]}$"):
+        prooflab._fan_out(job, [(k,) for k in range(5)], n)
+    _no_child_left()
+
+
+def _shares(out):
+    """The job numbers each process ran, by pid, from results that end
+    with the pid of the process that made them."""
+    shares = {}
+    for k, (*_, pid) in enumerate(out):
+        shares.setdefault(pid, []).append(k)
+    return shares
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fan_out_equal_weights_deal_round_robin(n):
+    # the deal of test_fan_out_keeps_job_order, which gives no weights
+    out = prooflab._fan_out(lambda k: (k, os.getpid()),
+                            [(k,) for k in range(9)], n, [3] * 9)
+    assert [k for k, _ in out] == list(range(9))
+    shares = _shares(out)
+    assert shares[os.getpid()] == list(range(0, 9, n))
+    assert sorted(shares.values()) == [list(range(k, 9, n))
+                                       for k in range(n)]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n, deal", [
+    (1, [[0, 1, 2, 3, 4, 5, 6, 7, 8]]),
+    # 3 and 6 open the two shares, 0 goes to the lighter, 4 to share 0,
+    # which then ties share 1 at 12, so 5 goes to share 0 too, and so on
+    (2, [[2, 3, 4, 5, 7], [0, 1, 6, 8]]),
+    (3, [[1, 2, 3, 7], [5, 6], [0, 4, 8]]),
+    (4, [[3], [2, 6, 7], [0, 8], [1, 4, 5]])])
+def test_fan_out_deals_heaviest_first_to_the_lightest_share(n, deal):
+    weights = [5, 1, 0, 9, 3, 3, 7, 0, 2]
+    out = prooflab._fan_out(lambda k: (k * k, os.getpid()),
+                            [(k,) for k in range(9)], n, weights)
+    assert [v for v, _ in out] == [k * k for k in range(9)]
+    shares = _shares(out)
+    assert shares[os.getpid()] == deal[0]
+    assert sorted(shares.values()) == sorted(deal)
+    _no_child_left()
+
+
+def test_chain_stages_are_dealt_by_their_rows(monkeypatch):
+    # on two CPUs the caller runs c2quad (2,545 rows), b-ac2sq (1,068) and
+    # the unit stages, and the child c3sq-plus-c2cube (2,404) and c4-c2sq
+    # (2,257): 3,613 rows against 4,661
+    fan_out = prooflab._fan_out
+    ran = {}
+
+    def traced(fn, jobs, n, weights=None):
+        out = fan_out(lambda *job: (fn(*job), os.getpid()), jobs, n, weights)
+        ran.update((r.name[len("G2-chain-"):], pid) for r, pid in out)
+        return [r for r, _ in out]
+
+    monkeypatch.setattr(prooflab, "_fan_out", traced)
+    _set_cpus(monkeypatch, 2)
+    assert all(r.verdict == "PASS" for r in prooflab.entry_chain_g2())
+    assert {name for name, pid in ran.items() if pid != os.getpid()} == {
+        "c4-c2sq", "c3sq-plus-c2cube"}
+    assert {name for name, pid in ran.items() if pid == os.getpid()} == {
+        "b2c4", "ac5", "c3cube", "b-ac2sq", "c2quad", "bc1", "final-2b"}
     _no_child_left()
 
 
@@ -341,9 +424,27 @@ def _proportional(a, b):
     return all(a[m] * b[m0] == b[m] * a[m0] for m in a)
 
 
+def _reduced_entries(rules):
+    """The residual entries that do not reduce to zero, reduced: the
+    entries a span stage builds its rows from."""
+    pk = prooflab._CHAIN_PACKING
+    return [(ij, tr) for ij, terms in prooflab._chain_residual_entries()
+            if (tr := pk.reduce(terms, rules))]
+
+
+def _unit_entry(claim_red, entries):
+    """((i, j), unit scalar) for the first reduced entry that is a unit
+    multiple of the reduced claim, or None."""
+    for ij, terms in entries:
+        u = prooflab._unit_shaped(prooflab._poly_divide(terms, claim_red))
+        if u:
+            return ij, u[0]
+    return None
+
+
 def _rules_before(stage):
     rules = ()
-    for name, _, rule_texts in prooflab._CHAIN_STAGES:
+    for name, _, rule_texts, _ in prooflab._CHAIN_STAGES:
         if name == stage:
             return rules
         rules += tuple(prooflab._parse_rule(t) for t in rule_texts)
@@ -381,7 +482,7 @@ def test_packed_chain_stage_matches_fraction_path():
     rules = _tuple_rules(prules)
     pk = prooflab._CHAIN_PACKING
     mults = [pk.unpack(m) for m in prooflab._CHAIN_MULTS]
-    entries = prooflab._reduced_entries(prules)
+    entries = _reduced_entries(prules)
     by_entry = []
     reduced = []
     for ij, terms in prooflab._chain_residual_entries():
@@ -447,7 +548,7 @@ def test_chain_echelon_pivot_counts(stage, pivots):
     # the four stages that need the echelon: a change in the rewrite order
     # or in the rows shows here, not only in a golden string
     rules = _rules_before(stage)
-    ech = _full_echelon(prooflab._reduced_entries(rules), rules)
+    ech = _full_echelon(_reduced_entries(rules), rules)
     assert len(ech.pivots) == pivots
 
 
@@ -481,7 +582,7 @@ def test_echelon_takes_the_leads_of_max():
     # the same pivots in the same order, and the same normal forms with
     # their terms in the same order
     rules = _rules_before("b-ac2sq")
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     ech = _full_echelon(entries, rules)
     ref = _full_echelon(entries, rules, _MaxEchelon)
     assert list(ech.pivots.items()) == list(ref.pivots.items())
@@ -500,8 +601,8 @@ def _full_echelon_stage(name, claim_text, rules):
         claim_text, prooflab._chain_spec()).terms), rules)
     if not claim_red:
         return "PASS", "claim already rewrites to zero"
-    entries = prooflab._reduced_entries(rules)
-    hit = prooflab._unit_entry(claim_red, entries)
+    entries = _reduced_entries(rules)
+    hit = _unit_entry(claim_red, entries)
     if hit:
         (i, j), unit = hit
         detail = f"entry ({i},{j}) = unit * claim, unit scalar {unit}"
@@ -526,9 +627,9 @@ def _full_echelon_stage(name, claim_text, rules):
 
 
 # rows are built entry by entry, so a stage inserts rows of the shortest
-# entries first
-_SPAN_ROWS = {"b-ac2sq": 1068, "c4-c2sq": 2257, "c3sq-plus-c2cube": 2404,
-              "c2quad": 2545}
+# entries first; the counts are recorded with the stages, as their cost
+_SPAN_ROWS = {name: rows for name, _, _, rows in prooflab._CHAIN_STAGES
+              if rows}
 # and the reduce calls of the span stages (see test_chain_stage_reduce_counts)
 _SPAN_REDUCES = {"b-ac2sq": 671, "c4-c2sq": 2040, "c3sq-plus-c2cube": 2180,
                  "c2quad": 2376}
@@ -552,7 +653,7 @@ def _eager_rows(monkeypatch):
 
 @pytest.mark.parametrize("name, claim_text, stage, verdict, inserted", [
     *[(name, claim, name, "PASS", _EAGER_SPAN_ROWS.get(name, 0))
-      for name, claim, _ in prooflab._CHAIN_STAGES],
+      for name, claim, _, _ in prooflab._CHAIN_STAGES],
     # every multiple off every row: FAIL with no row inserted
     ("off-rows", "a^4*d^3", "b-ac2sq", "FAIL", 0),
     # in no span: FAIL once every row is in
@@ -590,18 +691,20 @@ def test_chain_stage_matches_full_echelon(monkeypatch, name, claim_text,
 
 # a span stage reduces the multiples of the entries it builds rows of that
 # hold no unread variable (15 of the 45 before b-ac2sq, 28 after) and shifts
-# the rest; every stage reduces its claim and the 189 residual entries, and
-# a span stage the claim multiples it tests (one or two here).  The span
-# stages build the rows of 32, 66, 71 and 78 of their 184 or 185 entries
-# lazily (``_SPAN_REDUCES``), and of all of them in ``_eager_rows``
+# the rest; every stage reduces its claim, a unit stage the residual entries
+# up to its unit entry (2, 1, 6, 15 and 21 of the 189), a span stage all
+# 189 and the claim multiples it tests (one or two here).  The span stages
+# build the rows of 32, 66, 71 and 78 of their 184 or 185 entries lazily
+# (``_SPAN_REDUCES``), and of all of them in ``_eager_rows``
 @pytest.mark.parametrize("stage, reduces", [
-    ("b2c4", 190), ("ac5", 190), ("c3cube", 190), ("b-ac2sq", 2966),
+    ("b2c4", 3), ("ac5", 2), ("c3cube", 7), ("b-ac2sq", 2966),
     ("c4-c2sq", 5372), ("c3sq-plus-c2cube", 5372), ("c2quad", 5344),
-    ("bc1", 190), ("final-2b", 190)])
+    ("bc1", 16), ("final-2b", 22)])
 def test_chain_stage_reduce_counts(monkeypatch, stage, reduces):
     # 8,516, 8,517, 8,517 and 8,472 in the span stages when every multiple
-    # was reduced; ``reduces`` with every row built before any goes in
-    claim_text = {name: claim for name, claim, _
+    # was reduced, and 190 in each unit stage when it reduced every entry;
+    # ``reduces`` with every row built before any goes in
+    claim_text = {name: claim for name, claim, *_
                   in prooflab._CHAIN_STAGES}[stage]
     rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
     calls = []
@@ -633,7 +736,7 @@ def test_chain_rows_match_direct_reduction(stage, unread):
     rules = pk.rules(_rules_before(stage))
     assert [prooflab._CHAIN_VARS[pk.unpack(v).index(1)]
             for v in pk.unread(rules)] == unread.split()
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     want = []
     for row in sorted((prooflab._integer_row(terms) for _, terms in entries),
                       key=prooflab._row_key):
@@ -674,7 +777,7 @@ def _claim_multiples(claim_text, rules):
 
 
 @pytest.mark.parametrize("stage, claim_text", [
-    (name, claim) for name, claim, _ in prooflab._CHAIN_STAGES
+    (name, claim) for name, claim, *_ in prooflab._CHAIN_STAGES
     if name in _SPAN_ROWS])
 def test_row_monomials_match_the_forward_closure(stage, claim_text):
     # the backward test answers as the forward closure does on every
@@ -683,7 +786,7 @@ def test_row_monomials_match_the_forward_closure(stage, claim_text):
     # it), asked in one pass so the answers it keeps are read back too
     pk = prooflab._CHAIN_PACKING
     rules = pk.rules(_rules_before(stage))
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     closure = _row_closure(entries, rules)
     on_rows = prooflab._row_monomials(entries, rules)
     units = [m for m in prooflab._CHAIN_MULTS if sum(pk.unpack(m)) == 1]
@@ -702,7 +805,7 @@ def test_every_row_monomial_is_on_rows(stage):
     # soundness of "on no row": every row _chain_rows yields holds only
     # monomials the backward test reaches
     rules = prooflab._CHAIN_PACKING.rules(_rules_before(stage))
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     on_rows = prooflab._row_monomials(entries, rules)
     assert all(on_rows(mu) for row in prooflab._chain_rows(entries, rules)
                for mu in row)
@@ -726,7 +829,7 @@ def test_row_monomial_made_only_by_a_rewrite():
     # on the chain: rows of c2quad hold monomials that are no monomial
     # multiple of an entry, which a test of plain multiples would miss
     rules = pk.rules(_rules_before("c2quad"))
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     plain = {m + k for _, terms in entries for k in terms
              for m in prooflab._CHAIN_MULTS}
     on_rows = prooflab._row_monomials(entries, rules)
@@ -751,7 +854,7 @@ def test_row_monomials_end_when_undoing_raises_the_degree():
     assert not on_rows(p(0, 9, 0, 0, 0, 0, 0, 0))            # above it
     # b^12 on the chain: every step up to degree 16 and no further
     rules = pk.rules(_rules_before("c4-c2sq"))
-    entries = prooflab._reduced_entries(rules)
+    entries = _reduced_entries(rules)
     on_rows = prooflab._row_monomials(entries, rules)
     closure = _row_closure(entries, rules)
     for k in range(1, 18):
@@ -767,7 +870,7 @@ def test_shifting_by_an_lhs_variable_is_not_reduction(stage):
     pk = prooflab._CHAIN_PACKING
     rules = pk.rules(_rules_before(stage))
     rows = [prooflab._integer_row(terms)
-            for _, terms in prooflab._reduced_entries(rules)]
+            for _, terms in _reduced_entries(rules)]
     units = [m for m in prooflab._CHAIN_MULTS if sum(pk.unpack(m)) == 1]
     held = [y for y in units if y not in pk.unread(rules)]
     assert len(held) == 6
@@ -903,11 +1006,11 @@ def test_packed_unit_test_matches_tuple_version():
     pk = prooflab._CHAIN_PACKING
     units = 0
     rules = ()
-    for name, claim_text, rule_texts in prooflab._CHAIN_STAGES:
+    for name, claim_text, rule_texts, _ in prooflab._CHAIN_STAGES:
         claim = pk.reduce(pk.pack_terms(prooflab.parse_expr(
             claim_text, prooflab._chain_spec()).terms), rules)
         assert claim, name
-        for _, terms in prooflab._reduced_entries(rules):
+        for _, terms in _reduced_entries(rules):
             quot = prooflab._poly_divide(terms, claim)
             old_quot = _tuple_poly_divide(_unpacked(terms), _unpacked(claim))
             assert (quot is None) == (old_quot is None)
