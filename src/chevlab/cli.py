@@ -170,7 +170,8 @@ def cmd_centralizer(args):
                     tag, args.prime, cap=args.cap)
                 reports.append(prooflab.Report(name, "PASS",
                                                detail=f"count {count}"))
-            except prooflab.CentralizerMismatch as exc:
+            except (prooflab.CentralizerMismatch,
+                    shacheck.OrderMismatch) as exc:
                 reports.append(prooflab.Report(name, "FAIL", str(exc)))
     for report in reports:
         _emit_report(report, args)

@@ -343,17 +343,11 @@ def run_identity(rec: IdentityRecord, sides: dict = None) -> Report:
                         rec, False,
                         f"entry {label} is not a unit multiple of {poly}", t0)
             return _residual_report(rec, True, "", t0)
-        residual = lhs - rhs
-        witness = ""
-        if not residual.is_zero():
-            for i, row in enumerate(residual.rows):
-                for j, e in enumerate(row):
-                    if not e.is_zero():
-                        witness = f"entry ({i},{j}) = {e!r}"
-                        break
-                if witness:
-                    break
-        return _residual_report(rec, residual.is_zero(), witness, t0)
+        lhs._check_shape(rhs, "subtract")
+        witness = next((f"entry ({i},{j}) = {a - b!r}"
+                        for i, (ra, rb) in enumerate(zip(lhs.rows, rhs.rows))
+                        for j, (a, b) in enumerate(zip(ra, rb)) if a != b), "")
+        return _residual_report(rec, not witness, witness, t0)
     except (RingError, NotAUnit, DenominatorNotInvertible, ValueError) as exc:
         return Report(rec.name, "FAIL", f"error: {exc}",
                       (time.perf_counter() - t0) * 1000)
@@ -728,9 +722,10 @@ def centralizer_check(fam: CentralizerFamily) -> Report:
 
 
 def centralizer_bruteforce(system, p: int, cap: int = shacheck.DEFAULT_CAP):
-    """Exhaustive centralizer of the family's x0 in E(system, F_p), checked
+    """Exhaustive centralizer of the family's x0 in E(system, F_p), from
+    x0's conjugacy orbit (``shacheck.element_centralizer``), checked
     elementwise against the symbolic family; returns (count, centralizer
-    keys).  A family that needs p invertible raises before the closure."""
+    keys).  A family that needs p invertible raises before the search."""
     system = SystemType(system)
     fam = standard_family(system)
     basis = build_basis(system)
@@ -746,24 +741,19 @@ def centralizer_bruteforce(system, p: int, cap: int = shacheck.DEFAULT_CAP):
         raise DenominatorNotInvertible(
             f"the {system.tag} centralizer family needs {p} invertible, and"
             f" it is not mod {p}") from None
-    fam_keys = set(shacheck.element_keys(mats, fam.realization, p))
+    fam_keys = shacheck.element_keys(mats, fam.realization, p)
 
-    table = shacheck.generate_group(system, p, cap=cap)
     spec = RingSpec("modular", modulus=p)
     x0 = shacheck.matrix_array(evaluate_word(
-        parse_word(fam.x0, system, spec), basis, table.realization,
-        spec=spec), table.realization, p)
-    [key] = shacheck.element_keys(x0[None], table.realization, p)
-    cent = set(shacheck.element_keys(
-        table.elements[table.centralizer(table.index[key])],
-        table.realization, p))
-
+        parse_word(fam.x0, system, spec), basis, fam.realization, spec=spec),
+        fam.realization, p)
+    cent, contains = shacheck.element_centralizer(system, p, x0, cap=cap)
     if fam.matrix_family is not None:
         # the A1 grid meets matrices outside the group
-        fam_keys &= table.index.keys()
-    if fam_keys != cent:
+        fam_keys = itertools.compress(fam_keys, contains(mats))
+    if set(fam_keys) != cent.index.keys():
         raise CentralizerMismatch("centralizer does not match the family")
-    return len(cent), cent
+    return len(cent), set(cent.index)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 ``close`` closes any stack of generator matrices over Z/p; ``generate_group``
 gives it the root-element generators of the elementary group E(system, F_p).
+``element_centralizer`` finds C_G(x) in that group without closing it, from
+the conjugacy orbit of x and Schreier's lemma.
 ``sha_report`` checks the closure's order against ``expected_order``,
 enumerates the class-preserving endomorphisms that fix the first generator
 s_1 by searching generator images inside the generators' conjugacy
@@ -39,6 +41,10 @@ from .rootsys import SystemType, simple_roots
 
 class CapExceeded(Exception):
     pass
+
+
+class OrderMismatch(Exception):
+    """An orbit times its stabilizer is not the order of the group."""
 
 
 DEFAULT_CAP = 10000
@@ -195,11 +201,10 @@ class FiniteGroupTable:
         return (self.right_multiplication(x) == left).nonzero()[0]
 
 
-def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
-    """``close`` of the root elements x_{+-a}(1) over the simple roots a:
-    E(system, F_p) in the default realization.  A group whose
-    ``expected_order`` exceeds ``cap`` is refused before any of it is
-    closed."""
+def _root_elements(system, p: int, cap: int, t: int = 1):
+    """The default realization of E(system, F_p) and the (k, d, d) stack of
+    its root elements x_{+-a}(t) over the simple roots a.  A group whose
+    ``expected_order`` exceeds ``cap`` is refused before any is built."""
     system = SystemType(system)
     if p < 2:
         raise ValueError("p must be at least 2")
@@ -207,42 +212,45 @@ def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
         raise CapExceeded(f"group order exceeds cap {cap}; raise --cap")
     realization = default_realization(system)
     basis = build_basis(system)
-    one = RingSpec("modular", modulus=p).one()
-    gens = np.stack([matrix_array(root_element(basis, r, one, realization),
-                                  realization, p)
-                     for g in simple_roots(system) for r in (g, -g)])
+    u = RingSpec("modular", modulus=p).const(t)
+    return realization, np.stack([
+        matrix_array(root_element(basis, r, u, realization), realization, p)
+        for g in simple_roots(system) for r in (g, -g)])
+
+
+def generate_group(system, p: int, cap: int = DEFAULT_CAP) -> FiniteGroupTable:
+    """``close`` of the root elements x_{+-a}(1) over the simple roots a:
+    E(system, F_p) in the default realization.  A group whose
+    ``expected_order`` exceeds ``cap`` is refused before any of it is
+    closed."""
+    realization, gens = _root_elements(system, p, cap)
     return close(gens, realization, p, cap)
 
 
-def close(gens: np.ndarray, realization: str, p: int,
-          cap: int = DEFAULT_CAP) -> FiniteGroupTable:
-    """The group generated by a (k, d, d) stack of integer matrices over
-    Z/p, keyed in ``realization``, with its right-multiplication table,
-    spanning tree and inverses; at most ``cap`` elements."""
-    if gens.ndim != 3:
-        raise ValueError("close needs a (k, d, d) stack of generator"
-                         f" matrices, not an array of shape {gens.shape}")
-    if len(gens) == 0:
-        raise ValueError("close needs at least one generator matrix; the"
-                         " generator stack is empty")
-    ident, ident_keys = _keyed(np.eye(gens.shape[1], dtype=np.int64)[None],
-                               realization, p)
-    index = {ident_keys[0]: 0}
-    blocks, parent, parent_gen = [ident], [[0]], [[0]]
-    rmul_levels = []
+def _breadth_first(root: np.ndarray, step, k: int, realization: str,
+                   p: int, cap: int):
+    """The orbit of the (1, d, d) stack ``root`` under k maps, where
+    ``step(stack, i)`` is the stack of images of a stack under map i: the
+    points as canonical uint8 arrays in id order, their ``index``, the
+    (n, k) table of the ids of their images, and the tree (``parent``,
+    ``parent_gen``, ``levels``) of ``FiniteGroupTable``.  More than
+    ``cap`` points raise CapExceeded."""
+    first, keys = _keyed(root, realization, p)
+    index = {keys[0]: 0}
+    blocks, parent, parent_gen = [first], [[0]], [[0]]
+    table_levels = []
     levels = [0]
 
-    # breadth-first closure, one level (one block of rows) and one
-    # generator at a time: the products x * s_i of the level are keyed at
-    # once, and one pass over the keys gives each key not yet in ``index``
-    # the next id, in order of first occurrence; each new element's parent
-    # is the first row that reached it
+    # one level (one block of rows) and one map at a time: the images of
+    # the level are keyed at once, and one pass over the keys gives each
+    # key not yet in ``index`` the next id, in order of first occurrence;
+    # each new point's parent is the first row that reached it
     lo = 0
     while lo < len(index):
         stack = blocks[-1].astype(np.int64)
         new_rows, cols = [], []
-        for i, g in enumerate(gens):
-            canon, keys = _keyed(stack @ g, realization, p)
+        for i in range(k):
+            canon, keys = _keyed(step(stack, i), realization, p)
             start = len(index)
             col = np.array([index.setdefault(key, len(index)) for key in keys],
                            dtype=np.int32)
@@ -250,7 +258,7 @@ def close(gens: np.ndarray, realization: str, p: int,
                 raise CapExceeded(
                     f"group order exceeds cap {cap}; raise --cap")
             # the new ids rise in order of first occurrence, so a new
-            # element first occurs where col passes every id before it
+            # point first occurs where col passes every id before it
             before = np.maximum.accumulate(
                 np.concatenate(([start - 1], col[:-1])))
             rows = np.flatnonzero(col > before)
@@ -258,18 +266,91 @@ def close(gens: np.ndarray, realization: str, p: int,
             parent.append(lo + rows)
             parent_gen.append(np.full(len(rows), i))
             cols.append(col)
-        rmul_levels.append(np.stack(cols, axis=1))
+        table_levels.append(np.stack(cols, axis=1))
         blocks.append(np.concatenate(new_rows))
         lo += len(stack)
         levels.append(lo)
+    return (np.concatenate(blocks), index, np.concatenate(table_levels),
+            np.concatenate(parent).astype(np.int32),
+            np.concatenate(parent_gen).astype(np.int32), levels)
 
-    elements = np.concatenate(blocks)
-    rmul = np.concatenate(rmul_levels)
-    parent = np.concatenate(parent).astype(np.int32)
-    parent_gen = np.concatenate(parent_gen).astype(np.int32)
+
+def close(gens: np.ndarray, realization: str, p: int,
+          cap: int = DEFAULT_CAP) -> FiniteGroupTable:
+    """The group generated by a (k, d, d) stack of integer matrices over
+    Z/p, keyed in ``realization``, with its right-multiplication table,
+    spanning tree and inverses; at most ``cap`` elements.  It is the orbit
+    of the identity under right multiplication by the generators."""
+    if gens.ndim != 3:
+        raise ValueError("close needs a (k, d, d) stack of generator"
+                         f" matrices, not an array of shape {gens.shape}")
+    if len(gens) == 0:
+        raise ValueError("close needs at least one generator matrix; the"
+                         " generator stack is empty")
+    elements, index, rmul, parent, parent_gen, levels = _breadth_first(
+        np.eye(gens.shape[1], dtype=np.int64)[None],
+        lambda stack, i: stack @ gens[i], len(gens), realization, p, cap)
     return FiniteGroupTable(p, realization, elements, index, rmul, parent,
                             parent_gen, levels,
                             _tree_inverses(rmul, parent, parent_gen, levels))
+
+
+def element_centralizer(system, p: int, x: np.ndarray,
+                        cap: int = DEFAULT_CAP):
+    """C_G(x) in G = E(system, F_p), without closing G, and a membership
+    test for G.  The orbit of x under y -> s^-1 y s by the root elements
+    s = x_{+-a}(1), found breadth first, gives each point y a t_y in G with
+    t_y^-1 x t_y = y along its tree.  By Schreier's lemma the elements
+    t_y s t_{y^s}^-1 generate C_G(x), and ``close`` closes the distinct
+    ones.  |orbit| |C_G(x)| counts |G| a second time, independently of
+    ``expected_order``; a count that differs raises OrderMismatch.  A group
+    whose ``expected_order`` exceeds ``cap`` is refused first.
+
+    Returns the table of C_G(x) and ``contains``, which tells which of a
+    stack of 3x3 integer matrices lie in G by one sift step: f does iff
+    y = f^-1 x f is an orbit point and f t_y^-1 lies in C_G(x).  f^-1 is
+    the adjugate of f over its determinant, and f is not in G when that
+    is not a unit."""
+    realization, gens = _root_elements(system, p, cap)
+    _, inverses = _root_elements(system, p, cap, -1)
+    _, orbit, table, parent, parent_gen, levels = _breadth_first(
+        x[None], lambda stack, i: inverses[i] @ stack @ gens[i], len(gens),
+        realization, p, cap)
+    # t_y = t_parent s, stored in bytes like the points
+    t = np.empty((len(orbit),) + x.shape, dtype=np.uint8)
+    t_inv = np.empty_like(t)
+    t[0] = t_inv[0] = np.eye(len(x))
+    for lo, hi in zip(levels[1:], levels[2:]):
+        up, s = parent[lo:hi], parent_gen[lo:hi]
+        t[lo:hi] = t[up].astype(np.int64) @ gens[s] % p
+        t_inv[lo:hi] = inverses[s] @ t_inv[up].astype(np.int64) % p
+    schreier = {}                       # the distinct keys, in order
+    for lo, hi in zip(levels, levels[1:]):
+        for i, s in enumerate(gens):
+            back = t_inv[table[lo:hi, i]].astype(np.int64)
+            schreier.update(dict.fromkeys(element_keys(
+                t[lo:hi].astype(np.int64) @ s @ back, realization, p)))
+    cent = close(np.frombuffer(b"".join(schreier), dtype=np.uint8).reshape(
+        (-1,) + x.shape).astype(np.int64), realization, p, cap)
+    count, expected = len(orbit) * len(cent), expected_order(system, p)
+    if count != expected:
+        raise OrderMismatch(
+            f"orbit {len(orbit)} times centralizer {len(cent)} is {count},"
+            f" but E({SystemType(system).tag}, F_{p}) has order {expected}")
+
+    def contains(mats: np.ndarray) -> np.ndarray:
+        r0, r1, r2 = np.moveaxis(mats % p, -2, 0)
+        adj = np.stack([np.cross(r1, r2), np.cross(r2, r0),
+                        np.cross(r0, r1)], axis=-1)
+        det = (r0 * adj[..., 0]).sum(axis=-1) % p
+        inv = adj * _unit_inverses(p)[det][:, None, None] % p
+        y = np.array([orbit.get(key, -1) for key in element_keys(
+            inv @ x @ mats, realization, p)], dtype=np.int64)
+        ok = (det != 0) & (y >= 0)
+        ok[ok] = [key in cent.index for key in element_keys(
+            mats[ok] @ t_inv[y[ok]].astype(np.int64), realization, p)]
+        return ok
+    return cent, contains
 
 
 def _tree_inverses(rmul, parent, parent_gen, levels) -> np.ndarray:

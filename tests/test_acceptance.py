@@ -116,13 +116,14 @@ def test_criterion_03_centralizers():
     # exhaustive centralizers match the families elementwise (asserted
     # inside centralizer_bruteforce); A2 and B2 counts are p^2
     for tag, p, want in [("A1", 3, 3), ("A1", 5, 5), ("A2", 3, 9),
-                         ("A2", 5, 25), ("B2", 3, 9)]:
-        count, _ = prooflab.centralizer_bruteforce(tag, p, cap=400000)
+                         ("A2", 5, 25), ("B2", 3, 9), ("A2", 7, 49)]:
+        count, _ = prooflab.centralizer_bruteforce(tag, p, cap=2000000)
         assert count == want, (tag, p, count)
     elapsed = time.time() - t0
     assert elapsed < 120.0
     _ok(3, "centralizer parametrizations pass symbolically and match the"
-           f" exhaustive centralizers over F_3/F_5 ({elapsed:.1f}s < 2min)")
+           " exhaustive centralizers over F_3, F_5 and F_7"
+           f" ({elapsed:.1f}s < 2min)")
 
 
 def test_criterion_04_g2_entry_chain():

@@ -109,6 +109,41 @@ def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_centralizer_out_of_memory_exits_2_with_one_line(capsys,
+                                                         monkeypatch):
+    def exhausted(system, p, x, cap):
+        raise MemoryError
+
+    monkeypatch.setattr(shacheck, "element_centralizer", exhausted)
+    code, out, err = run(capsys, "centralizer", "--system", "B2", "--prime",
+                         "5", "--cap", "5000000")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: out of memory in centralizer (system B2, prime 5,"
+        " cap 5000000)"]
+
+
+def test_centralizer_closes_only_the_centralizer(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_group called")
+
+    close, closed = shacheck.close, []
+
+    def counted(*args, **kwargs):
+        table = close(*args, **kwargs)
+        closed.append(len(table))
+        return table
+
+    monkeypatch.setattr(shacheck, "generate_group", refuse)
+    monkeypatch.setattr(shacheck, "close", counted)
+    code, out, _ = run(capsys, "centralizer", "--system", "A2", "--prime",
+                       "3", "--no-timing")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("(count 9)")
+    # one closure, of C_G(x0); PGL3(3) itself has 5616 elements
+    assert closed == [9]
+
+
 BOUNDED_SHA = """
 import os, resource, sys
 from chevlab.cli import dispatch

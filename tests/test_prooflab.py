@@ -1348,3 +1348,40 @@ def test_wrong_centralizer_family_fails(entry, flags):
         verdicts = {line["name"]: line["verdict"]
                     for line in map(json.loads, proc.stdout.splitlines())}
         assert verdicts["A2-centralizer-bruteforce-p3"] == "FAIL"
+
+
+MISCOUNTED_ORDER = """
+import sys
+from chevlab import cli, prooflab, shacheck
+
+right = shacheck.expected_order
+shacheck.expected_order = lambda system, p: right(system, p) + 1
+if sys.argv[1] == "function":
+    prooflab.centralizer_bruteforce("A2", 3)
+else:
+    sys.exit(cli.dispatch(["centralizer", "--system", "A2", "--prime", "3",
+                           "--output", "json-lines", "--no-timing"]))
+"""
+
+
+@pytest.mark.parametrize("entry", ["function", "cli"])
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_wrong_group_order_fails(entry, flags):
+    # orbit times centralizer counts |G| a second time; an order formula
+    # that disagrees with it is a failure, under python -O as without
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevlab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", MISCOUNTED_ORDER, entry],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300)
+    if entry == "function":
+        assert proc.returncode != 0
+        assert "OrderMismatch" in proc.stderr
+    else:
+        assert proc.returncode == 1, proc.stderr
+        lines = {line["name"]: line
+                 for line in map(json.loads, proc.stdout.splitlines())}
+        assert lines["A2-centralizer-bruteforce-p3"] == {
+            "name": "A2-centralizer-bruteforce-p3", "verdict": "FAIL",
+            "residual": "orbit 624 times centralizer 9 is 5616, but"
+                        " E(A2, F_3) has order 5617"}

@@ -11,7 +11,9 @@ import pytest
 
 import chevlab
 from chevlab import shacheck
-from chevlab.chevgroup import build_basis, default_realization, root_element
+from chevlab.chevgroup import (build_basis, default_realization,
+                               evaluate_word, parse_word, root_element,
+                               standard_family)
 from chevlab.cli import dispatch
 from chevlab.exactring import RingSpec
 from chevlab.rootsys import SystemType, simple_roots
@@ -19,8 +21,9 @@ from chevlab.shacheck import (CapExceeded, DEFAULT_CAP, REJECT,
                               FiniteGroupTable, _canonicalize,
                               _inverse_permutation, _lookup,
                               class_preserving_endos, close,
-                              conjugacy_classes, element_keys,
-                              expected_order, extend_homomorphism,
+                              conjugacy_classes, element_centralizer,
+                              element_keys, expected_order,
+                              extend_homomorphism,
                               generate_group, hypothesis_violated,
                               inner_endomorphisms, matrix_array, sha_report)
 
@@ -723,3 +726,98 @@ def test_orbit_search_matches_unreduced_search(system, p, cap, monkeypatch):
     cent = G.centralizer(s1)
     for c in second:
         assert c == min(G.conj(g, c) for g in cent.tolist())
+
+
+def family_x0(system, p):
+    """The integer array of the standard centralizer family's x0 over F_p."""
+    system = SystemType(system)
+    spec = RingSpec("modular", modulus=p)
+    realization = default_realization(system)
+    return matrix_array(evaluate_word(
+        parse_word(standard_family(system).x0, system, spec),
+        build_basis(system), realization, spec=spec), realization, p)
+
+
+# every group that closes under cap 30000
+CLOSED_GROUPS = [("A1", 3), ("A1", 5), ("A1", 7), ("A1", 11), ("A1", 13),
+                 ("A2", 2), ("A2", 3), ("B2", 2), ("B2", 3), ("G2", 2)]
+
+
+@pytest.mark.parametrize("system,p", CLOSED_GROUPS)
+def test_element_centralizer_matches_the_closure(system, p):
+    G = generate_group(system, p, cap=30000)
+    classes, class_of = conjugacy_classes(G)
+    _, gens = generator_matrices(system, p)
+    for x in [family_x0(system, p), *gens]:
+        cent, _ = element_centralizer(system, p, x, cap=30000)
+        [x_id] = _lookup(G.index, x[None], G.realization, p)
+        want = G.elements[G.centralizer(x_id)]
+        assert set(cent.index) == set(element_keys(want, G.realization, p))
+        # orbit-stabilizer, the orbit read off the closure's classes
+        assert len(classes[class_of[x_id]]) * len(cent) == len(G) \
+            == expected_order(system, p)
+
+
+def a1_grid(p):
+    """The A1 family's matrices [[a, b, 2c], [0, a, 0], [0, c, a]] over
+    F_p, for every a, b, c."""
+    return np.array([[[a, b, 2 * c], [0, a, 0], [0, c, a]]
+                     for a in range(p) for b in range(p) for c in range(p)])
+
+
+@pytest.mark.parametrize("system,p", [("A1", 5), ("A1", 7), ("A1", 13),
+                                      ("A2", 2), ("A2", 3)])
+def test_sift_matches_the_closure(system, p):
+    G = generate_group(system, p)
+    _, contains = element_centralizer(system, p, family_x0(system, p))
+    rng = np.random.default_rng(p)
+    members = G.elements[rng.integers(len(G), size=200)].astype(np.int64)
+    stacks = [members, 2 * members, rng.integers(p, size=(500, 3, 3)),
+              # rank at most 2, so never in G
+              rng.integers(p, size=(50, 3, 2)) @ rng.integers(p,
+                                                              size=(50, 2, 3))]
+    if system == "A1":
+        stacks.append(a1_grid(p))
+    for mats in stacks:
+        want = [key in G.index
+                for key in element_keys(mats, G.realization, p)]
+        assert contains(mats).tolist() == want
+    assert all(contains(members))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_a1_grid_meets_matrices_outside_the_group(p):
+    G = generate_group("A1", p)
+    inside = [key in G.index for key in element_keys(a1_grid(p), "a1std", p)]
+    assert 0 < sum(inside) < len(inside)
+
+
+def test_element_centralizer_refuses_a_group_over_the_cap(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("root elements built for a group over the cap")
+
+    monkeypatch.setattr(shacheck, "matrix_array", fail)
+    with pytest.raises(CapExceeded) as err:
+        element_centralizer("B2", 3, np.eye(10, dtype=np.int64))
+    assert str(err.value) == (f"group order exceeds cap {DEFAULT_CAP};"
+                              " raise --cap")
+
+
+def test_element_centralizer_checks_the_order(monkeypatch):
+    right = expected_order
+    monkeypatch.setattr(shacheck, "expected_order",
+                        lambda system, p: right(system, p) + 1)
+    with pytest.raises(shacheck.OrderMismatch) as err:
+        element_centralizer("A2", 3, family_x0("A2", 3))
+    assert str(err.value) == ("orbit 624 times centralizer 9 is 5616, but"
+                              " E(A2, F_3) has order 5617")
+
+
+@pytest.mark.parametrize("system,p,cap,count", [
+    ("A2", 5, 400000, 25), ("A2", 7, 2000000, 49)])
+def test_element_centralizer_beyond_the_closures(system, p, cap, count):
+    cent, contains = element_centralizer(system, p, family_x0(system, p),
+                                         cap=cap)
+    assert len(cent) == count
+    members = cent.elements.astype(np.int64)
+    assert contains(members).all()
